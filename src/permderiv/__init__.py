@@ -55,7 +55,6 @@ from .charpoly import (
 from .norms import (
     BoundReport,
     SingularSpectrum,
-    SvdConvergenceError,
     dk_gr_norm_exact,
     dkper_norm_bound,
     elementary_symmetric,

@@ -16,19 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import (
-    MultiIndex,
-    enumerate_strict,
-    index_weight,
-    permutations_of,
-)
-from .permanent import minor_complement, submatrix
-from .scalars import ExactComplex, is_exact, zeros_like_mode
+from .multiindex import MultiIndex, enumerate_strict, permutations_of
+from .permanent import replacement_stack, submatrix
+from .scalars import require_square, total, zero_like
 from .tensor import (
+    basis_indices,
     block_trace,
-    det,
     det_batch,
     mixed_antisym_projected,
+    sigma_blocks,
+    signed_complement_minors,
     tilde_antisym_block,
 )
 
@@ -62,7 +59,7 @@ class PrincipalRestriction:
 
 def principal_restrictions(A, r: int) -> tuple[PrincipalRestriction, ...]:
     """All r x r principal restrictions of A, in lexicographic I order."""
-    A = _square(A)
+    A = require_square(A)
     return tuple(
         PrincipalRestriction(I, submatrix(A, I, I))
         for I in enumerate_strict(r, A.shape[0])
@@ -71,24 +68,16 @@ def principal_restrictions(A, r: int) -> tuple[PrincipalRestriction, ...]:
 
 def g_r(A, r: int):
     """Sum of the r x r principal minors of A."""
-    A = _square(A)
+    A = require_square(A)
     n = A.shape[0]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
-    if is_exact(A):
-        total = ExactComplex(0)
-        for I in enumerate_strict(r, n):
-            total = total + det(submatrix(A, I, I))
-        return total
-    Ac = A.astype(complex)
-    strict = enumerate_strict(r, n)
-    blocks = np.stack([submatrix(Ac, I, I) for I in strict])
-    return complex(det_batch(blocks).sum())
+    return total(det_batch(_restrict(A, r)))
 
 
 def charpoly_all(A) -> CharPolyCoefficients:
     """All coefficients (g_1, ..., g_n) via principal-minor sums."""
-    A = _square(A)
+    A = require_square(A)
     n = A.shape[0]
     return CharPolyCoefficients(tuple(g_r(A, r) for r in range(1, n + 1)))
 
@@ -96,86 +85,37 @@ def charpoly_all(A) -> CharPolyCoefficients:
 def dk_gr_columns(A, directions, k: int, r: int):
     """Column-replacement form, summed over principal restrictions."""
     A, directions, n = _validate(A, directions, k, r)
+    value = zero_like(A)
     if k > r:
-        return _zero(A)
-    sigmas = permutations_of(k)
-    inner = enumerate_strict(k, r)
-    total = None
-    for rest in principal_restrictions(A, r):
-        AI = rest.value
-        XIs = [submatrix(np.asarray(X), rest.I, rest.I) for X in directions]
-        if not is_exact(A):
-            stack = np.empty((len(sigmas) * len(inner), r, r), dtype=complex)
-            pos = 0
-            for sigma in sigmas:
-                for J in inner:
-                    Z = AI.astype(complex).copy()
-                    for p, jp in enumerate(J.zero_based()):
-                        Z[:, jp] = XIs[sigma[p]][:, jp]
-                    stack[pos] = Z
-                    pos += 1
-            term = complex(det_batch(stack).sum())
-        else:
-            term = ExactComplex(0)
-            for sigma in sigmas:
-                for J in inner:
-                    Z = AI.copy()
-                    for p, jp in enumerate(J.zero_based()):
-                        Z[:, jp] = XIs[sigma[p]][:, jp]
-                    term = term + det(Z)
-        total = term if total is None else total + term
-    return total if total is not None else _zero(A)
+        return value
+    for AI, XI in _restricted(A, directions, r):
+        value = value + total(det_batch(replacement_stack(AI, XI)))
+    return value
 
 
 def dk_gr_minors(A, directions, k: int, r: int):
     """Signed complementary-minor form inside every principal restriction."""
     A, directions, n = _validate(A, directions, k, r)
+    value = zero_like(A)
     if k > r:
-        return _zero(A)
-    sigmas = permutations_of(k)
+        return value
     inner = enumerate_strict(k, r)
-    total = None
-    for rest in principal_restrictions(A, r):
-        AI = rest.value
-        XIs = [submatrix(np.asarray(X), rest.I, rest.I) for X in directions]
-        term = None
-        for J in inner:
-            cj = J.zero_based()
-            for K in inner:
-                rk = K.zero_based()
-                comp = det(minor_complement(AI, K, J))
-                sign = -1 if (index_weight(J) + index_weight(K)) % 2 else 1
-                for sigma in sigmas:
-                    if is_exact(A):
-                        block = zeros_like_mode(A, (k, k))
-                    else:
-                        block = np.empty((k, k), dtype=complex)
-                    for l in range(k):
-                        for m in range(k):
-                            block[l, m] = XIs[sigma[m]][rk[l], cj[m]]
-                    piece = comp * det(block)
-                    piece = -piece if sign < 0 else piece
-                    term = piece if term is None else term + piece
-        if term is not None:
-            total = term if total is None else total + term
-    return total if total is not None else _zero(A)
+    for AI, XI in _restricted(A, directions, r):
+        signed = signed_complement_minors(AI, k)  # (K, J): rows K and columns J deleted
+        for sigma in permutations_of(k):
+            value = value + total(signed * det_batch(sigma_blocks(XI, inner, sigma)))
+    return value
 
 
 def dk_gr_tensor(A, directions, k: int, r: int):
     """Tensor-trace form: k! sum_I tr(tilde-antisym(A_I) * X^1_I ^...^ X^k_I)."""
     A, directions, n = _validate(A, directions, k, r)
+    value = zero_like(A)
     if k > r:
-        return _zero(A)
-    total = None
-    for rest in principal_restrictions(A, r):
-        XIs = tuple(submatrix(np.asarray(X), rest.I, rest.I) for X in directions)
-        tilde = tilde_antisym_block(rest.value, k)
-        mixed = mixed_antisym_projected(XIs)
-        term = block_trace(tilde, mixed)
-        total = term if total is None else total + term
-    if total is None:
-        return _zero(A)
-    return math.factorial(k) * total
+        return value
+    for AI, XI in _restricted(A, directions, r):
+        value = value + block_trace(tilde_antisym_block(AI, k), mixed_antisym_projected(XI))
+    return math.factorial(k) * value
 
 
 def dk_gr(A, directions, k: int, r: int, formula: str = "columns"):
@@ -196,7 +136,7 @@ def dk_gr(A, directions, k: int, r: int, formula: str = "columns"):
 
 
 def _validate(A, directions, k, r):
-    A = _square(A)
+    A = require_square(A)
     n = A.shape[0]
     directions = tuple(directions)
     if len(directions) != k:
@@ -211,12 +151,13 @@ def _validate(A, directions, k, r):
     return A, directions, n
 
 
-def _square(A):
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"square matrix required, got shape {A.shape}")
-    return A
+def _restrict(M, r):
+    """The r x r principal restrictions of M (..., n, n), stacked as (..., C(n,r), r, r)."""
+    idx = basis_indices(enumerate_strict(r, M.shape[-1]))
+    return M[..., idx[:, :, None], idx[:, None, :]]
 
 
-def _zero(A):
-    return ExactComplex(0) if is_exact(A) else complex(0.0)
+def _restricted(A, directions, r):
+    """Pairs (A_I, X_I) over I in Q_{r,n}: the restriction of A and the (k, r, r)
+    stack of the restrictions of the directions."""
+    return zip(_restrict(A, r), _restrict(np.stack(directions), r).swapaxes(0, 1))

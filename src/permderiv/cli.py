@@ -3,18 +3,15 @@
 Reads a JSON job from --input (file path) or stdin, runs one computation,
 and prints a JSON report to stdout.  Complex scalars are emitted as
 [re, im] pairs, norms as plain reals.  Exit codes: 0 success, 1 input
-error, 2 verification failure.
-
-PERMDERIV_THREADS caps internal parallelism; the default build evaluates
-everything sequentially, so 0 (reference mode) and higher values produce
-identical numbers.
+error, 2 verification failure.  Output is strict JSON: non-finite input
+entries and non-finite results are input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 import numpy as np
@@ -30,7 +27,7 @@ from .norms import (
     per_perturb_bound,
 )
 from .permanent import padj, per
-from .scalars import ExactComplex, exact_matrix, is_exact
+from .scalars import ExactComplex, exact_matrix
 from .verification import run_verify
 
 VERBS = (
@@ -54,38 +51,32 @@ class InputError(ValueError):
     pass
 
 
-def _parse_entry(entry):
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(
-        isinstance(x, (int, float)) for x in entry
-    ):
-        return complex(entry[0], entry[1])
-    raise InputError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
-
-
 def parse_matrix(obj, mode: str):
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputError("matrix must be a non-empty array of rows")
     widths = {len(r) for r in obj}
     if len(widths) != 1:
         raise InputError("matrix rows must all have the same length")
-    if mode == "exact":
-        try:
-            return exact_matrix(
-                [[_pair(e) for e in row] for row in obj]
-            )
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    return np.array([[_parse_entry(e) for e in row] for row in obj], dtype=complex)
+    pairs = [[_pair(e) for e in row] for row in obj]
+    try:
+        if mode == "exact":
+            return exact_matrix(pairs)
+        return np.array([[complex(*p) for p in row] for row in pairs], dtype=complex)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _pair(entry):
-    if isinstance(entry, (int, float)):
-        return (entry, 0)
-    if isinstance(entry, list) and len(entry) == 2:
-        return (entry[0], entry[1])
-    raise InputError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
+    pair = (entry, 0) if isinstance(entry, (int, float)) else entry
+    if not (
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and all(isinstance(x, (int, float)) for x in pair)
+    ):
+        raise InputError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
+    if not all(isinstance(x, int) or math.isfinite(x) for x in pair):
+        raise InputError(f"matrix entries must be finite, got {entry!r}")
+    return tuple(pair)
 
 
 def _scalar_out(value):
@@ -120,6 +111,8 @@ def _load_job(args):
 
 def _directions(data, args, n, mode):
     if "directions" in data:
+        if not isinstance(data["directions"], list):
+            raise InputError('"directions" must be a list of matrices')
         dirs = [parse_matrix(m, mode) for m in data["directions"]]
     elif "X" in data:
         k = args.k if args.k is not None else 1
@@ -267,18 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # accepted for compatibility; evaluation is sequential either way
-    os.environ.setdefault("PERMDERIV_THREADS", "0")
     args = build_parser().parse_args(argv)
     try:
         report, code = run(args)
-    except InputError as exc:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except (ValueError, IndexError, OSError, OverflowError) as exc:
         print(json.dumps({"error": "input", "detail": str(exc)}, sort_keys=True))
         return 1
-    except (ValueError, IndexError, OSError) as exc:
-        print(json.dumps({"error": "input", "detail": str(exc)}, sort_keys=True))
-        return 1
-    print(json.dumps(report, sort_keys=True))
+    print(text)
     return code
 
 

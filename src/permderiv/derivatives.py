@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MultiIndex, enumerate_strict, permutations_of
+from .multiindex import MultiIndex, complement, enumerate_strict, permutations_of
 from .permanent import (
     ReplacementSpec,
     column_replace,
@@ -19,11 +19,16 @@ from .permanent import (
     padj,
     per,
     per_batch,
-    sigma_columns,
-    submatrix,
+    replacement_stack,
 )
-from .scalars import ExactComplex, is_exact
-from .tensor import block_trace, mixed_sym_projected, tilde_sym_block
+from .scalars import ExactComplex, require_square, total, zero_like
+from .tensor import (
+    block_trace,
+    map_blocks,
+    mixed_sym_projected,
+    sigma_blocks,
+    tilde_sym_block,
+)
 
 FORMULAS = ("columns", "minors", "tensor")
 
@@ -41,9 +46,7 @@ class DerivativeRequest:
     formula: str = "columns"
 
     def __post_init__(self):
-        A = np.asarray(self.A)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"square matrix required, got shape {A.shape}")
+        A = require_square(self.A)
         for X in self.directions:
             if np.asarray(X).shape != A.shape:
                 raise ValueError("directions must match the order of A")
@@ -82,33 +85,12 @@ def dper(A, X):
 def dkper_columns(req: DerivativeRequest):
     """Column-replacement form: sum over sigma and J of per A(J; X^sigma)."""
     A = np.asarray(req.A)
-    n = A.shape[0]
     k = req.order
     if k == 0:
         return per(A)
-    strict = enumerate_strict(k, n) if k <= n else ()
-    if not strict:
-        return _zero(A)
-    sigmas = permutations_of(k)
-    if not is_exact(A):
-        Ac = A.astype(complex)
-        Xs = [np.asarray(X, dtype=complex) for X in req.directions]
-        stack = np.empty((len(sigmas) * len(strict), n, n), dtype=complex)
-        pos = 0
-        for sigma in sigmas:
-            for J in strict:
-                Z = Ac.copy()
-                for p, jp in enumerate(J.zero_based()):
-                    Z[:, jp] = Xs[sigma[p]][:, jp]
-                stack[pos] = Z
-                pos += 1
-        return complex(per_batch(stack).sum())
-    total = ExactComplex(0)
-    for sigma in sigmas:
-        ordered = tuple(req.directions[sigma[p]] for p in range(k))
-        for J in strict:
-            total = total + per(column_replace(A, ReplacementSpec(J, ordered)))
-    return total
+    if k > A.shape[0]:
+        return zero_like(A)
+    return total(per_batch(replacement_stack(A, np.stack(req.directions))))
 
 
 def dkper_minors(req: DerivativeRequest):
@@ -119,37 +101,14 @@ def dkper_minors(req: DerivativeRequest):
     if k == 0:
         return per(A)
     if k > n:
-        return _zero(A)
-    strict = enumerate_strict(k, n)
-    sigmas = permutations_of(k)
-    if not is_exact(A):
-        Ac = A.astype(complex)
-        Xs = np.stack([np.asarray(X, dtype=complex) for X in req.directions])
-        rows = np.array([I.zero_based() for I in strict])
-        cols = np.array([J.zero_based() for J in strict])
-        C = len(strict)
-        comps = np.empty((C, C, n - k, n - k), dtype=complex)
-        for a, I in enumerate(strict):
-            for b, J in enumerate(strict):
-                comps[a, b] = minor_complement(Ac, I, J)
-        per_comp = per_batch(comps)  # (C, C) indexed (I, J)
-        total = 0.0 + 0.0j
-        for sigma in sigmas:
-            blocks = Xs[
-                np.asarray(sigma)[None, None, None, :],
-                rows[:, None, :, None],
-                cols[None, :, None, :],
-            ]
-            total += (per_comp * per_batch(blocks)).sum()
-        return complex(total)
-    total = ExactComplex(0)
-    for sigma in sigmas:
-        for J in strict:
-            spec = ReplacementSpec(J, req.directions)
-            Y = sigma_columns(spec, sigma)
-            for I in strict:
-                total = total + per(minor_complement(A, I, J)) * per(submatrix(Y, I, J))
-    return total
+        return zero_like(A)
+    basis = enumerate_strict(k, n)
+    comps = [complement(I, n) for I in basis]
+    per_comp = map_blocks(A, comps, comps, per_batch)  # (C, C) indexed (I, J)
+    Xs = np.stack(req.directions)
+    return total(
+        sum(per_comp * per_batch(sigma_blocks(Xs, basis, sigma)) for sigma in permutations_of(k))
+    )
 
 
 def dkper_tensor(req: DerivativeRequest):
@@ -160,7 +119,7 @@ def dkper_tensor(req: DerivativeRequest):
     if k == 0:
         return per(A)
     if k > n:
-        return _zero(A)
+        return zero_like(A)
     tilde = tilde_sym_block(A, k)
     mixed = mixed_sym_projected(req.directions)
     return math.factorial(k) * block_trace(tilde, mixed)
@@ -180,10 +139,6 @@ def dkper(A, directions, formula: str = "columns"):
         "minors": dkper_minors(req),
         "tensor": dkper_tensor(req),
     }
-
-
-def _zero(A):
-    return ExactComplex(0) if is_exact(A) else complex(0.0)
 
 
 def _sum(terms):

@@ -1,8 +1,7 @@
 """Singular values, operator/trace norms, derivative norms, perturbation bounds.
 
-The SVD is a one-sided Jacobi iteration on the complex matrix: column pairs
-are orthogonalized by 2x2 unitary rotations until all inner products fall
-below the convergence threshold.  Deterministic and dependency-free.
+Singular values come from LAPACK (`numpy.linalg.svd`), wrapped so that the
+factors read A = U diag(s) V.
 """
 
 from __future__ import annotations
@@ -14,22 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .charpoly import principal_restrictions
-from .scalars import is_exact, to_complex
-
-JACOBI_MAX_SWEEPS = 60
-JACOBI_TOL = 1e-14
-
-
-class SvdConvergenceError(RuntimeError):
-    """One-sided Jacobi failed to converge; carries the off-diagonal residual."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"one-sided Jacobi did not converge in {sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
-        self.residual = residual
-        self.sweeps = sweeps
+from .scalars import to_complex
 
 
 @dataclass(frozen=True)
@@ -59,96 +43,12 @@ class BoundReport:
 
 
 def svd(A) -> SingularSpectrum:
-    """Complex SVD by one-sided Jacobi; A = U diag(s) V with U, V unitary."""
-    A = to_complex(A) if is_exact(A) else np.asarray(A, dtype=complex)
+    """Complex SVD by LAPACK; A = U diag(s) V with U, V unitary."""
+    A = to_complex(A)
     if A.ndim != 2:
         raise ValueError("svd expects a matrix")
-    m, n = A.shape
-    if m < n:
-        flipped = svd(A.conj().T)
-        return SingularSpectrum(
-            flipped.values,
-            flipped.right_factor.conj().T,
-            flipped.left_factor.conj().T,
-        )
-    G = A.copy()
-    Vacc = np.eye(n, dtype=complex)
-    fro = np.linalg.norm(A)
-    if fro == 0.0:
-        return SingularSpectrum(np.zeros(n), np.eye(m, dtype=complex), np.eye(n, dtype=complex))
-    tiny = (JACOBI_TOL * fro) ** 2
-    converged = False
-    off = 0.0
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gp = G[:, p]
-                gq = G[:, q]
-                a = float(np.real(gp.conj() @ gp))
-                b = float(np.real(gq.conj() @ gq))
-                c = complex(gp.conj() @ gq)
-                ac = abs(c)
-                scale = math.sqrt(a * b)
-                if ac <= JACOBI_TOL * scale or ac <= tiny:
-                    continue
-                off = max(off, ac / scale)
-                rotated = True
-                phase = c / ac
-                tau = (b - a) / (2.0 * ac)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                cs = 1.0 / math.hypot(1.0, t)
-                sn = t * cs
-                J = np.array(
-                    [[cs, sn * phase], [-sn * np.conj(phase), cs]], dtype=complex
-                )
-                G[:, [p, q]] = G[:, [p, q]] @ J
-                Vacc[:, [p, q]] = Vacc[:, [p, q]] @ J
-        if not rotated:
-            converged = True
-            break
-    if not converged:
-        raise SvdConvergenceError(off, JACOBI_MAX_SWEEPS)
-    s = np.linalg.norm(G, axis=0)
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    G = G[:, order]
-    Vacc = Vacc[:, order]
-    U = np.zeros((m, m), dtype=complex)
-    cutoff = max(s[0], fro) * 1e-15 if s.size else 0.0
-    good = []
-    for j in range(n):
-        if s[j] > cutoff:
-            U[:, j] = G[:, j] / s[j]
-            good.append(j)
-        else:
-            s[j] = 0.0
-    _complete_unitary(U, good, m)
-    return SingularSpectrum(s, U, Vacc.conj().T)
-
-
-def _complete_unitary(U, good_cols, m):
-    """Fill the non-populated columns of U with an orthonormal completion."""
-    have = list(good_cols)
-    missing = [j for j in range(m) if j not in have]
-    if not missing:
-        return
-    basis = [U[:, j] for j in have]
-    fill = iter(missing)
-    for i in range(m):
-        v = np.zeros(m, dtype=complex)
-        v[i] = 1.0
-        for u in basis:
-            v = v - (u.conj() @ v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-10:
-            v = v / norm
-            basis.append(v)
-            try:
-                U[:, next(fill)] = v
-            except StopIteration:
-                return
+    U, s, V = np.linalg.svd(A)
+    return SingularSpectrum(s, U, V)
 
 
 def singular_values(A) -> np.ndarray:
@@ -193,7 +93,7 @@ def dkper_norm_bound(A, k: int) -> BoundReport:
     norm = operator_norm(A)
     value = math.factorial(k) * math.comb(n, k) * norm ** (n - k)
     witness = None
-    Ac = to_complex(A) if is_exact(A) else np.asarray(A, dtype=complex)
+    Ac = to_complex(A)
     if k == 1 and np.allclose(Ac, np.eye(n)):
         witness = np.eye(n, dtype=complex)  # dper(I, I) = n = bound
     return BoundReport(value, "upper", witness)
@@ -224,7 +124,7 @@ def dk_gr_norm_exact(A, k: int, r: int) -> BoundReport:
         total += elementary_symmetric(r - k, s)
     value = math.factorial(k) * total
     witness = None
-    Ac = to_complex(A) if is_exact(A) else np.asarray(A, dtype=complex)
+    Ac = to_complex(A)
     if k == 1 and np.allclose(Ac, np.diag(np.diag(Ac))) and np.all(
         np.real(np.diag(Ac)) >= 0
     ) and np.allclose(np.imag(np.diag(Ac)), 0):

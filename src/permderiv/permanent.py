@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .multiindex import MultiIndex, enumerate_strict, complement
-from .scalars import is_exact, zeros_like_mode
+from .multiindex import MultiIndex, enumerate_strict, complement, permutations_of
+from .scalars import is_exact, map_matrices, require_square, zeros_like_mode
 
 NAIVE_MAX_N = 10
 RYSER_CROSSOVER = 5  # per() switches from naive to Ryser at this order
@@ -33,16 +33,9 @@ class ReplacementSpec:
             raise ValueError("need one direction per replaced column")
 
 
-def _require_square(A):
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"square matrix required, got shape {A.shape}")
-    return A
-
-
 def per_naive(A):
     """Permanent as the literal permutation sum. Guarded to n <= 10."""
-    A = _require_square(A)
+    A = require_square(A)
     n = A.shape[0]
     if n > NAIVE_MAX_N:
         raise ValueError(f"per_naive limited to n <= {NAIVE_MAX_N}, got {n}")
@@ -60,7 +53,7 @@ def per_naive(A):
 
 def per_ryser(A):
     """Ryser's formula with Gray-code column updates."""
-    A = _require_square(A)
+    A = require_square(A)
     n = A.shape[0]
     if n == 0:
         return _one(A)
@@ -88,18 +81,22 @@ def per_ryser(A):
 
 def per(A):
     """Permanent of a square matrix (naive below the crossover, Ryser above)."""
-    A = _require_square(A)
+    A = require_square(A)
     if A.shape[0] < RYSER_CROSSOVER:
         return per_naive(A)
     return per_ryser(A)
 
 
 def per_batch(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a stack of k x k complex matrices, vectorized Ryser.
+    """Permanents of a stack of k x k matrices, in the stack's mode.
 
-    Floating mode only; used by the derivative formulas' inner loops.
+    A floating stack runs a vectorized Ryser and returns complex128; an
+    exact (object) stack runs `per` on each matrix and returns an object array.
     """
-    mats = np.asarray(mats, dtype=complex)
+    mats = np.asarray(mats)
+    if is_exact(mats):
+        return map_matrices(per, mats)
+    mats = mats.astype(complex)
     k = mats.shape[-1]
     m = mats.shape[:-2]
     if k == 0:
@@ -126,7 +123,7 @@ def submatrix(A, I: MultiIndex, J: MultiIndex):
 
 def minor_complement(A, I: MultiIndex, J: MultiIndex):
     """A(I|J): A with rows I and columns J deleted. Strict indices only."""
-    A = _require_square(A)
+    A = require_square(A)
     if I.kind != "strict" or J.kind != "strict":
         raise ValueError("minor complement requires strict multi-indices")
     if len(I) != len(J):
@@ -137,7 +134,7 @@ def minor_complement(A, I: MultiIndex, J: MultiIndex):
 
 def laplace_per(A, I: MultiIndex):
     """Laplace expansion along rows I: sum_J per A[I|J] * per A(I|J)."""
-    A = _require_square(A)
+    A = require_square(A)
     n = A.shape[0]
     k = len(I)
     total = None
@@ -149,7 +146,7 @@ def laplace_per(A, I: MultiIndex):
 
 def padj(A):
     """Permanental adjoint: (i,j)-entry is per A(i|j)."""
-    A = _require_square(A)
+    A = require_square(A)
     n = A.shape[0]
     if n < 1:
         raise ValueError("padj requires n >= 1")
@@ -163,7 +160,7 @@ def padj(A):
 
 def column_replace(A, spec: ReplacementSpec):
     """A(J; X^1,...,X^k): replace column j_p of A by column j_p of X^p."""
-    A = _require_square(A)
+    A = require_square(A)
     n = A.shape[0]
     Z = A.copy()
     for p, jp in enumerate(spec.J.zero_based()):
@@ -174,6 +171,22 @@ def column_replace(A, spec: ReplacementSpec):
             raise IndexError(f"column {jp + 1} out of range for order {n}")
         Z[:, jp] = X[:, jp]
     return Z
+
+
+def replacement_stack(A, Xs):
+    """Every A(J; X^sigma) for sigma in S_k and J in Q_{k,n}, sigma outermost.
+
+    A is n x n and Xs is (k, n, n); the result is a (k! C(n,k), n, n) stack
+    in the common mode of A and Xs.
+    """
+    k, n = Xs.shape[0], Xs.shape[-1]
+    # slot 0 of `sources` is A, slot p + 1 is X^p; which[m, j] picks column j's slot
+    sources = np.concatenate([np.asarray(A)[None], Xs])
+    pairs = list(itertools.product(permutations_of(k), enumerate_strict(k, n)))
+    which = np.zeros((len(pairs), n), dtype=int)
+    for m, (sigma, J) in enumerate(pairs):
+        which[m, list(J.zero_based())] = np.add(sigma, 1)
+    return sources[which[:, None, :], np.arange(n)[:, None], np.arange(n)]
 
 
 def sigma_columns(spec: ReplacementSpec, sigma: tuple[int, ...], n: int | None = None):

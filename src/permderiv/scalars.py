@@ -180,3 +180,32 @@ def zeros_like_mode(matrix, shape):
     if is_exact(matrix):
         return exact_zeros(shape)
     return np.zeros(shape, dtype=complex)
+
+
+def zero_like(matrix):
+    """The scalar zero in the mode of `matrix`."""
+    return ExactComplex(0) if is_exact(matrix) else complex(0.0)
+
+
+def total(values):
+    """Sum of an array of evaluator results, as a scalar in its mode."""
+    values = np.asarray(values)
+    if is_exact(values):
+        return sum(values.ravel().tolist(), ExactComplex(0))
+    return complex(values.sum())
+
+
+def map_matrices(evaluate, mats):
+    """Object array of evaluate(M) for every matrix M of an exact stack."""
+    out = np.empty(mats.shape[:-2], dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = evaluate(mats[idx])
+    return out
+
+
+def require_square(A):
+    """A as an array, after checking that it is a square matrix."""
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"square matrix required, got shape {A.shape}")
+    return A

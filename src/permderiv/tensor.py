@@ -14,14 +14,21 @@ import numpy as np
 
 from .multiindex import (
     MultiIndex,
+    complement,
     enumerate_strict,
     enumerate_weak,
-    index_weight,
     multiplicity,
     permutations_of,
 )
-from .permanent import per, per_batch, submatrix, minor_complement
-from .scalars import is_exact, zeros_like_mode
+from .permanent import per, per_batch, minor_complement
+from .scalars import (
+    is_exact,
+    map_matrices,
+    require_square,
+    to_complex,
+    total,
+    zeros_like_mode,
+)
 
 
 @dataclass(frozen=True)
@@ -40,9 +47,7 @@ class TensorBlock:
 
 def det(A):
     """Determinant: fraction-free Bareiss in exact mode, LAPACK LU otherwise."""
-    A = np.asarray(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("determinant requires a square matrix")
+    A = require_square(A)
     if is_exact(A):
         return det_bareiss(A)
     if A.shape[0] == 0:
@@ -79,11 +84,41 @@ def det_bareiss(A):
 
 
 def det_batch(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of k x k complex matrices."""
-    mats = np.asarray(mats, dtype=complex)
+    """Determinants of a stack of k x k matrices, in the stack's mode.
+
+    A floating stack runs LAPACK LU and returns complex128; an exact (object)
+    stack runs Bareiss on each matrix and returns an object array.
+    """
+    mats = np.asarray(mats)
+    if is_exact(mats):
+        return map_matrices(det_bareiss, mats)
+    mats = mats.astype(complex)
     if mats.shape[-1] == 0:
         return np.ones(mats.shape[:-2], dtype=complex)
     return np.linalg.det(mats)
+
+
+def basis_indices(basis) -> np.ndarray:
+    """A multi-index basis as a (len(basis), k) array of zero-based indices."""
+    return np.array([I.zero_based() for I in basis], dtype=int).reshape(len(basis), -1)
+
+
+def map_blocks(A, rows, cols, evaluate) -> np.ndarray:
+    """evaluate(A[I|J]) for I in rows and J in cols, as a |rows| x |cols| array.
+
+    `evaluate` is `per_batch` or `det_batch`.
+    """
+    ri, cj = basis_indices(rows), basis_indices(cols)
+    return evaluate(np.asarray(A)[ri[:, None, :, None], cj[None, :, None, :]])
+
+
+def sigma_blocks(Xs, basis, sigma) -> np.ndarray:
+    """Blocks with (l, m) entry X^{sigma(m)}[i_l, j_m], for I, J in the basis.
+
+    Xs is (k, n, n); the result is (C, C, k, k), C = |basis|.
+    """
+    idx = basis_indices(basis)
+    return Xs[np.asarray(sigma), idx[:, None, :, None], idx[None, :, None, :]]
 
 
 def sym_power(A, k: int) -> TensorBlock:
@@ -92,41 +127,31 @@ def sym_power(A, k: int) -> TensorBlock:
     Entry (I, J) is (m(I) m(J))^{-1/2} per A[I|J].  Floating mode only
     (the normalization is irrational).
     """
-    A = np.asarray(A, dtype=complex) if not is_exact(A) else A
-    n = _order(A)
+    n = require_square(A).shape[0]
     if k < 1:
         raise ValueError("need k >= 1")
     basis = enumerate_weak(k, n)
-    m = len(basis)
-    entries = np.empty((m, m), dtype=complex)
     norms = np.array([math.sqrt(multiplicity(I)) for I in basis])
-    blocks = np.empty((m, m, k, k), dtype=complex)
-    Ac = np.asarray(A, dtype=complex) if is_exact(A) else A
-    for a, I in enumerate(basis):
-        for b, J in enumerate(basis):
-            blocks[a, b] = _to_c(submatrix(Ac, I, J))
-    entries = per_batch(blocks) / np.outer(norms, norms)
+    entries = map_blocks(to_complex(A), basis, basis, per_batch) / np.outer(norms, norms)
     return TensorBlock(basis, basis, entries, "sym-full")
 
 
 def sym_power_projected(A, k: int) -> TensorBlock:
     """Compression of the k-th symmetric power to the strict-index basis."""
-    n = _order(A)
+    n = require_square(A).shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
     basis = enumerate_strict(k, n)
-    entries = _map_blocks(A, basis, basis, submatrix, per)
-    return TensorBlock(basis, basis, entries, "sym-projected")
+    return TensorBlock(basis, basis, map_blocks(A, basis, basis, per_batch), "sym-projected")
 
 
 def antisym_power(A, k: int) -> TensorBlock:
     """k-th antisymmetric (compound) power: entries det A[I|J] on Q_{k,n}."""
-    n = _order(A)
+    n = require_square(A).shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
     basis = enumerate_strict(k, n)
-    entries = _map_blocks(A, basis, basis, submatrix, det)
-    return TensorBlock(basis, basis, entries, "antisym")
+    return TensorBlock(basis, basis, map_blocks(A, basis, basis, det_batch), "antisym")
 
 
 def tilde_sym_block(A, k: int) -> TensorBlock:
@@ -134,7 +159,7 @@ def tilde_sym_block(A, k: int) -> TensorBlock:
 
     At k = n the complement is empty and the single entry is per(empty) = 1.
     """
-    n = _order(A)
+    n = require_square(A).shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}")
     basis = enumerate_strict(k, n)
@@ -150,18 +175,21 @@ def tilde_antisym_block(A, k: int) -> TensorBlock:
 
     (J, I) entry is (-1)^{|I|+|J|} det A(I|J).
     """
-    n = _order(A)
+    n = require_square(A).shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}")
     basis = enumerate_strict(k, n)
-    entries = zeros_like_mode(A, (len(basis), len(basis)))
-    for b, J in enumerate(basis):
-        for a, I in enumerate(basis):
-            val = det(minor_complement(A, I, J))
-            if (index_weight(I) + index_weight(J)) % 2:
-                val = -val
-            entries[b, a] = val
-    return TensorBlock(basis, basis, entries, "tilde-antisym")
+    return TensorBlock(basis, basis, signed_complement_minors(A, k).T, "tilde-antisym")
+
+
+def signed_complement_minors(A, k: int) -> np.ndarray:
+    """(-1)^{|I|+|J|} det A(I|J) for I, J in Q_{k,n}, as a C x C array indexed (I, J)."""
+    n = np.asarray(A).shape[0]
+    basis = enumerate_strict(k, n)
+    comps = [complement(I, n) for I in basis]
+    minors = map_blocks(A, comps, comps, det_batch)
+    odd = basis_indices(basis).sum(axis=1) % 2
+    return np.where(odd[:, None] ^ odd[None, :], -minors, minors)
 
 
 def mixed_sym_projected(directions) -> TensorBlock:
@@ -183,97 +211,22 @@ def _mixed_block(directions, symmetric: bool) -> TensorBlock:
     if not directions:
         raise ValueError("need at least one direction")
     k = len(directions)
-    n = _order(directions[0])
+    n = require_square(directions[0]).shape[0]
     for X in directions:
         if np.asarray(X).shape != (n, n):
             raise ValueError("all directions must be square of the same order")
     if k > n:
         raise ValueError(f"need k <= {n}")
     basis = enumerate_strict(k, n)
-    C = len(basis)
-    exact = is_exact(directions[0])
-    sigmas = permutations_of(k)
-    kfact = math.factorial(k)
-
-    if not exact:
-        Xs = np.stack([np.asarray(X, dtype=complex) for X in directions])
-        rows = np.array([I.zero_based() for I in basis])  # (C, k)
-        cols = np.array([J.zero_based() for J in basis])
-        acc = np.zeros((C, C), dtype=complex)
-        evaluate = per_batch if symmetric else det_batch
-        for sigma in sigmas:
-            # blocks[a, b, l, m] = X[sigma[m]][rows[a, l], cols[b, m]]
-            blocks = Xs[
-                np.asarray(sigma)[None, None, None, :],
-                rows[:, None, :, None],
-                cols[None, :, None, :],
-            ]
-            acc += evaluate(blocks)
-        entries = acc / kfact
-    else:
-        evaluate = per if symmetric else det
-        entries = zeros_like_mode(directions[0], (C, C))
-        from .scalars import exact_zeros, ExactComplex
-
-        for a, I in enumerate(basis):
-            ri = I.zero_based()
-            for b, J in enumerate(basis):
-                cj = J.zero_based()
-                total = ExactComplex(0)
-                for sigma in sigmas:
-                    block = exact_zeros((k, k))
-                    for l in range(k):
-                        for m in range(k):
-                            block[l, m] = directions[sigma[m]][ri[l], cj[m]]
-                    total = total + evaluate(block)
-                entries[a, b] = total / kfact
-    return TensorBlock(basis, basis, entries, "mixed")
+    Xs = np.stack(directions)
+    evaluate = per_batch if symmetric else det_batch
+    acc = sum(evaluate(sigma_blocks(Xs, basis, sigma)) for sigma in permutations_of(k))
+    return TensorBlock(basis, basis, acc / math.factorial(k), "mixed")
 
 
 def block_trace(B: TensorBlock, C: TensorBlock):
-    """tr(B.entries @ C.entries), mode-generic."""
+    """tr(B.entries @ C.entries), mode-generic, in O(|C|^2)."""
     BE, CE = B.entries, C.entries
     if BE.shape[1] != CE.shape[0] or BE.shape[0] != CE.shape[1]:
         raise ValueError("incompatible block shapes for a trace product")
-    total = None
-    if BE.dtype != object and CE.dtype != object:
-        return complex(np.trace(BE @ CE))
-    for a in range(BE.shape[0]):
-        for b in range(BE.shape[1]):
-            term = BE[a, b] * CE[b, a]
-            total = term if total is None else total + term
-    return total
-
-
-def _map_blocks(A, rows, cols, extract, evaluate):
-    if is_exact(A):
-        out = zeros_like_mode(A, (len(rows), len(cols)))
-        for a, I in enumerate(rows):
-            for b, J in enumerate(cols):
-                out[a, b] = evaluate(extract(A, I, J))
-        return out
-    Ac = np.asarray(A, dtype=complex)
-    k = len(rows[0]) if rows else 0
-    blocks = np.empty((len(rows), len(cols), k, k), dtype=complex)
-    for a, I in enumerate(rows):
-        for b, J in enumerate(cols):
-            blocks[a, b] = extract(Ac, I, J)
-    if evaluate is per:
-        return per_batch(blocks)
-    return det_batch(blocks)
-
-
-def _order(A) -> int:
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"square matrix required, got shape {A.shape}")
-    return A.shape[0]
-
-
-def _to_c(M):
-    M = np.asarray(M)
-    if M.dtype == object:
-        from .scalars import to_complex
-
-        return to_complex(M)
-    return M.astype(complex)
+    return total(BE * CE.T)

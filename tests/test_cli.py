@@ -3,14 +3,13 @@ import subprocess
 import sys
 
 
-def run_cli(args, payload=None, env=None):
+def run_cli(args, payload=None):
     cmd = [sys.executable, "-m", "permderiv.cli", *args]
     proc = subprocess.run(
         cmd,
         input=payload or "",
         capture_output=True,
         text=True,
-        env=env,
     )
     return proc
 
@@ -132,14 +131,33 @@ def test_verify_passes():
 
 
 def test_verify_deterministic():
-    import os
-
-    env = dict(os.environ, PERMDERIV_THREADS="0")
-    a = run_cli(["verify", "--n", "3", "--kmax", "2", "--seed", "7"], env=env)
-    b = run_cli(["verify", "--n", "3", "--kmax", "2", "--seed", "7"], env=env)
+    a = run_cli(["verify", "--n", "3", "--kmax", "2", "--seed", "7"])
+    b = run_cli(["verify", "--n", "3", "--kmax", "2", "--seed", "7"])
     assert a.stdout == b.stdout
 
 
 def test_exact_mode_rejects_non_integer():
     proc = run_cli(["per", "--mode", "exact"], "[[1.5,0],[0,1]]")
     assert proc.returncode == 1
+
+
+def _input_error(proc):
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["error"] == "input"
+    return report
+
+
+def test_non_finite_entry_rejected():
+    _input_error(run_cli(["per"], "[[NaN,2],[3,4]]"))
+    _input_error(run_cli(["norm-dkgr", "--k", "1", "--r", "2"], '{"A": [[NaN,2],[3,4]]}'))
+
+
+def test_non_finite_result_rejected():
+    # finite entries whose permanent overflows to infinity
+    _input_error(run_cli(["per"], "[[1e308,1e308],[1e308,1e308]]"))
+
+
+def test_directions_must_be_a_list():
+    payload = json.dumps({"A": [[1, 0], [0, 1]], "directions": 5})
+    _input_error(run_cli(["dkper", "--k", "1"], payload))

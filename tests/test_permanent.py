@@ -12,12 +12,14 @@ from permderiv.permanent import (
     minor_complement,
     padj,
     per,
+    per_batch,
     per_naive,
     per_ryser,
     sigma_columns,
     submatrix,
 )
 from permderiv.scalars import ExactComplex
+from permderiv.tensor import det, det_batch
 
 
 def test_per_naive_2x2():
@@ -209,3 +211,11 @@ def test_exact_per_is_exact():
     value = per(A)
     assert isinstance(value, ExactComplex)
     assert value == ExactComplex(10)
+    # the batched evaluators keep an exact stack exact
+    mats = np.stack([A, exact_matrix([[1, 1j], [2 - 1j, 3]]), exact_matrix([[0, 5], [7, 1]])])
+    for batch, scalar in ((per_batch, per), (det_batch, det)):
+        values = batch(mats)
+        assert values.shape == (3,)
+        for M, v in zip(mats, values):
+            assert isinstance(v, ExactComplex)
+            assert v == scalar(M)
