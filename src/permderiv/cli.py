@@ -2,9 +2,10 @@
 
 Reads a JSON job from --input (file path) or stdin, runs one computation,
 and prints a JSON report to stdout.  Complex scalars are emitted as
-[re, im] pairs, norms as plain reals.  Exit codes: 0 success, 1 input
-error, 2 verification failure.  Output is strict JSON: non-finite input
-entries and non-finite results are input errors.
+[re, im] pairs, norms as plain reals; in exact mode each part is a JSON
+integer, or a "p/q" string when it is not integral.  Exit codes: 0 success,
+1 input error, 2 verification failure.  Output is strict JSON: non-finite
+input entries and non-finite results are input errors.
 """
 
 from __future__ import annotations
@@ -81,9 +82,14 @@ def _pair(entry):
 
 def _scalar_out(value):
     if isinstance(value, ExactComplex):
-        return [float(value.re), float(value.im)]
+        return [_exact_part(value.re), _exact_part(value.im)]
     value = complex(value)
     return [value.real, value.imag]
+
+
+def _exact_part(q):
+    """An exact rational as a JSON int when integral, else as a "p/q" string."""
+    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _matrix_out(M):
@@ -230,9 +236,9 @@ def run(args) -> tuple[dict, int]:
 
 
 def _max_pairwise(values) -> float:
-    vals = [complex(v) if not isinstance(v, ExactComplex) else complex(v) for v in values]
+    vals = list(values)
     return max(
-        abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1 :]
+        abs(complex(a - b)) for i, a in enumerate(vals) for b in vals[i + 1 :]
     ) if len(vals) > 1 else 0.0
 
 

@@ -1,22 +1,30 @@
 """Permanent evaluation and the submatrix machinery built around it.
 
 `per_naive` is the literal sum over all n! permutations and serves as the
-independent oracle; `per` is Ryser's inclusion-exclusion with Gray-code
-column updates, O(2^n * n).  Both work in floating and exact mode.
+independent oracle.  In floating mode `per` and `per_batch` share one
+blocked Ryser kernel, O(2^n * n) per matrix: the row sums over all subsets
+of up to ten columns come from one product with a cached 0/1 subset table,
+and only the subsets of the remaining columns are looped over in Python.
+In exact mode `per` is the naive sum below `RYSER_CROSSOVER` and Ryser's
+inclusion-exclusion with Gray-code column updates (`per_ryser`) above it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .multiindex import MultiIndex, enumerate_strict, complement, permutations_of
+from .multiindex import MultiIndex, enumerate_strict, permutations_of
 from .scalars import is_exact, map_matrices, require_square, zeros_like_mode
 
 NAIVE_MAX_N = 10
-RYSER_CROSSOVER = 5  # per() switches from naive to Ryser at this order
+RYSER_CROSSOVER = 5  # exact-mode per() switches from naive to Gray-code Ryser here
+_LOW_COLUMNS = 10  # at most this many columns go into the cached subset table
+_STACK_BUDGET = 1 << 16  # complex elements in one kernel temporary
 
 
 @dataclass(frozen=True)
@@ -80,34 +88,88 @@ def per_ryser(A):
 
 
 def per(A):
-    """Permanent of a square matrix (naive below the crossover, Ryser above)."""
+    """Permanent of a square matrix.
+
+    Floating mode runs the blocked Ryser kernel; exact mode runs the naive
+    sum below RYSER_CROSSOVER and the Gray-code Ryser loop above it.
+    """
     A = require_square(A)
-    if A.shape[0] < RYSER_CROSSOVER:
-        return per_naive(A)
-    return per_ryser(A)
+    if is_exact(A):
+        return per_naive(A) if A.shape[0] < RYSER_CROSSOVER else per_ryser(A)
+    return _ryser_stack(np.asarray(A, dtype=complex)[None])[0]
 
 
 def per_batch(mats: np.ndarray) -> np.ndarray:
     """Permanents of a stack of k x k matrices, in the stack's mode.
 
-    A floating stack runs a vectorized Ryser and returns complex128; an
+    A floating stack runs the blocked Ryser kernel and returns complex128; an
     exact (object) stack runs `per` on each matrix and returns an object array.
     """
     mats = np.asarray(mats)
     if is_exact(mats):
         return map_matrices(per, mats)
-    mats = mats.astype(complex)
-    k = mats.shape[-1]
-    m = mats.shape[:-2]
-    if k == 0:
+    m, k = mats.shape[:-2], mats.shape[-1]
+    flat = np.asarray(mats, dtype=complex).reshape(math.prod(m), k, k)
+    return _ryser_stack(flat).reshape(m)
+
+
+def _ryser_stack(mats: np.ndarray) -> np.ndarray:
+    """Floating permanents of an (m, n, n) complex stack by Ryser's formula.
+
+    The stack is walked in chunks of whole matrices, so no temporary holds
+    more than _STACK_BUDGET elements whatever n or m.
+    """
+    m, n = mats.shape[0], mats.shape[-1]
+    if n == 0:
         return np.ones(m, dtype=complex)
-    subsets = np.array(
-        [[(s >> j) & 1 for j in range(k)] for s in range(1, 1 << k)], dtype=float
+    b, bits, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)
+    if m <= chunk:
+        return _ryser_block(mats, b, bits, signs)
+    return np.concatenate(
+        [_ryser_block(mats[s:s + chunk], b, bits, signs) for s in range(0, m, chunk)]
     )
-    signs = np.where((k - subsets.sum(axis=1)) % 2, -1.0, 1.0)
-    # rowsums[s, ..., i] = sum_{j in S} mats[..., i, j]
-    rowsums = np.einsum("sj,...ij->s...i", subsets, mats)
-    return np.einsum("s,s...->...", signs, rowsums.prod(axis=-1))
+
+
+@lru_cache(maxsize=None)
+def _ryser_plan(n: int, low_columns: int, budget: int):
+    """Split of order n: low column count b, its subset table and signs, chunk size.
+
+    bits is the (b, 2^b) 0/1 table of the subsets L of the low columns and
+    signs[L] = (-1)^(n + |L|); b is cut so that n * 2^b <= budget.
+    """
+    b = max(min(n, low_columns, (budget // n).bit_length() - 1), 0)
+    bits = (np.arange(1 << b) >> np.arange(b)[:, None]) & 1
+    signs = 1 - 2 * ((n + bits.sum(axis=0)) % 2)
+    bits, signs = bits.astype(complex), signs.astype(complex)
+    bits.flags.writeable = signs.flags.writeable = False  # shared by every caller
+    return b, bits, signs, max(budget // (n << b), 1)
+
+
+def _ryser_block(block, b, bits, signs):
+    """per A = sum over column sets S of (-1)^(n+|S|) prod_i sum_{j in S} a_ij.
+
+    S splits into a set L of the low b columns and a set T of the other
+    n - b.  The row sums of every L come from one product with the subset
+    table; each T, looped over in Python, adds its row sums as a column.
+    """
+    c, n = block.shape[0], block.shape[-1]
+    low = (block[:, :, :b].reshape(c * n, b) @ bits).reshape(c, n, 1 << b)
+    shifts = np.arange(n - b)
+    sums = np.empty_like(low) if n > b else None
+    acc = None
+    for t in range(1 << (n - b)):
+        rows = low
+        if t:
+            high = block[:, :, b:] @ ((t >> shifts) & 1)
+            rows = np.add(low, high[:, :, None], out=sums)
+        prods = rows[:, 0] if n == 1 else rows[:, 0] * rows[:, 1]
+        for i in range(2, n):
+            prods *= rows[:, i]
+        term = prods.dot(signs)
+        if bin(t).count("1") % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def submatrix(A, I: MultiIndex, J: MultiIndex):
@@ -129,7 +191,12 @@ def minor_complement(A, I: MultiIndex, J: MultiIndex):
     if len(I) != len(J):
         raise ValueError("row and column index sets must have equal length")
     n = A.shape[0]
-    return submatrix(A, complement(I, n), complement(J, n))
+    for index in (I, J):
+        if index.entries and (index.entries[0] < 1 or index.entries[-1] > n):
+            raise ValueError(f"entries {index.entries} out of range [1..{n}]")
+    rows = [i for i in range(n) if i + 1 not in I.entries]
+    cols = [j for j in range(n) if j + 1 not in J.entries]
+    return A[rows][:, cols]
 
 
 def laplace_per(A, I: MultiIndex):

@@ -29,7 +29,8 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def _rel_dev(values) -> float:
+def rel_dev(values) -> float:
+    """Largest pairwise difference over max(largest magnitude, 1)."""
     values = list(values)
     scale = max(max(abs(v) for v in values), 1.0)
     worst = 0.0
@@ -59,7 +60,7 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
     dev = 0.0
     for _ in range(trials):
         A = random_complex(rng, n)
-        dev = max(dev, _rel_dev([per(A), per_naive(A)]))
+        dev = max(dev, rel_dev([per(A), per_naive(A)]))
     record("per_vs_naive", dev, 1e-12)
 
     # Laplace expansion reproduces the permanent for every strict row set
@@ -68,7 +69,7 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
     target = per(A)
     for k in range(1, n + 1):
         for I in enumerate_strict(k, n):
-            dev = max(dev, _rel_dev([laplace_per(A, I), target]))
+            dev = max(dev, rel_dev([laplace_per(A, I), target]))
     record("laplace_expansion", dev, 1e-12)
 
     # first derivative: adjoint-trace form vs its two expansions is asserted
@@ -81,7 +82,7 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
         alpha = complex(rng.standard_normal(), rng.standard_normal())
         lhs = dper(A, X + alpha * Y)
         rhs = dper(A, X) + alpha * dper(A, Y)
-        dev = max(dev, _rel_dev([lhs, rhs]))
+        dev = max(dev, rel_dev([lhs, rhs]))
     record("dper_linearity", dev, 1e-12)
 
     # three-way agreement of the D^k per formulas
@@ -93,7 +94,7 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
             req = DerivativeRequest(A, dirs)
             dev = max(
                 dev,
-                _rel_dev([dkper_columns(req), dkper_minors(req), dkper_tensor(req)]),
+                rel_dev([dkper_columns(req), dkper_minors(req), dkper_tensor(req)]),
             )
     record("dkper_three_formulas", dev, tolerance)
 
@@ -103,7 +104,7 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
         A = random_complex(rng, n)
         X = random_complex(rng, n)
         req = DerivativeRequest(A, (X,) * n)
-        dev = max(dev, _rel_dev([dkper_columns(req), math.factorial(n) * per(X)]))
+        dev = max(dev, rel_dev([dkper_columns(req), math.factorial(n) * per(X)]))
         req_over = DerivativeRequest(A, (X,) * (n + 1))
         dev = max(dev, abs(dkper_columns(req_over)))
     record("dkper_degenerate", dev, tolerance)
@@ -117,7 +118,7 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
                 dirs = tuple(random_complex(rng, n) for _ in range(k))
                 dev = max(
                     dev,
-                    _rel_dev(
+                    rel_dev(
                         [
                             dk_gr_columns(A, dirs, k, r),
                             dk_gr_minors(A, dirs, k, r),
@@ -173,8 +174,8 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
     # first coefficient sanity
     A = random_complex(rng, n)
     coeffs = charpoly_all(A)
-    dev = _rel_dev([coeffs[1], complex(np.trace(A))])
-    dev = max(dev, _rel_dev([coeffs[n], complex(np.linalg.det(A))]))
+    dev = rel_dev([coeffs[1], complex(np.trace(A))])
+    dev = max(dev, rel_dev([coeffs[n], complex(np.linalg.det(A))]))
     record("gr_trace_det", dev, 1e-10)
 
     return {

@@ -2,32 +2,13 @@ import numpy as np
 import pytest
 
 from permderiv.scalars import exact_matrix
-
-
-def random_complex(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def random_unitary(rng, n):
-    Q, R = np.linalg.qr(random_complex(rng, n))
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+from permderiv.verification import random_complex, random_unitary, rel_dev  # noqa: F401
 
 
 def random_gaussian_integer(rng, n, lo=-4, hi=5):
     re = rng.integers(lo, hi, (n, n))
     im = rng.integers(lo, hi, (n, n))
     return exact_matrix([[(int(re[i, j]), int(im[i, j])) for j in range(n)] for i in range(n)])
-
-
-def rel_dev(values):
-    values = list(values)
-    scale = max(max(abs(v) for v in values), 1.0)
-    worst = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            worst = max(worst, abs(values[i] - values[j]) / scale)
-    return worst
 
 
 @pytest.fixture

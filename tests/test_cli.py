@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 
 def run_cli(args, payload=None):
     cmd = [sys.executable, "-m", "permderiv.cli", *args]
@@ -161,3 +163,23 @@ def test_non_finite_result_rejected():
 def test_directions_must_be_a_list():
     payload = json.dumps({"A": [[1, 0], [0, 1]], "directions": 5})
     _input_error(run_cli(["dkper", "--k", "1"], payload))
+
+
+def test_exact_per_beyond_float_range():
+    proc = run_cli(["per", "--mode", "exact"], "[[1e200,1e200],[1e200,1e200]]")
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["value"] == [2 * int(1e200) ** 2, 0]
+
+
+def test_exact_per_is_exact_in_json():
+    from permderiv.permanent import per
+    from permderiv.scalars import exact_matrix
+
+    rng = np.random.default_rng(12)
+    rows = rng.integers(-99, 100, (12, 12, 2)).tolist()
+    value = per(exact_matrix(rows))
+    proc = run_cli(["per", "--mode", "exact"], json.dumps(rows))
+    assert proc.returncode == 0, proc.stdout
+    out = json.loads(proc.stdout)["value"]
+    assert out == [value.re, value.im]
+    assert all(type(part) is int for part in out)

@@ -13,7 +13,7 @@ from permderiv.derivatives import (
     dper,
 )
 from permderiv.oracle import mixed_partial_interp
-from permderiv.permanent import per
+from permderiv.permanent import padj, per
 from permderiv.scalars import ExactComplex
 
 
@@ -133,3 +133,16 @@ def test_shape_mismatch():
         DerivativeRequest(A, (np.eye(2, dtype=complex),))
     with pytest.raises(ValueError):
         dper(A, np.eye(2, dtype=complex))
+
+
+def test_dper_accepts_cancelling_terms():
+    # tr(padj(A)^T X) is about 0 while its terms are about 1e5: the
+    # cross-check inside dper must scale with the terms, not with the value
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A = 10 * random_complex(rng, 6)
+        X = random_complex(rng, 6)
+        P = padj(A)
+        X = X - (np.sum(P * X) / np.sum(P * P.conj())) * P.conj()
+        value = dper(A, X)
+        assert abs(value) <= 1e-12 * np.abs(P * X).sum()

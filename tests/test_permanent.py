@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
+from permderiv import permanent
 from permderiv.multiindex import MultiIndex, enumerate_strict
 from permderiv.permanent import (
     ReplacementSpec,
@@ -18,7 +20,7 @@ from permderiv.permanent import (
     sigma_columns,
     submatrix,
 )
-from permderiv.scalars import ExactComplex
+from permderiv.scalars import ExactComplex, to_complex
 from permderiv.tensor import det, det_batch
 
 
@@ -129,6 +131,31 @@ def test_minor_complement_rejects_weak():
         minor_complement(A, MultiIndex((1, 1), "weak"), MultiIndex((1, 2)))
 
 
+@pytest.mark.parametrize(
+    "I, J, message",
+    [
+        (MultiIndex((1,)), MultiIndex((1, 2)), "equal length"),
+        (MultiIndex((4,)), MultiIndex((1,)), "out of range"),
+        (MultiIndex((1,)), MultiIndex((4,)), "out of range"),
+        (MultiIndex((0, 1)), MultiIndex((1, 2)), "out of range"),
+    ],
+)
+def test_minor_complement_errors(I, J, message):
+    with pytest.raises(ValueError, match=message):
+        minor_complement(np.eye(3, dtype=complex), I, J)
+
+
+def test_minor_complement_matches_submatrix_of_complements(rng):
+    from permderiv.multiindex import complement
+
+    A = random_complex(rng, 5)
+    for k in range(6):
+        for I in enumerate_strict(k, 5):
+            for J in enumerate_strict(k, 5):
+                expected = submatrix(A, complement(I, 5), complement(J, 5))
+                assert np.array_equal(minor_complement(A, I, J), expected)
+
+
 def test_laplace_2x2_hand():
     A = np.array([[1, 2], [3, 4]], dtype=complex)
     assert laplace_per(A, MultiIndex((1,))) == 10
@@ -219,3 +246,54 @@ def test_exact_per_is_exact():
         for M, v in zip(mats, values):
             assert isinstance(v, ExactComplex)
             assert v == scalar(M)
+
+
+def test_float_per_matches_naive_up_to_8(rng):
+    for n in range(9):
+        for _ in range(3):
+            A = random_complex(rng, n)
+            assert rel_dev([per(A), per_naive(A)]) < 1e-12
+
+
+def test_float_per_matches_exact_per(rng):
+    for n in range(1, 10):
+        A = random_gaussian_integer(rng, n)
+        exact = complex(per(A))
+        assert abs(per(to_complex(A)) - exact) <= 1e-12 * max(abs(exact), 1.0)
+
+
+def test_per_batch_keeps_the_stack_shape(rng):
+    for k in (1, 3, 5):
+        mats = rng.standard_normal((2, 3, k, k)) + 1j * rng.standard_normal((2, 3, k, k))
+        values = per_batch(mats)
+        assert values.shape == (2, 3) and values.dtype == complex
+        for idx in np.ndindex(2, 3):
+            assert rel_dev([values[idx], per_naive(mats[idx])]) < 1e-12
+    empty = per_batch(np.zeros((4, 0, 0), dtype=complex))
+    assert empty.shape == (4,) and np.all(empty == 1)
+
+
+def test_kernel_chunk_loops(rng, monkeypatch):
+    # two low columns and a 64-element budget: n = 6 loops over 2^4 high
+    # column subsets and walks a stack of 5 in chunks of 2
+    monkeypatch.setattr(permanent, "_LOW_COLUMNS", 2)
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
+    b, _, _, chunk = permanent._ryser_plan(6, 2, 64)
+    assert (b, chunk) == (2, 2)
+    mats = np.stack([random_complex(rng, 6) for _ in range(5)])
+    for M, value in zip(mats, per_batch(mats)):
+        assert rel_dev([value, per(M), per_naive(M)]) < 1e-12
+
+
+def test_per_batch_memory_is_bounded(rng):
+    # unchunked, the row sums of all 2^10 column subsets of 2000 10 x 10
+    # matrices would take 2000 * 10 * 1024 * 16 B, about 330 MB
+    mats = rng.standard_normal((2000, 10, 10)) + 1j * rng.standard_normal((2000, 10, 10))
+    tracemalloc.start()
+    try:
+        values = per_batch(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert rel_dev([values[7], per_ryser(mats[7])]) < 1e-12
