@@ -1,11 +1,14 @@
 """Batch command-line front end.
 
 Reads a JSON job from --input (file path) or stdin, runs one computation,
-and prints a JSON report to stdout.  Complex scalars are emitted as
-[re, im] pairs, norms as plain reals; in exact mode each part is a JSON
-integer, or a "p/q" string when it is not integral.  Exit codes: 0 success,
-1 input error, 2 verification failure.  Output is strict JSON: non-finite
-input entries and non-finite results are input errors.
+and prints a JSON report to stdout.  Each job verb has one entry in
+`HANDLERS`, a function of (A, job, args) that returns the report's fields as
+raw library results; `verify` runs the invariant suite instead.  One
+serializer, `_out`, turns those results into JSON data: complex scalars
+become [re, im] pairs, norms stay plain reals, and in exact mode each part
+is a JSON integer, or a "p/q" string when it is not integral.  Exit codes:
+0 success, 1 input error, 2 verification failure.  Output is strict JSON:
+non-finite input entries and non-finite results are input errors.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
 from . import __version__
 from .charpoly import charpoly_all, dk_gr, g_r
-from .derivatives import dkper, dper
+from .derivatives import FORMULAS, dkper, dper
 from .norms import (
     dk_gr_norm_exact,
     dkper_norm_bound,
@@ -30,22 +35,6 @@ from .norms import (
 from .permanent import padj, per
 from .scalars import ExactComplex, exact_matrix
 from .verification import run_verify
-
-VERBS = (
-    "per",
-    "padj",
-    "dper",
-    "dkper",
-    "gr",
-    "charpoly",
-    "dkgr",
-    "norm-dkper-bound",
-    "norm-dkgr",
-    "bound-per",
-    "bound-gr",
-    "bound-gr-weak",
-    "verify",
-)
 
 
 class InputError(ValueError):
@@ -67,33 +56,17 @@ def parse_matrix(obj, mode: str):
         raise InputError(str(exc)) from exc
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _pair(entry):
-    pair = (entry, 0) if isinstance(entry, (int, float)) else entry
-    if not (
-        isinstance(pair, (list, tuple))
-        and len(pair) == 2
-        and all(isinstance(x, (int, float)) for x in pair)
-    ):
+    pair = (entry, 0) if _number(entry) else entry
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_number, pair))):
         raise InputError(f"matrix entry must be a number or [re, im] pair, got {entry!r}")
     if not all(isinstance(x, int) or math.isfinite(x) for x in pair):
         raise InputError(f"matrix entries must be finite, got {entry!r}")
     return tuple(pair)
-
-
-def _scalar_out(value):
-    if isinstance(value, ExactComplex):
-        return [_exact_part(value.re), _exact_part(value.im)]
-    value = complex(value)
-    return [value.real, value.imag]
-
-
-def _exact_part(q):
-    """An exact rational as a JSON int when integral, else as a "p/q" string."""
-    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _matrix_out(M):
-    return [[_scalar_out(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
 
 
 def _load_job(args):
@@ -115,20 +88,20 @@ def _load_job(args):
     return data
 
 
-def _directions(data, args, n, mode):
+def _directions(data, args, n):
     if "directions" in data:
         if not isinstance(data["directions"], list):
             raise InputError('"directions" must be a list of matrices')
-        dirs = [parse_matrix(m, mode) for m in data["directions"]]
+        dirs = [parse_matrix(m, args.mode) for m in data["directions"]]
     elif "X" in data:
         k = args.k if args.k is not None else 1
-        dirs = [parse_matrix(data["X"], mode)] * k
+        dirs = [parse_matrix(data["X"], args.mode)] * k
     else:
         raise InputError('need "directions" (list of matrices) or "X" in the input')
     if args.k is not None and len(dirs) != args.k:
         raise InputError(f"--k {args.k} does not match {len(dirs)} directions")
     for d in dirs:
-        if np.asarray(d).shape != (n, n):
+        if d.shape != (n, n):
             raise InputError("every direction must match the order of A")
     return tuple(dirs)
 
@@ -140,106 +113,101 @@ def _require(args, name):
     return value
 
 
+def _x(data, args):
+    if "X" not in data:
+        raise InputError(f'{args.verb} needs "X"')
+    return parse_matrix(data["X"], args.mode)
+
+
+def _forms(result, formula) -> dict:
+    """Report fields of one formula's value, or of all three and their largest gap."""
+    if formula != "all":
+        return {"formula": formula, "value": result}
+    gaps = (abs(complex(a - b)) for a, b in combinations(result.values(), 2))
+    return {"values": result, "max_deviation": max(gaps)}
+
+
+def _dkper(A, data, args):
+    dirs = _directions(data, args, A.shape[0])
+    return {"k": len(dirs), **_forms(dkper(A, dirs, args.formula), args.formula)}
+
+
+def _dkgr(A, data, args):
+    r = _require(args, "r")
+    dirs = _directions(data, args, A.shape[0])
+    result = dk_gr(A, dirs, len(dirs), r, args.formula)
+    return {"k": len(dirs), "r": r, **_forms(result, args.formula)}
+
+
+def _gr(A, data, args):
+    r = _require(args, "r")
+    return {"r": r, "value": g_r(A, r)}
+
+
+def _norm_dkper_bound(A, data, args):
+    k = _require(args, "k")
+    report = dkper_norm_bound(A, k)
+    return {"k": k, "bound": report.value, "kind": report.kind}
+
+
+def _norm_dkgr(A, data, args):
+    k, r = _require(args, "k"), _require(args, "r")
+    report = dk_gr_norm_exact(A, k, r)
+    return {"k": k, "r": r, "value": report.value, "kind": report.kind}
+
+
+def _bound_gr(bound, A, data, args):
+    X = _x(data, args)
+    r = _require(args, "r")
+    return {"r": r, "bound": bound(A, X, r).value}
+
+
+# verb -> (A, job, args) -> report fields as raw library results, for _out
+HANDLERS = {
+    "per": lambda A, data, args: {"value": per(A)},
+    "padj": lambda A, data, args: {"matrix": padj(A)},
+    "dper": lambda A, data, args: {"value": dper(A, _x(data, args))},
+    "dkper": _dkper,
+    "gr": _gr,
+    "charpoly": lambda A, data, args: {"g": charpoly_all(A).g},
+    "dkgr": _dkgr,
+    "norm-dkper-bound": _norm_dkper_bound,
+    "norm-dkgr": _norm_dkgr,
+    "bound-per": lambda A, data, args: {"bound": per_perturb_bound(A, _x(data, args)).value},
+    "bound-gr": partial(_bound_gr, gr_perturb_bound),
+    "bound-gr-weak": partial(_bound_gr, gr_perturb_bound_weak),
+}
+VERBS = (*HANDLERS, "verify")
+
+
+def _out(value):
+    """A library result as JSON data, walking dicts, sequences and arrays.
+
+    A complex scalar becomes [re, im]; each part of an ExactComplex is a JSON
+    int, or a "p/q" string when it is not integral.  Anything else passes.
+    """
+    if isinstance(value, dict):
+        return {key: _out(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_out(v) for v in value]
+    if isinstance(value, ExactComplex):
+        return [q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+                for q in (value.re, value.im)]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
 def run(args) -> tuple[dict, int]:
     """Execute one job; returns (report, exit_code)."""
     if args.verb == "verify":
-        report = run_verify(
-            n=args.n, kmax=args.kmax, seed=args.seed, tolerance=args.tolerance
-        )
+        report = run_verify(n=args.n, kmax=args.kmax, seed=args.seed, tolerance=args.tolerance)
         return report, 0 if report["passed"] else 2
-
     data = _load_job(args)
-    mode = args.mode
-    A = parse_matrix(data["A"], mode)
-    n = np.asarray(A).shape[0]
-    if np.asarray(A).ndim != 2 or np.asarray(A).shape != (n, n):
+    A = parse_matrix(data["A"], args.mode)
+    if A.shape[0] != A.shape[1]:
         raise InputError("A must be square")
-
-    if args.verb == "per":
-        return {"command": "per", "value": _scalar_out(per(A))}, 0
-    if args.verb == "padj":
-        return {"command": "padj", "matrix": _matrix_out(padj(A))}, 0
-    if args.verb == "dper":
-        X = parse_matrix(data["X"], mode) if "X" in data else None
-        if X is None:
-            raise InputError('dper needs "X"')
-        return {"command": "dper", "value": _scalar_out(dper(A, X))}, 0
-    if args.verb == "dkper":
-        dirs = _directions(data, args, n, mode)
-        result = dkper(A, dirs, args.formula)
-        if args.formula == "all":
-            values = {name: _scalar_out(v) for name, v in result.items()}
-            dev = _max_pairwise(result.values())
-            return {
-                "command": "dkper",
-                "k": len(dirs),
-                "values": values,
-                "max_deviation": dev,
-            }, 0
-        return {
-            "command": "dkper",
-            "k": len(dirs),
-            "formula": args.formula,
-            "value": _scalar_out(result),
-        }, 0
-    if args.verb == "gr":
-        r = _require(args, "r")
-        return {"command": "gr", "r": r, "value": _scalar_out(g_r(A, r))}, 0
-    if args.verb == "charpoly":
-        coeffs = charpoly_all(A)
-        return {"command": "charpoly", "g": [_scalar_out(v) for v in coeffs]}, 0
-    if args.verb == "dkgr":
-        r = _require(args, "r")
-        dirs = _directions(data, args, n, mode)
-        k = len(dirs)
-        result = dk_gr(A, dirs, k, r, args.formula)
-        if args.formula == "all":
-            values = {name: _scalar_out(v) for name, v in result.items()}
-            dev = _max_pairwise(result.values())
-            return {
-                "command": "dkgr",
-                "k": k,
-                "r": r,
-                "values": values,
-                "max_deviation": dev,
-            }, 0
-        return {
-            "command": "dkgr",
-            "k": k,
-            "r": r,
-            "formula": args.formula,
-            "value": _scalar_out(result),
-        }, 0
-    if args.verb == "norm-dkper-bound":
-        k = _require(args, "k")
-        report = dkper_norm_bound(A, k)
-        return {"command": "norm-dkper-bound", "k": k, "bound": report.value, "kind": report.kind}, 0
-    if args.verb == "norm-dkgr":
-        k = _require(args, "k")
-        r = _require(args, "r")
-        report = dk_gr_norm_exact(A, k, r)
-        return {"command": "norm-dkgr", "k": k, "r": r, "value": report.value, "kind": report.kind}, 0
-    if args.verb in ("bound-per", "bound-gr", "bound-gr-weak"):
-        if "X" not in data:
-            raise InputError(f'{args.verb} needs "X"')
-        X = parse_matrix(data["X"], mode)
-        if args.verb == "bound-per":
-            report = per_perturb_bound(A, X)
-            return {"command": "bound-per", "bound": report.value}, 0
-        r = _require(args, "r")
-        if args.verb == "bound-gr":
-            report = gr_perturb_bound(A, X, r)
-        else:
-            report = gr_perturb_bound_weak(A, X, r)
-        return {"command": args.verb, "r": r, "bound": report.value}, 0
-    raise InputError(f"unknown verb {args.verb!r}")
-
-
-def _max_pairwise(values) -> float:
-    vals = list(values)
-    return max(
-        abs(complex(a - b)) for i, a in enumerate(vals) for b in vals[i + 1 :]
-    ) if len(vals) > 1 else 0.0
+    return {"command": args.verb, **_out(HANDLERS[args.verb](A, data, args))}, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,11 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", help="path to a JSON job (default: stdin)")
     parser.add_argument("--k", type=int, help="derivative order")
     parser.add_argument("--r", type=int, help="characteristic polynomial coefficient index")
-    parser.add_argument(
-        "--formula",
-        choices=("columns", "minors", "tensor", "all"),
-        default="columns",
-    )
+    parser.add_argument("--formula", choices=(*FORMULAS, "all"), default="columns")
     parser.add_argument("--mode", choices=("exact", "floating"), default="floating")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--tolerance", type=float, default=1e-10)

@@ -32,11 +32,6 @@ from .tensor import (
 
 FORMULAS = ("columns", "minors", "tensor")
 
-# When True (and assertions are enabled), dper cross-checks its three
-# first-order forms on every call.
-CHECK_FIRST_ORDER = True
-
-
 @dataclass(frozen=True)
 class DerivativeRequest:
     """A matrix, an ordered direction tuple, and a formula selector."""
@@ -66,7 +61,7 @@ def dper(A, X):
         raise ValueError("direction must match the order of A")
     P = padj(A)
     value = _sum(P[i, j] * X[i, j] for i in range(A.shape[0]) for j in range(A.shape[1]))
-    if CHECK_FIRST_ORDER and __debug__:
+    if __debug__:
         by_columns = _sum(
             per(column_replace(A, ReplacementSpec(MultiIndex((j + 1,)), (X,))))
             for j in range(A.shape[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def multiplicity(index: MultiIndex) -> int:
     """Product of factorials of entry multiplicities; 1 for strict indices."""
     if index.kind == "strict":
         return 1
-    return _prod(factorial(m) for m in Counter(index.entries).values())
+    return prod(factorial(m) for m in Counter(index.entries).values())
 
 
 def complement(index: MultiIndex, n: int) -> MultiIndex:
@@ -87,10 +87,3 @@ def index_weight(index: MultiIndex) -> int:
 def permutations_of(k: int) -> tuple[tuple[int, ...], ...]:
     """All permutations of (0..k-1) in lexicographic one-line order."""
     return tuple(itertools.permutations(range(k)))
-
-
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from .charpoly import g_r
 from .permanent import per
-from .scalars import ExactComplex, is_exact
+from .scalars import is_exact, zero_like
 
 MAX_ORDER = 8
 MAX_N = 6
@@ -72,13 +72,10 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None, degree: in
     if degree is None:
         degree = n if (phi == "per" or callable(phi)) else (r if r is not None else n)
     func = _functional(phi, r)
-    exact = is_exact(A)
-    if exact:
-        for X in directions:
-            if not is_exact(X):
-                raise ValueError("exact mode requires exact-mode directions")
+    if is_exact(A) and not all(is_exact(X) for X in directions):
+        raise ValueError("exact mode requires exact-mode directions")
     weights = _linear_coeff_weights(degree)
-    total = ExactComplex(0) if exact else complex(0.0)
+    total = zero_like(A)
     for nodes in product(range(degree + 1), repeat=k):
         w = Fraction(1)
         for t in nodes:
@@ -89,11 +86,7 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None, degree: in
         for t, X in zip(nodes, directions):
             if t:
                 M = M + t * X
-        value = func(M)
-        if exact:
-            total = total + w * value
-        else:
-            total = total + float(w) * value
+        total = total + w * func(M)
     return total
 
 

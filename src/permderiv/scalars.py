@@ -157,22 +157,12 @@ def _as_rational(x):
 
 def to_complex(matrix) -> np.ndarray:
     """Convert either mode to a complex128 array."""
-    a = np.asarray(matrix)
-    if a.dtype != object:
-        return a.astype(complex)
-    out = np.empty(a.shape, dtype=complex)
-    for idx in np.ndindex(a.shape):
-        out[idx] = complex(a[idx])
-    return out
+    return np.asarray(matrix).astype(complex)
 
 
 def exact_zeros(shape):
     """Object array of exact zeros."""
-    mat = np.empty(shape, dtype=object)
-    flat = mat.reshape(-1)
-    for i in range(flat.size):
-        flat[i] = ExactComplex(0)
-    return mat
+    return np.full(shape, ExactComplex(0), dtype=object)
 
 
 def zeros_like_mode(matrix, shape):

@@ -38,7 +38,6 @@ class TensorBlock:
     row_basis: tuple[MultiIndex, ...]
     col_basis: tuple[MultiIndex, ...]
     entries: np.ndarray
-    flavor: str  # sym-full | sym-projected | antisym | tilde-sym | tilde-antisym | mixed
 
     def __post_init__(self):
         if self.entries.shape != (len(self.row_basis), len(self.col_basis)):
@@ -133,7 +132,7 @@ def sym_power(A, k: int) -> TensorBlock:
     basis = enumerate_weak(k, n)
     norms = np.array([math.sqrt(multiplicity(I)) for I in basis])
     entries = map_blocks(to_complex(A), basis, basis, per_batch) / np.outer(norms, norms)
-    return TensorBlock(basis, basis, entries, "sym-full")
+    return TensorBlock(basis, basis, entries)
 
 
 def sym_power_projected(A, k: int) -> TensorBlock:
@@ -142,7 +141,7 @@ def sym_power_projected(A, k: int) -> TensorBlock:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
     basis = enumerate_strict(k, n)
-    return TensorBlock(basis, basis, map_blocks(A, basis, basis, per_batch), "sym-projected")
+    return TensorBlock(basis, basis, map_blocks(A, basis, basis, per_batch))
 
 
 def antisym_power(A, k: int) -> TensorBlock:
@@ -151,7 +150,7 @@ def antisym_power(A, k: int) -> TensorBlock:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
     basis = enumerate_strict(k, n)
-    return TensorBlock(basis, basis, map_blocks(A, basis, basis, det_batch), "antisym")
+    return TensorBlock(basis, basis, map_blocks(A, basis, basis, det_batch))
 
 
 def tilde_sym_block(A, k: int) -> TensorBlock:
@@ -167,7 +166,7 @@ def tilde_sym_block(A, k: int) -> TensorBlock:
     for b, J in enumerate(basis):
         for a, I in enumerate(basis):
             entries[b, a] = per(minor_complement(A, I, J))
-    return TensorBlock(basis, basis, entries, "tilde-sym")
+    return TensorBlock(basis, basis, entries)
 
 
 def tilde_antisym_block(A, k: int) -> TensorBlock:
@@ -179,7 +178,7 @@ def tilde_antisym_block(A, k: int) -> TensorBlock:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}")
     basis = enumerate_strict(k, n)
-    return TensorBlock(basis, basis, signed_complement_minors(A, k).T, "tilde-antisym")
+    return TensorBlock(basis, basis, signed_complement_minors(A, k).T)
 
 
 def signed_complement_minors(A, k: int) -> np.ndarray:
@@ -221,7 +220,7 @@ def _mixed_block(directions, symmetric: bool) -> TensorBlock:
     Xs = np.stack(directions)
     evaluate = per_batch if symmetric else det_batch
     acc = sum(evaluate(sigma_blocks(Xs, basis, sigma)) for sigma in permutations_of(k))
-    return TensorBlock(basis, basis, acc / math.factorial(k), "mixed")
+    return TensorBlock(basis, basis, acc / math.factorial(k))
 
 
 def block_trace(B: TensorBlock, C: TensorBlock):

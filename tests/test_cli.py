@@ -183,3 +183,22 @@ def test_exact_per_is_exact_in_json():
     out = json.loads(proc.stdout)["value"]
     assert out == [value.re, value.im]
     assert all(type(part) is int for part in out)
+
+
+def test_boolean_entries_rejected():
+    for payload, mode in [
+        ("[[true,false],[1,2]]", "floating"),
+        ("[[[true,1]]]", "floating"),
+        ("[[1,0],[false,1]]", "exact"),
+    ]:
+        report = _input_error(run_cli(["per", "--mode", mode], payload))
+        assert report["detail"].startswith("matrix entry must be a number or [re, im] pair")
+
+
+def test_exact_non_integral_part_is_a_fraction_string():
+    from fractions import Fraction
+
+    from permderiv.cli import _out
+    from permderiv.scalars import ExactComplex
+
+    assert _out({"value": ExactComplex(Fraction(-3, 2), 4)}) == {"value": ["-3/2", 4]}
