@@ -19,7 +19,8 @@ from permderiv import (
     mixed_partial_interp,
 )
 
-# Exact mode: Gaussian-integer entries, Fraction-based arithmetic throughout.
+# Exact mode: Gaussian-integer entries, int arithmetic throughout (a part
+# becomes a Fraction only after a division that is not exact).
 A = exact_matrix([[2, 1 + 1j, 0], [3, -1, 2j], [1, 0, 1 - 2j]])
 X = exact_matrix([[1, 0, 1], [0, 1j, 0], [2, 0, -1]])
 Y = exact_matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])

@@ -191,8 +191,7 @@ def _out(value):
     if isinstance(value, (tuple, list, np.ndarray)):
         return [_out(v) for v in value]
     if isinstance(value, ExactComplex):
-        return [q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-                for q in (value.re, value.im)]
+        return [q if isinstance(q, int) else str(q) for q in (value.re, value.im)]
     if isinstance(value, complex):
         return [value.real, value.imag]
     return value
@@ -232,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, code = run(args)
+        # a non-finite result is reported below as an input error, so
+        # numpy's overflow warnings would only add noise on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, code = run(args)
         text = json.dumps(report, sort_keys=True, allow_nan=False)
     except (ValueError, IndexError, OSError, OverflowError) as exc:
         print(json.dumps({"error": "input", "detail": str(exc)}, sort_keys=True))

@@ -1,28 +1,60 @@
-"""Exact complex scalars with rational real/imaginary parts.
+"""Exact complex scalars: Gaussian integers, and Gaussian rationals after division.
 
 Matrices come in two modes: floating (numpy complex128 arrays) and exact
 (numpy object arrays whose entries are ExactComplex).  Exact mode is used
 for Gaussian-integer cross-checks where formula agreement must be literal
-equality, not a tolerance.
+equality, not a tolerance.  Each part of an ExactComplex is a Python int
+while it is integral and a Fraction only when it is not, so the Gaussian-
+integer arithmetic of the closed forms and of Bareiss elimination (whose
+divisions are exact over Z[i]) never builds a Fraction.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 
 _RATIONAL = (int, Fraction)
+_HASH_BITS = sys.hash_info.width
+_HASH_MASK = (1 << _HASH_BITS) - 1
+
+
+def _part(q):
+    """q as a Python int when it is integral, else as a Fraction."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    # int() also turns a numpy integer, which Fraction keeps, into a Python int
+    return int(q.numerator) if q.denominator == 1 else q
+
+
+def _new(re, im):
+    """An ExactComplex from two rational parts; two int parts are stored as is."""
+    z = object.__new__(ExactComplex)
+    if type(re) is int and type(im) is int:
+        z.re = re
+        z.im = im
+    else:
+        z.re = _part(re)
+        z.im = _part(im)
+    return z
 
 
 class ExactComplex:
-    """A complex number with Fraction real and imaginary parts."""
+    """A complex number with rational parts: int while integral, else Fraction.
+
+    Equal values compare and hash equal to the int, Fraction or complex of
+    the same value.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _part(re)
+        self.im = _part(im)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -30,7 +62,7 @@ class ExactComplex:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        return _new(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -38,36 +70,40 @@ class ExactComplex:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        return _new(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactComplex(other.re - self.re, other.im - self.im)
+        return _new(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _new(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Quotient; int parts when it is a Gaussian integer, else Fraction parts."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a, b, c, d = self.re, self.im, other.re, other.im
+        norm = c * c + d * d
+        if not norm:
             raise ZeroDivisionError("division by exact zero")
-        return ExactComplex(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        re = a * c + b * d
+        im = b * c - a * d
+        if type(re) is int and type(im) is int and type(norm) is int:
+            q_re, r_re = divmod(re, norm)
+            q_im, r_im = divmod(im, norm)
+            if not r_re and not r_im:
+                return _new(q_re, q_im)
+        return _new(Fraction(re, norm), Fraction(im, norm))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -76,13 +112,13 @@ class ExactComplex:
         return other / self
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        return _new(-self.re, -self.im)
 
     def __pos__(self):
         return self
 
     def conjugate(self):
-        return ExactComplex(self.re, -self.im)
+        return _new(self.re, -self.im)
 
     # -- comparison / conversion --------------------------------------
 
@@ -93,7 +129,13 @@ class ExactComplex:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # CPython's complex hash, so that an equal int, Fraction or complex
+        # hashes the same: hash(re) + imag * hash(im) in unsigned machine
+        # arithmetic, read back as signed, with -1 (the error value) as -2.
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) & _HASH_MASK
+        if h >> (_HASH_BITS - 1):
+            h -= 1 << _HASH_BITS
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -113,7 +155,7 @@ def _coerce(value):
     if isinstance(value, complex):
         re, im = value.real, value.imag
         if re == int(re) and im == int(im):
-            return ExactComplex(int(re), int(im))
+            return _new(int(re), int(im))
         return NotImplemented
     return NotImplemented
 

@@ -55,7 +55,12 @@ def det(A):
 
 
 def det_bareiss(A):
-    """Fraction-free Bareiss elimination; exact for Gaussian-rational entries."""
+    """Fraction-free Bareiss elimination; exact for Gaussian-rational entries.
+
+    On Gaussian-integer entries every division is exact over Z[i] (each
+    quotient is a minor of A, by Sylvester's identity), so every pivot and
+    the result keep int parts and no Fraction is built.
+    """
     A = np.asarray(A)
     n = A.shape[0]
     from .scalars import ExactComplex

@@ -202,3 +202,9 @@ def test_exact_non_integral_part_is_a_fraction_string():
     from permderiv.scalars import ExactComplex
 
     assert _out({"value": ExactComplex(Fraction(-3, 2), 4)}) == {"value": ["-3/2", 4]}
+
+
+def test_overflowing_result_writes_nothing_to_stderr():
+    proc = run_cli(["per"], '{"A": [[1e308,1e308],[1e308,1e308]]}')
+    _input_error(proc)
+    assert proc.stderr == ""
