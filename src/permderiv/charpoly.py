@@ -5,6 +5,15 @@ x^n - g_1 x^{n-1} + ... + (-1)^n g_n.  The derivative formulas are the
 determinant analogues of the permanent ones, applied inside every
 principal restriction A_I and summed over I in Q_{r,n}.
 
+Each form runs over the restrictions as stacks: A's as (c, r, r) and the
+directions' as (c, k, r, r), gathered through the index plan of Q_{r,n}, in
+chunks of c whole restrictions so that no temporary holds more than
+`permanent._STACK_BUDGET` elements.  The inner formulas index through the
+plan of Q_{k,r}, with one `det_batch` call per chunk and stacked term.  Each
+restriction's terms are reduced as one restriction alone would be, and the
+restriction sums are added in lexicographic I order, so a result does not
+depend on the chunking.
+
 Sign weights |J| in the signed-minor form are computed after relabelling
 the restriction's rows/columns to 1..r.
 """
@@ -16,18 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MultiIndex, enumerate_strict, permutations_of
+from . import permanent
+from .multiindex import MultiIndex, enumerate_strict, index_plan
 from .permanent import replacement_stack, submatrix
-from .scalars import require_square, total, zero_like
-from .tensor import (
-    basis_indices,
-    block_trace,
-    det_batch,
-    mixed_antisym_projected,
-    sigma_blocks,
-    signed_complement_minors,
-    tilde_antisym_block,
-)
+from .scalars import require_square, total, total_in_order, zero_like
+from .tensor import det_batch, mixed_entries, sigma_blocks, signed_complement_minors
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ def g_r(A, r: int):
     n = A.shape[0]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
-    return total(det_batch(_restrict(A, r)))
+    return total(det_batch(_restrict(A, index_plan(r, n).combos)))
 
 
 def charpoly_all(A) -> CharPolyCoefficients:
@@ -85,37 +87,41 @@ def charpoly_all(A) -> CharPolyCoefficients:
 def dk_gr_columns(A, directions, k: int, r: int):
     """Column-replacement form, summed over principal restrictions."""
     A, directions, n = _validate(A, directions, k, r)
-    value = zero_like(A)
     if k > r:
-        return value
-    for AI, XI in _restricted(A, directions, r):
-        value = value + total(det_batch(replacement_stack(AI, XI)))
-    return value
+        return zero_like(A)
+    stack = len(index_plan(k, r).slots) * r * r  # the replacement stack of one restriction
+    return total_in_order(np.concatenate([
+        _row_totals(det_batch(replacement_stack(AI, XI)))
+        for AI, XI in _restriction_chunks(A, directions, r, stack)
+    ]))
 
 
 def dk_gr_minors(A, directions, k: int, r: int):
     """Signed complementary-minor form inside every principal restriction."""
     A, directions, n = _validate(A, directions, k, r)
-    value = zero_like(A)
     if k > r:
-        return value
-    inner = enumerate_strict(k, r)
-    for AI, XI in _restricted(A, directions, r):
-        signed = signed_complement_minors(AI, k)  # (K, J): rows K and columns J deleted
-        for sigma in permutations_of(k):
-            value = value + total(signed * det_batch(sigma_blocks(XI, inner, sigma)))
-    return value
+        return zero_like(A)
+    plan = index_plan(k, r)
+    sums = []  # (c, k!) per chunk: one term per restriction and sigma
+    for AI, XI in _restriction_chunks(A, directions, r, _block_elements(k, r)):
+        signed = signed_complement_minors(AI, k)  # (c, K, J): rows K and columns J deleted
+        sums.append(np.stack([
+            _row_totals(signed * det_batch(sigma_blocks(XI, plan.combos, sigma)))
+            for sigma in plan.perms
+        ], axis=-1))
+    return total_in_order(np.concatenate(sums))
 
 
 def dk_gr_tensor(A, directions, k: int, r: int):
     """Tensor-trace form: k! sum_I tr(tilde-antisym(A_I) * X^1_I ^...^ X^k_I)."""
     A, directions, n = _validate(A, directions, k, r)
-    value = zero_like(A)
     if k > r:
-        return value
-    for AI, XI in _restricted(A, directions, r):
-        value = value + block_trace(tilde_antisym_block(AI, k), mixed_antisym_projected(XI))
-    return math.factorial(k) * value
+        return zero_like(A)
+    # tr(tilde * mixed) with tilde = signed^T sums the entries of signed * mixed
+    return math.factorial(k) * total_in_order(np.concatenate([
+        _row_totals(signed_complement_minors(AI, k) * mixed_entries(XI, det_batch))
+        for AI, XI in _restriction_chunks(A, directions, r, _block_elements(k, r))
+    ]))
 
 
 def dk_gr(A, directions, k: int, r: int, formula: str = "columns"):
@@ -151,13 +157,41 @@ def _validate(A, directions, k, r):
     return A, directions, n
 
 
-def _restrict(M, r):
-    """The r x r principal restrictions of M (..., n, n), stacked as (..., C(n,r), r, r)."""
-    idx = basis_indices(enumerate_strict(r, M.shape[-1]))
-    return M[..., idx[:, :, None], idx[:, None, :]]
+def _restrict(M, rows) -> np.ndarray:
+    """The principal restrictions M[I|I] for every row I of the index array `rows`.
+
+    M is (..., n, n) and rows a (c, r) zero-based array such as
+    `index_plan(r, n).combos`; the result is (..., c, r, r).
+    """
+    return M[..., rows[:, :, None], rows[:, None, :]]
 
 
-def _restricted(A, directions, r):
-    """Pairs (A_I, X_I) over I in Q_{r,n}: the restriction of A and the (k, r, r)
-    stack of the restrictions of the directions."""
-    return zip(_restrict(A, r), _restrict(np.stack(directions), r).swapaxes(0, 1))
+def _restriction_chunks(A, directions, r, stack):
+    """(A_I, X_I) for I in Q_{r,n}, lexicographic, in chunks of whole restrictions.
+
+    A_I is (c, r, r) and X_I is (c, k, r, r).  `stack` is the number of
+    elements of the largest temporary a form builds for one restriction; c is
+    as large as keeps that, and the (c, k + 1, r, r) of A_I and X_I together,
+    within permanent._STACK_BUDGET, and at least 1.
+    """
+    Xs = np.stack(directions)
+    rows = index_plan(r, A.shape[0]).combos
+    step = max(permanent._STACK_BUDGET // max(stack, (len(Xs) + 1) * r * r), 1)
+    for s in range(0, len(rows), step):
+        chunk = rows[s:s + step]
+        yield _restrict(A, chunk), np.moveaxis(_restrict(Xs, chunk), 0, 1)
+
+
+def _row_totals(values) -> np.ndarray:
+    """`total` of each values[i] alone, as a (c,) array: its entries summed in C order.
+
+    The layout of a gathered stack follows numpy's indexing, not C order, so
+    the values are laid out in C order first.
+    """
+    values = np.ascontiguousarray(values)
+    return values.reshape(len(values), -1).sum(axis=-1)
+
+
+def _block_elements(k, r):
+    """Elements of the largest (C, C, m, m) gather of the minor and tensor forms."""
+    return math.comb(r, k) ** 2 * max(k, r - k) ** 2

@@ -197,9 +197,21 @@ def _out(value):
     return value
 
 
+def _check_verify_args(args):
+    if args.n < 1:
+        raise InputError("--n must be >= 1")
+    if args.kmax < 0:
+        raise InputError("--kmax must be >= 0")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise InputError("--tolerance must be finite and >= 0")
+    if args.seed < 0:
+        raise InputError("--seed must be >= 0")
+
+
 def run(args) -> tuple[dict, int]:
     """Execute one job; returns (report, exit_code)."""
     if args.verb == "verify":
+        _check_verify_args(args)
         report = run_verify(n=args.n, kmax=args.kmax, seed=args.seed, tolerance=args.tolerance)
         return report, 0 if report["passed"] else 2
     data = _load_job(args)

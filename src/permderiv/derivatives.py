@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MultiIndex, complement, enumerate_strict, permutations_of
+from .multiindex import MultiIndex, index_plan
 from .permanent import (
     ReplacementSpec,
     column_replace,
@@ -99,12 +99,12 @@ def dkper_minors(req: DerivativeRequest):
         return per(A)
     if k > n:
         return zero_like(A)
-    basis = enumerate_strict(k, n)
-    comps = [complement(I, n) for I in basis]
+    plan = index_plan(k, n)
+    comps = plan.complements
     per_comp = map_blocks(A, comps, comps, per_batch)  # (C, C) indexed (I, J)
     Xs = np.stack(req.directions)
     return total(
-        sum(per_comp * per_batch(sigma_blocks(Xs, basis, sigma)) for sigma in permutations_of(k))
+        sum(per_comp * per_batch(sigma_blocks(Xs, plan.combos, sigma)) for sigma in plan.perms)
     )
 
 

@@ -3,6 +3,12 @@
 Indices are 1-based throughout; conversion to 0-based happens only at the
 point of matrix-element access.  Lexicographic order of the enumeration is
 the canonical basis order for every tensor block built on top of these.
+
+The formulas index matrices through `index_plan(k, n)`, one cached
+`IndexPlan` per (k, n): read-only zero-based numpy arrays of the strict
+k-combinations, their complements and index parities, the k! permutations
+and the column-replacement slot table.  Each array is built on first use,
+so importing the package builds none.
 """
 
 from __future__ import annotations
@@ -10,7 +16,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import factorial, prod
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -87,3 +96,64 @@ def index_weight(index: MultiIndex) -> int:
 def permutations_of(k: int) -> tuple[tuple[int, ...], ...]:
     """All permutations of (0..k-1) in lexicographic one-line order."""
     return tuple(itertools.permutations(range(k)))
+
+
+class IndexPlan:
+    """Zero-based index arrays of Q_{k,n}, in lexicographic order, read-only.
+
+    Each array is built the first time it is read and then kept.
+    """
+
+    def __init__(self, k: int, n: int):
+        if k < 0 or n < 1:
+            raise ValueError("need k >= 0 and n >= 1")
+        self.k, self.n = k, n
+
+    @cached_property
+    def combos(self) -> np.ndarray:
+        """(C, k): the strict k-combinations of range(n); C = C(n, k), 0 for k > n."""
+        rows = list(itertools.combinations(range(self.n), self.k))
+        return _frozen(np.array(rows, dtype=np.intp).reshape(len(rows), self.k))
+
+    @cached_property
+    def complements(self) -> np.ndarray:
+        """(C, n - k): row c is range(n) minus combos[c], increasing."""
+        combos = self.combos
+        keep = np.ones((len(combos), self.n), dtype=bool)
+        keep[np.arange(len(combos))[:, None], combos] = False
+        return _frozen(np.nonzero(keep)[1].reshape(len(combos), max(self.n - self.k, 0)))
+
+    @cached_property
+    def parity(self) -> np.ndarray:
+        """(C,): the index weight (sum of 1-based entries) of each combination, mod 2."""
+        return _frozen((self.combos.sum(axis=1) + self.k) % 2)
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """(k!, k): the permutations of range(k) in lexicographic one-line order."""
+        perms = permutations_of(self.k)
+        return _frozen(np.array(perms, dtype=np.intp).reshape(len(perms), self.k))
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """(k! C, n): slots[m, j] is the source of column j in A(J; X^sigma).
+
+        Row m = s C + c pairs sigma = perms[s] with J = combos[c] (sigma
+        outermost); slot 0 is A and slot p + 1 is X^p.
+        """
+        perms, combos = self.perms, self.combos
+        P, C = len(perms), len(combos)
+        slots = np.zeros((P, C, self.n), dtype=np.intp)
+        slots[np.arange(P)[:, None, None], np.arange(C)[:, None], combos] = perms[:, None] + 1
+        return _frozen(slots.reshape(P * C, self.n))
+
+
+@lru_cache
+def index_plan(k: int, n: int) -> IndexPlan:
+    """The shared IndexPlan of Q_{k,n}."""
+    return IndexPlan(k, n)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # shared by every caller of the plan
+    return a

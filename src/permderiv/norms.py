@@ -1,7 +1,9 @@
 """Singular values, operator/trace norms, derivative norms, perturbation bounds.
 
 Singular values come from LAPACK (`numpy.linalg.svd`), wrapped so that the
-factors read A = U diag(s) V.
+factors read A = U diag(s) V.  The g_r norm and bound take the singular
+values of all C(n, r) principal restrictions from one call on their stack,
+and run the elementary symmetric polynomials across the restrictions at once.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .charpoly import principal_restrictions
-from .scalars import to_complex
+from .charpoly import _restrict
+from .multiindex import index_plan
+from .scalars import to_complex, total_in_order
 
 
 @dataclass(frozen=True)
@@ -71,17 +74,22 @@ def trace_norm_witness(A) -> np.ndarray:
     return spec.left_factor[:, : spec.right_factor.shape[0]] @ spec.right_factor
 
 
-def elementary_symmetric(k: int, values) -> float:
-    """k-th elementary symmetric polynomial via the Newton triangle recurrence."""
-    values = list(values)
-    r = len(values)
+def elementary_symmetric(k: int, values):
+    """k-th elementary symmetric polynomial via the Newton triangle recurrence.
+
+    Taken over the last axis of `values`: a float for a sequence of r values,
+    an array of shape (...) for an array of shape (..., r).
+    """
+    values = np.asarray(values)
+    r = values.shape[-1]
     if not 0 <= k <= r:
         raise ValueError(f"need 0 <= k <= {r}")
-    e = [1.0] + [0.0] * k
-    for x in values:
-        for j in range(min(k, len(e) - 1), 0, -1):
+    e = [np.ones(values.shape[:-1])] + [np.zeros(values.shape[:-1])] * k
+    for i in range(r):
+        x = values[..., i]
+        for j in range(k, 0, -1):
             e[j] = e[j] + x * e[j - 1]
-    return e[k]
+    return e[k][()]
 
 
 def dkper_norm_bound(A, k: int) -> BoundReport:
@@ -118,10 +126,7 @@ def dk_gr_norm_exact(A, k: int, r: int) -> BoundReport:
     n = A.shape[0]
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= {n}")
-    total = 0.0
-    for rest in principal_restrictions(A, r):
-        s = singular_values(rest.value)
-        total += elementary_symmetric(r - k, s)
+    total = total_in_order(elementary_symmetric(r - k, _restriction_singular_values(A, r)))
     value = math.factorial(k) * total
     witness = None
     Ac = to_complex(A)
@@ -143,12 +148,10 @@ def gr_perturb_bound(A, X, r: int) -> BoundReport:
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
     nx = operator_norm(X)
-    value = 0.0
-    for rest in principal_restrictions(A, r):
-        s = singular_values(rest.value)
-        for k in range(1, r + 1):
-            value += elementary_symmetric(r - k, s) * nx**k
-    return BoundReport(value, "upper")
+    s = _restriction_singular_values(A, r)
+    # (restriction, k) terms, added restriction by restriction
+    terms = np.stack([elementary_symmetric(r - k, s) * nx**k for k in range(1, r + 1)], axis=-1)
+    return BoundReport(total_in_order(terms), "upper")
 
 
 def gr_perturb_bound_weak(A, X, r: int) -> BoundReport:
@@ -172,3 +175,11 @@ def gr_perturb_bound_weak(A, X, r: int) -> BoundReport:
         for k in range(1, r + 1)
     )
     return BoundReport(value, "upper")
+
+
+def _restriction_singular_values(A, r: int) -> np.ndarray:
+    """(C(n, r), r): the singular values of every r x r principal restriction of A.
+
+    One full SVD of the stack, as `svd` computes it for each matrix alone.
+    """
+    return np.linalg.svd(_restrict(to_complex(A), index_plan(r, A.shape[0]).combos))[1]

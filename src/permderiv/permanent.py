@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multiindex import MultiIndex, enumerate_strict, permutations_of
+from .multiindex import MultiIndex, enumerate_strict, index_plan
 from .scalars import is_exact, map_matrices, require_square, zeros_like_mode
 
 NAIVE_MAX_N = 10
@@ -194,9 +194,15 @@ def minor_complement(A, I: MultiIndex, J: MultiIndex):
     for index in (I, J):
         if index.entries and (index.entries[0] < 1 or index.entries[-1] > n):
             raise ValueError(f"entries {index.entries} out of range [1..{n}]")
-    rows = [i for i in range(n) if i + 1 not in I.entries]
-    cols = [j for j in range(n) if j + 1 not in J.entries]
-    return A[rows][:, cols]
+    return A[_kept(n, I.entries)[:, None], _kept(n, J.entries)]
+
+
+@lru_cache
+def _kept(n: int, entries: tuple[int, ...]) -> np.ndarray:
+    """The zero-based indices of [1..n] minus the 1-based entries, read-only."""
+    kept = np.array([i for i in range(n) if i + 1 not in entries], dtype=np.intp)
+    kept.flags.writeable = False  # shared by every caller
+    return kept
 
 
 def laplace_per(A, I: MultiIndex):
@@ -243,17 +249,14 @@ def column_replace(A, spec: ReplacementSpec):
 def replacement_stack(A, Xs):
     """Every A(J; X^sigma) for sigma in S_k and J in Q_{k,n}, sigma outermost.
 
-    A is n x n and Xs is (k, n, n); the result is a (k! C(n,k), n, n) stack
-    in the common mode of A and Xs.
+    A is (..., n, n) and Xs is (..., k, n, n); the result is a
+    (..., k! C(n,k), n, n) stack in the common mode of A and Xs.
     """
-    k, n = Xs.shape[0], Xs.shape[-1]
-    # slot 0 of `sources` is A, slot p + 1 is X^p; which[m, j] picks column j's slot
-    sources = np.concatenate([np.asarray(A)[None], Xs])
-    pairs = list(itertools.product(permutations_of(k), enumerate_strict(k, n)))
-    which = np.zeros((len(pairs), n), dtype=int)
-    for m, (sigma, J) in enumerate(pairs):
-        which[m, list(J.zero_based())] = np.add(sigma, 1)
-    return sources[which[:, None, :], np.arange(n)[:, None], np.arange(n)]
+    k, n = Xs.shape[-3], Xs.shape[-1]
+    # slot 0 of `sources` is A, slot p + 1 is X^p; slots[m, j] picks column j's slot
+    sources = np.concatenate([np.asarray(A)[..., None, :, :], Xs], axis=-3)
+    slots = index_plan(k, n).slots
+    return sources[..., slots[:, None, :], np.arange(n)[:, None], np.arange(n)]
 
 
 def sigma_columns(spec: ReplacementSpec, sigma: tuple[int, ...], n: int | None = None):

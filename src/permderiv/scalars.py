@@ -227,6 +227,18 @@ def total(values):
     return complex(values.sum())
 
 
+def total_in_order(values):
+    """Sum of an array added left to right in flat order, as a scalar in its mode.
+
+    A floating result is bit for bit that of the loop `acc = 0; acc = acc + v`
+    over the values (`total` sums pairwise instead).
+    """
+    values = np.asarray(values).ravel()
+    if is_exact(values):
+        return sum(values.tolist(), ExactComplex(0))
+    return np.add.accumulate(np.concatenate([np.zeros(1, values.dtype), values]))[-1].item()
+
+
 def map_matrices(evaluate, mats):
     """Object array of evaluate(M) for every matrix M of an exact stack."""
     out = np.empty(mats.shape[:-2], dtype=object)

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import (
-    MultiIndex,
-    complement,
-    enumerate_strict,
-    enumerate_weak,
-    multiplicity,
-    permutations_of,
-)
+from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
 from .permanent import per, per_batch, minor_complement
 from .scalars import (
     is_exact,
@@ -102,27 +95,23 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.det(mats)
 
 
-def basis_indices(basis) -> np.ndarray:
-    """A multi-index basis as a (len(basis), k) array of zero-based indices."""
-    return np.array([I.zero_based() for I in basis], dtype=int).reshape(len(basis), -1)
-
-
 def map_blocks(A, rows, cols, evaluate) -> np.ndarray:
-    """evaluate(A[I|J]) for I in rows and J in cols, as a |rows| x |cols| array.
+    """evaluate(A[I|J]) for every row I of `rows` and J of `cols`.
 
-    `evaluate` is `per_batch` or `det_batch`.
+    rows and cols are zero-based index arrays such as `index_plan(k, n).combos`;
+    A is (..., n, n) and the result is (..., len(rows), len(cols)).  `evaluate`
+    is `per_batch` or `det_batch`.
     """
-    ri, cj = basis_indices(rows), basis_indices(cols)
-    return evaluate(np.asarray(A)[ri[:, None, :, None], cj[None, :, None, :]])
+    return evaluate(np.asarray(A)[..., rows[:, None, :, None], cols[None, :, None, :]])
 
 
-def sigma_blocks(Xs, basis, sigma) -> np.ndarray:
-    """Blocks with (l, m) entry X^{sigma(m)}[i_l, j_m], for I, J in the basis.
+def sigma_blocks(Xs, rows, sigma) -> np.ndarray:
+    """Blocks with (l, m) entry X^{sigma(m)}[i_l, j_m], for rows I, J of `rows`.
 
-    Xs is (k, n, n); the result is (C, C, k, k), C = |basis|.
+    Xs is (..., k, n, n) and rows a (C, k) index array; the result is
+    (..., C, C, k, k).
     """
-    idx = basis_indices(basis)
-    return Xs[np.asarray(sigma), idx[:, None, :, None], idx[None, :, None, :]]
+    return Xs[..., sigma, rows[:, None, :, None], rows[None, :, None, :]]
 
 
 def sym_power(A, k: int) -> TensorBlock:
@@ -136,7 +125,8 @@ def sym_power(A, k: int) -> TensorBlock:
         raise ValueError("need k >= 1")
     basis = enumerate_weak(k, n)
     norms = np.array([math.sqrt(multiplicity(I)) for I in basis])
-    entries = map_blocks(to_complex(A), basis, basis, per_batch) / np.outer(norms, norms)
+    idx = np.array([I.zero_based() for I in basis], dtype=np.intp)
+    entries = map_blocks(to_complex(A), idx, idx, per_batch) / np.outer(norms, norms)
     return TensorBlock(basis, basis, entries)
 
 
@@ -145,8 +135,8 @@ def sym_power_projected(A, k: int) -> TensorBlock:
     n = require_square(A).shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
-    basis = enumerate_strict(k, n)
-    return TensorBlock(basis, basis, map_blocks(A, basis, basis, per_batch))
+    basis, idx = enumerate_strict(k, n), index_plan(k, n).combos
+    return TensorBlock(basis, basis, map_blocks(A, idx, idx, per_batch))
 
 
 def antisym_power(A, k: int) -> TensorBlock:
@@ -154,8 +144,8 @@ def antisym_power(A, k: int) -> TensorBlock:
     n = require_square(A).shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
-    basis = enumerate_strict(k, n)
-    return TensorBlock(basis, basis, map_blocks(A, basis, basis, det_batch))
+    basis, idx = enumerate_strict(k, n), index_plan(k, n).combos
+    return TensorBlock(basis, basis, map_blocks(A, idx, idx, det_batch))
 
 
 def tilde_sym_block(A, k: int) -> TensorBlock:
@@ -187,13 +177,14 @@ def tilde_antisym_block(A, k: int) -> TensorBlock:
 
 
 def signed_complement_minors(A, k: int) -> np.ndarray:
-    """(-1)^{|I|+|J|} det A(I|J) for I, J in Q_{k,n}, as a C x C array indexed (I, J)."""
-    n = np.asarray(A).shape[0]
-    basis = enumerate_strict(k, n)
-    comps = [complement(I, n) for I in basis]
-    minors = map_blocks(A, comps, comps, det_batch)
-    odd = basis_indices(basis).sum(axis=1) % 2
-    return np.where(odd[:, None] ^ odd[None, :], -minors, minors)
+    """(-1)^{|I|+|J|} det A(I|J) for I, J in Q_{k,n}, indexed (..., I, J).
+
+    A is (..., n, n); the result is (..., C, C), C = C(n, k).
+    """
+    plan = index_plan(k, np.shape(A)[-1])
+    minors = map_blocks(A, plan.complements, plan.complements, det_batch)
+    odd = plan.parity[:, None] ^ plan.parity[None, :]
+    return np.where(odd, -minors, minors)
 
 
 def mixed_sym_projected(directions) -> TensorBlock:
@@ -222,10 +213,20 @@ def _mixed_block(directions, symmetric: bool) -> TensorBlock:
     if k > n:
         raise ValueError(f"need k <= {n}")
     basis = enumerate_strict(k, n)
-    Xs = np.stack(directions)
     evaluate = per_batch if symmetric else det_batch
-    acc = sum(evaluate(sigma_blocks(Xs, basis, sigma)) for sigma in permutations_of(k))
-    return TensorBlock(basis, basis, acc / math.factorial(k))
+    return TensorBlock(basis, basis, mixed_entries(np.stack(directions), evaluate))
+
+
+def mixed_entries(Xs, evaluate) -> np.ndarray:
+    """(1/k!) sum_sigma evaluate(sigma_blocks(Xs, Q_{k,n}, sigma)): (..., C, C).
+
+    Xs is a (..., k, n, n) stack of directions; `evaluate` is `per_batch` for
+    the symmetrized product and `det_batch` for the antisymmetrized one.
+    """
+    k, n = Xs.shape[-3], Xs.shape[-1]
+    plan = index_plan(k, n)
+    acc = sum(evaluate(sigma_blocks(Xs, plan.combos, sigma)) for sigma in plan.perms)
+    return acc / math.factorial(k)
 
 
 def block_trace(B: TensorBlock, C: TensorBlock):

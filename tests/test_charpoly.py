@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
+from permderiv import charpoly, permanent
 from permderiv.charpoly import (
     charpoly_all,
     dk_gr,
@@ -13,7 +16,17 @@ from permderiv.charpoly import (
     g_r,
 )
 from permderiv.oracle import finite_diff, mixed_partial_interp
-from permderiv.scalars import ExactComplex
+from permderiv.multiindex import enumerate_strict, index_plan
+from permderiv.permanent import replacement_stack, submatrix
+from permderiv.scalars import ExactComplex, to_complex, total
+from permderiv.tensor import (
+    block_trace,
+    det_batch,
+    mixed_antisym_projected,
+    sigma_blocks,
+    signed_complement_minors,
+    tilde_antisym_block,
+)
 
 
 def test_g1_is_trace_gn_is_det(rng):
@@ -157,3 +170,135 @@ def test_dispatch_all(rng):
     out = dk_gr(A, dirs, 1, 2, "all")
     assert set(out) == {"columns", "minors", "tensor"}
     assert rel_dev(list(out.values())) < 1e-10
+
+
+FORMS = (dk_gr_columns, dk_gr_minors, dk_gr_tensor)
+
+
+def _loop_over_restrictions(A, dirs, k, r):
+    """The three forms as one loop over restrictions, each evaluated alone."""
+    inner = index_plan(k, r)
+    columns = minors = tensor = complex(0.0)
+    for I in enumerate_strict(r, A.shape[0]):
+        AI = submatrix(A, I, I)
+        XI = np.stack([submatrix(X, I, I) for X in dirs])
+        columns = columns + total(det_batch(replacement_stack(AI, XI)))
+        signed = signed_complement_minors(AI, k)
+        for sigma in inner.perms:
+            minors = minors + total(signed * det_batch(sigma_blocks(XI, inner.combos, sigma)))
+        tensor = tensor + block_trace(tilde_antisym_block(AI, k), mixed_antisym_projected(XI))
+    return columns, minors, math.factorial(k) * tensor
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_batched_forms_equal_the_loop_over_restrictions(n, rng):
+    A = random_complex(rng, n)
+    dirs = tuple(random_complex(rng, n) for _ in range(3))
+    for r in range(1, n + 1):
+        for k in range(1, min(r, 3) + 1):
+            got = tuple(form(A, dirs[:k], k, r) for form in FORMS)
+            assert got == _loop_over_restrictions(A, dirs[:k], k, r)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("exact, n, k, r", [(False, 6, 2, 4), (False, 5, 3, 3), (True, 5, 2, 3)])
+def test_one_restriction_per_chunk_gives_the_same_value(form, exact, n, k, r, rng, monkeypatch):
+    make = random_gaussian_integer if exact else random_complex
+    A = make(rng, n)
+    dirs = tuple(make(rng, n) for _ in range(k))
+    whole = form(A, dirs, k, r)
+    calls = []
+    det_batch = charpoly.det_batch
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
+    monkeypatch.setattr(charpoly, "det_batch", lambda m: calls.append(1) or det_batch(m))
+    assert form(A, dirs, k, r) == whole
+    # one det_batch per chunk and stacked term: C(n, r) chunks
+    terms = 1 if form is dk_gr_columns else math.factorial(k)
+    assert len(calls) == math.comb(n, r) * terms
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_peak_memory_is_bounded_at_n10_k3_r6(form, rng):
+    A = random_complex(rng, 10)
+    dirs = tuple(random_complex(rng, 10) for _ in range(3))
+    form(A, dirs, 3, 6)  # build the index plans outside the measurement
+    tracemalloc.start()
+    try:
+        form(A, dirs, 3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+# -- properties of D^k g_r, for all three forms --------------------------------
+
+_SIZES = st.integers(1, 5).flatmap(
+    lambda n: st.integers(1, n).flatmap(
+        lambda r: st.tuples(st.just(n), st.just(r), st.integers(1, min(r, 3)))
+    )
+)
+_PROPERTY = settings(max_examples=20, deadline=None)
+
+
+def _instance(seed, n, k, exact=False):
+    rng = np.random.default_rng(seed)
+    make = random_gaussian_integer if exact else random_complex
+    return make(rng, n), tuple(make(rng, n) for _ in range(k))
+
+
+@_PROPERTY
+@given(size=_SIZES, seed=st.integers(0, 2**32 - 1), order=st.randoms())
+def test_property_direction_order_does_not_matter(size, seed, order):
+    n, r, k = size
+    A, dirs = _instance(seed, n, k)
+    shuffled = list(dirs)
+    order.shuffle(shuffled)
+    for form in FORMS:
+        assert rel_dev([form(A, dirs, k, r), form(A, tuple(shuffled), k, r)]) < 1e-10
+
+
+@_PROPERTY
+@given(size=_SIZES, seed=st.integers(0, 2**32 - 1))
+def test_property_linear_in_the_first_slot(size, seed):
+    n, r, k = size
+    A, dirs = _instance(seed, n, k + 1)
+    U, V, rest = dirs[0], dirs[1], dirs[2:]
+    alpha = complex(*np.random.default_rng(seed).standard_normal(2))
+    for form in FORMS:
+        lhs = form(A, (U + alpha * V, *rest), k, r)
+        rhs = form(A, (U, *rest), k, r) + alpha * form(A, (V, *rest), k, r)
+        assert rel_dev([lhs, rhs]) < 1e-10
+
+
+@_PROPERTY
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), exact=st.booleans())
+def test_property_order_above_r_is_an_exact_zero(n, seed, exact):
+    r = int(np.random.default_rng(seed).integers(1, n + 1))
+    A, dirs = _instance(seed, n, r + 1, exact)
+    for form in FORMS:
+        value = form(A, dirs, r + 1, r)
+        assert value == 0
+        assert isinstance(value, ExactComplex if exact else complex)
+
+
+@_PROPERTY
+@given(size=_SIZES, seed=st.integers(0, 2**32 - 1))
+def test_property_exact_mode_agrees_with_floating_mode(size, seed):
+    n, r, k = size
+    A, dirs = _instance(seed, n, k, exact=True)
+    floating = tuple(map(to_complex, dirs))
+    for form in FORMS:
+        value = form(A, dirs, k, r)
+        assert isinstance(value, ExactComplex)
+        assert rel_dev([complex(value), form(to_complex(A), floating, k, r)]) < 1e-10
+
+
+@_PROPERTY
+@given(size=_SIZES.filter(lambda s: s[0] <= 4), seed=st.integers(0, 2**32 - 1))
+def test_property_exact_mode_equals_the_interpolation_oracle(size, seed):
+    n, r, k = size
+    A, dirs = _instance(seed, n, k, exact=True)
+    oracle = mixed_partial_interp("gr", A, dirs, r=r)
+    for form in FORMS:
+        assert form(A, dirs, k, r) == oracle

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 
 def run_cli(args, payload=None):
@@ -208,3 +209,28 @@ def test_overflowing_result_writes_nothing_to_stderr():
     proc = run_cli(["per"], '{"A": [[1e308,1e308],[1e308,1e308]]}')
     _input_error(proc)
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "args, detail",
+    [
+        (["--n", "0"], "--n must be >= 1"),
+        (["--n", "-3"], "--n must be >= 1"),
+        (["--kmax", "-1"], "--kmax must be >= 0"),
+        (["--tolerance", "nan"], "--tolerance must be finite and >= 0"),
+        (["--tolerance", "inf"], "--tolerance must be finite and >= 0"),
+        (["--tolerance", "-1"], "--tolerance must be finite and >= 0"),
+        (["--seed", "-1"], "--seed must be >= 0"),
+    ],
+    ids=["n-0", "n-negative", "kmax-negative", "tolerance-nan", "tolerance-inf",
+         "tolerance-negative", "seed-negative"],
+)
+def test_verify_rejects_bad_arguments_before_any_work(args, detail, capsys, monkeypatch):
+    from permderiv import cli
+
+    def no_work(**kwargs):
+        raise AssertionError("verify started work on invalid arguments")
+
+    monkeypatch.setattr(cli, "run_verify", no_work)
+    assert cli.main(["verify", *args]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "input", "detail": detail}

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,10 +11,12 @@ from permderiv.multiindex import (
     complement,
     enumerate_strict,
     enumerate_weak,
+    index_plan,
     index_weight,
     multiplicity,
     permutations_of,
 )
+from permderiv.permanent import ReplacementSpec, column_replace, replacement_stack
 
 
 def test_enumerate_strict_2_3():
@@ -98,3 +103,68 @@ def test_strict_ordering_enforced():
         MultiIndex((2, 1))
     with pytest.raises(ValueError):
         MultiIndex((2, 1), "weak")
+
+
+PLAN_SIZES = [(0, 1), (0, 4), (1, 1), (1, 5), (2, 4), (3, 5), (4, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("k, n", PLAN_SIZES)
+def test_index_plan_agrees_with_the_enumeration(k, n):
+    plan = index_plan(k, n)
+    basis = enumerate_strict(k, n)
+    assert plan.combos.tolist() == [list(I.zero_based()) for I in basis]
+    assert plan.complements.tolist() == [list(complement(I, n).zero_based()) for I in basis]
+    assert plan.parity.tolist() == [index_weight(I) % 2 for I in basis]
+    assert [tuple(p) for p in plan.perms.tolist()] == list(permutations_of(k))
+    # sigma outermost, J inner; column j_p of A(J; X^sigma) comes from slot sigma(p) + 1
+    expected = []
+    for sigma in permutations_of(k):
+        for J in basis:
+            row = [0] * n
+            for p, j in enumerate(J.zero_based()):
+                row[j] = sigma[p] + 1
+            expected.append(row)
+    assert plan.slots.tolist() == expected
+    assert index_plan(k, n) is plan
+
+
+@pytest.mark.parametrize("k, n", PLAN_SIZES)
+def test_index_plan_arrays_are_read_only(k, n):
+    plan = index_plan(k, n)
+    for a in (plan.combos, plan.complements, plan.parity, plan.perms, plan.slots):
+        assert a.dtype == np.intp and not a.flags.writeable
+        if a.size:
+            with pytest.raises(ValueError):
+                a.flat[0] = 1
+
+
+def test_index_plan_rejects_bad_orders():
+    with pytest.raises(ValueError):
+        index_plan(-1, 3)
+    with pytest.raises(ValueError):
+        index_plan(1, 0)
+
+
+def test_no_plan_is_built_at_import():
+    code = (
+        "import permderiv.cli; from permderiv.multiindex import index_plan; "
+        "print(index_plan.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 3), (2, 4), (3, 4)])
+def test_replacement_stack_follows_the_plan_with_and_without_a_stack_axis(k, n):
+    rng = np.random.default_rng(k * 10 + n)
+    A = rng.standard_normal((2, n, n))
+    Xs = rng.standard_normal((2, k, n, n))
+    stacked = replacement_stack(A, Xs)
+    assert stacked.shape == (2, math.factorial(k) * math.comb(n, k), n, n)
+    for i in range(2):
+        single = replacement_stack(A[i], Xs[i])
+        assert np.array_equal(stacked[i], single)
+        pairs = [(s, J) for s in permutations_of(k) for J in enumerate_strict(k, n)]
+        for m, (sigma, J) in enumerate(pairs):
+            spec = ReplacementSpec(J, tuple(Xs[i][sigma[p]] for p in range(k)))
+            assert np.array_equal(single[m], column_replace(A[i], spec))

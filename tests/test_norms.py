@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_unitary, rel_dev
-from permderiv.charpoly import g_r
+from permderiv.charpoly import g_r, principal_restrictions
 from permderiv.derivatives import DerivativeRequest, dkper_columns, dper
 from permderiv.norms import (
     dk_gr_norm_exact,
@@ -96,6 +96,34 @@ def test_elementary_symmetric_values():
             assert elementary_symmetric(k, [1.0] * r) == pytest.approx(math.comb(r, k))
     with pytest.raises(ValueError):
         elementary_symmetric(3, [1, 2])
+
+
+def test_elementary_symmetric_runs_across_a_stack_row_by_row(rng):
+    values = np.abs(rng.standard_normal((7, 5)))
+    for k in range(6):
+        rows = elementary_symmetric(k, values)
+        assert rows.shape == (7,)
+        assert rows.tolist() == [elementary_symmetric(k, list(v)) for v in values]
+
+
+def test_restriction_norms_equal_the_loop_over_restrictions(rng):
+    # one SVD of the stack gives each restriction's singular values bit for bit,
+    # and the sums run in restriction order
+    for n in (1, 3, 5, 6):
+        A, X = random_complex(rng, n), random_complex(rng, n)
+        nx = operator_norm(X)
+        for r in range(1, n + 1):
+            spectra = [singular_values(rest.value) for rest in principal_restrictions(A, r)]
+            for k in range(1, r + 1):
+                total = 0.0
+                for s in spectra:
+                    total += elementary_symmetric(r - k, s)
+                assert dk_gr_norm_exact(A, k, r).value == math.factorial(k) * total
+            bound = 0.0
+            for s in spectra:
+                for k in range(1, r + 1):
+                    bound += elementary_symmetric(r - k, s) * nx**k
+            assert gr_perturb_bound(A, X, r).value == bound
 
 
 def test_dkper_norm_bound_values(rng):
