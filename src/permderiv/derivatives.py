@@ -20,6 +20,7 @@ from .permanent import (
     per,
     per_batch,
     replacement_stack,
+    slice_length,
 )
 from .scalars import ExactComplex, is_exact, require_square, total, zero_like
 from .tensor import (
@@ -80,14 +81,24 @@ def dper(A, X):
 
 
 def dkper_columns(req: DerivativeRequest):
-    """Column-replacement form: sum over sigma and J of per A(J; X^sigma)."""
+    """Column-replacement form: sum over sigma and J of per A(J; X^sigma).
+
+    The k! C(n,k) replaced matrices are built and evaluated in slices of
+    `slice_length(n)`, so memory stays bounded; their permanents are summed
+    at once, as for one stack.
+    """
     A = np.asarray(req.A)
+    n = A.shape[0]
     k = req.order
     if k == 0:
         return per(A)
-    if k > A.shape[0]:
+    if k > n:
         return zero_like(A)
-    return total(per_batch(replacement_stack(A, np.stack(req.directions))))
+    Xs = np.stack(req.directions)
+    count, step = len(index_plan(k, n).slots), slice_length(n)
+    return total(np.concatenate(
+        [per_batch(replacement_stack(A, Xs, slice(s, s + step))) for s in range(0, count, step)]
+    ))
 
 
 def dkper_minors(req: DerivativeRequest):

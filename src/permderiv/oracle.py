@@ -9,6 +9,7 @@ closed-form derivative formulas.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .charpoly import g_r
 from .permanent import per
-from .scalars import is_exact, zero_like
+from .scalars import is_exact, to_complex, zero_like
 
 MAX_ORDER = 8
 MAX_N = 6
@@ -24,23 +25,9 @@ MAX_N = 6
 
 def _linear_coeff_weights(d: int) -> list[Fraction]:
     """Weights w_j with sum_j w_j f(j) = coefficient of t in the degree-d
-    interpolant of f on nodes 0..d."""
-    weights = []
-    for j in range(d + 1):
-        # L_j(t) = prod_{i != j} (t - i) / (j - i); take its t^1 coefficient
-        coeffs = [Fraction(1)]  # polynomial in t, low to high degree
-        denom = Fraction(1)
-        for i in range(d + 1):
-            if i == j:
-                continue
-            denom *= j - i
-            new = [Fraction(0)] * (len(coeffs) + 1)
-            for p, cp in enumerate(coeffs):
-                new[p] += cp * (-i)
-                new[p + 1] += cp
-            coeffs = new
-        weights.append((coeffs[1] if len(coeffs) > 1 else Fraction(0)) / denom)
-    return weights
+    interpolant of f on nodes 0..d: w_0 = -H_d and w_j = (-1)^(j+1) C(d, j) / j."""
+    harmonic = sum((Fraction(1, i) for i in range(1, d + 1)), Fraction(0))
+    return [-harmonic] + [Fraction((-1) ** (j + 1) * math.comb(d, j), j) for j in range(1, d + 1)]
 
 
 def _functional(phi, r):
@@ -107,12 +94,7 @@ def faddeev_leverrier(A) -> tuple[complex, ...]:
     M_1 = A, c_1 = -tr A, M_{j+1} = A (M_j + c_j I), c_{j+1} = -tr M_{j+1}/(j+1),
     and g_r = (-1)^r c_r.
     """
-    if is_exact(A):
-        from .scalars import to_complex
-
-        A = to_complex(A)
-    else:
-        A = np.asarray(A, dtype=complex)
+    A = to_complex(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("square matrix required")

@@ -1,12 +1,12 @@
 """Permanent evaluation and the submatrix machinery built around it.
 
 `per_naive` is the literal sum over all n! permutations and serves as the
-independent oracle.  In floating mode `per` and `per_batch` share one
-blocked Ryser kernel, O(2^n * n) per matrix: the row sums over all subsets
-of up to ten columns come from one product with a cached 0/1 subset table,
-and only the subsets of the remaining columns are looped over in Python.
-In exact mode `per` is the naive sum below `RYSER_CROSSOVER` and Ryser's
-inclusion-exclusion with Gray-code column updates (`per_ryser`) above it.
+independent oracle.  `per` and `per_batch` share one blocked Ryser kernel
+in both modes, O(2^n * n) per matrix: the row sums over all subsets of up
+to ten columns are formed at once (a product with a cached 0/1 subset table
+on floats, one addition per subset on exact entries), and only the subsets
+of the remaining columns are looped over in Python.  The products, signs
+and chunking are the same for a complex128 stack and an ExactComplex one.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, index_plan
-from .scalars import is_exact, map_matrices, require_square, zeros_like_mode
+from .scalars import ExactComplex, is_exact, require_square, zeros_like_mode
 
 NAIVE_MAX_N = 10
-RYSER_CROSSOVER = 5  # exact-mode per() switches from naive to Gray-code Ryser here
 _LOW_COLUMNS = 10  # at most this many columns go into the cached subset table
 _STACK_BUDGET = 1 << 16  # complex elements in one kernel temporary
 
@@ -59,75 +58,51 @@ def per_naive(A):
     return total
 
 
-def per_ryser(A):
-    """Ryser's formula with Gray-code column updates."""
-    A = require_square(A)
-    n = A.shape[0]
-    if n == 0:
-        return _one(A)
-    # per A = (-1)^n * sum over nonempty S of (-1)^|S| prod_i rowsum_i(S)
-    rowsums = zeros_like_mode(A, (n,))
-    total = None
-    gray = 0
-    for s in range(1, 1 << n):
-        g = s ^ (s >> 1)
-        changed = gray ^ g
-        j = changed.bit_length() - 1
-        if g & changed:
-            rowsums = rowsums + A[:, j]
-        else:
-            rowsums = rowsums - A[:, j]
-        gray = g
-        term = rowsums[0]
-        for i in range(1, n):
-            term = term * rowsums[i]
-        if (n - bin(g).count("1")) % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def per(A):
-    """Permanent of a square matrix.
-
-    Floating mode runs the blocked Ryser kernel; exact mode runs the naive
-    sum below RYSER_CROSSOVER and the Gray-code Ryser loop above it.
-    """
-    A = require_square(A)
-    if is_exact(A):
-        return per_naive(A) if A.shape[0] < RYSER_CROSSOVER else per_ryser(A)
-    return _ryser_stack(np.asarray(A, dtype=complex)[None])[0]
+    """Permanent of a square matrix, by the blocked Ryser kernel in A's mode."""
+    return _ryser_stack(require_square(A)[None])[0]
 
 
 def per_batch(mats: np.ndarray) -> np.ndarray:
     """Permanents of a stack of k x k matrices, in the stack's mode.
 
-    A floating stack runs the blocked Ryser kernel and returns complex128; an
-    exact (object) stack runs `per` on each matrix and returns an object array.
+    A floating stack returns complex128 and an exact (object) stack an object
+    array; both run the one blocked Ryser kernel.
     """
     mats = np.asarray(mats)
-    if is_exact(mats):
-        return map_matrices(per, mats)
     m, k = mats.shape[:-2], mats.shape[-1]
-    flat = np.asarray(mats, dtype=complex).reshape(math.prod(m), k, k)
-    return _ryser_stack(flat).reshape(m)
+    return _ryser_stack(mats.reshape(math.prod(m), k, k)).reshape(m)
 
 
 def _ryser_stack(mats: np.ndarray) -> np.ndarray:
-    """Floating permanents of an (m, n, n) complex stack by Ryser's formula.
+    """Permanents of an (m, n, n) stack by Ryser's formula, in its mode.
 
+    A floating stack is cast to complex128 and an object stack stays object.
     The stack is walked in chunks of whole matrices, so no temporary holds
     more than _STACK_BUDGET elements whatever n or m.
     """
+    if not is_exact(mats):
+        mats = np.asarray(mats, dtype=complex)
     m, n = mats.shape[0], mats.shape[-1]
     if n == 0:
-        return np.ones(m, dtype=complex)
+        return np.full(m, _one(mats), dtype=mats.dtype)
     b, bits, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)
     if m <= chunk:
         return _ryser_block(mats, b, bits, signs)
     return np.concatenate(
         [_ryser_block(mats[s:s + chunk], b, bits, signs) for s in range(0, m, chunk)]
     )
+
+
+def slice_length(n: int) -> int:
+    """Matrices of order n per slice when a stack is built and evaluated in parts.
+
+    A slice holds at most _STACK_BUDGET elements (more only when the kernel
+    puts more in one chunk) and whole kernel chunks, so a stack evaluated
+    slice by slice runs in the same chunks, bit for bit, as in one call.
+    """
+    chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)[3]
+    return max(_STACK_BUDGET // (n * n * chunk), 1) * chunk
 
 
 @lru_cache(maxsize=None)
@@ -150,10 +125,20 @@ def _ryser_block(block, b, bits, signs):
 
     S splits into a set L of the low b columns and a set T of the other
     n - b.  The row sums of every L come from one product with the subset
-    table; each T, looped over in Python, adds its row sums as a column.
+    table on a floating block and, on an exact block, by doubling: the sets
+    holding column j are those without it plus column j, one addition per
+    entry.  Each T, looped over in Python, adds its row sums as a column.
     """
     c, n = block.shape[0], block.shape[-1]
-    low = (block[:, :, :b].reshape(c * n, b) @ bits).reshape(c, n, 1 << b)
+    exact = block.dtype == object
+    if exact:
+        low = np.empty((c, n, 1 << b), dtype=object)
+        low[..., 0] = ExactComplex(0)
+        for j in range(b):
+            np.add(low[..., :1 << j], block[:, :, j, None], out=low[..., 1 << j:2 << j])
+        plus = signs.real > 0
+    else:
+        low = (block[:, :, :b].reshape(c * n, b) @ bits).reshape(c, n, 1 << b)
     shifts = np.arange(n - b)
     sums = np.empty_like(low) if n > b else None
     acc = None
@@ -165,7 +150,10 @@ def _ryser_block(block, b, bits, signs):
         prods = rows[:, 0] if n == 1 else rows[:, 0] * rows[:, 1]
         for i in range(2, n):
             prods *= rows[:, i]
-        term = prods.dot(signs)
+        if exact:  # adding and subtracting costs no ExactComplex multiplication
+            term = prods[:, plus].sum(axis=-1) - prods[:, ~plus].sum(axis=-1)
+        else:
+            term = prods.dot(signs)
         if bin(t).count("1") % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -246,16 +234,17 @@ def column_replace(A, spec: ReplacementSpec):
     return Z
 
 
-def replacement_stack(A, Xs):
+def replacement_stack(A, Xs, part=slice(None)):
     """Every A(J; X^sigma) for sigma in S_k and J in Q_{k,n}, sigma outermost.
 
     A is (..., n, n) and Xs is (..., k, n, n); the result is a
-    (..., k! C(n,k), n, n) stack in the common mode of A and Xs.
+    (..., k! C(n,k), n, n) stack in the common mode of A and Xs, or only the
+    `part` slice of it.
     """
     k, n = Xs.shape[-3], Xs.shape[-1]
     # slot 0 of `sources` is A, slot p + 1 is X^p; slots[m, j] picks column j's slot
     sources = np.concatenate([np.asarray(A)[..., None, :, :], Xs], axis=-3)
-    slots = index_plan(k, n).slots
+    slots = index_plan(k, n).slots[part]
     return sources[..., slots[:, None, :], np.arange(n)[:, None], np.arange(n)]
 
 
@@ -279,8 +268,4 @@ def sigma_columns(spec: ReplacementSpec, sigma: tuple[int, ...], n: int | None =
 
 def _one(A):
     """Multiplicative identity in A's mode (per of the empty matrix)."""
-    if is_exact(A):
-        from .scalars import ExactComplex
-
-        return ExactComplex(1)
-    return complex(1.0)
+    return ExactComplex(1) if is_exact(A) else complex(1.0)

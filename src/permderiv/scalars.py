@@ -239,14 +239,6 @@ def total_in_order(values):
     return np.add.accumulate(np.concatenate([np.zeros(1, values.dtype), values]))[-1].item()
 
 
-def map_matrices(evaluate, mats):
-    """Object array of evaluate(M) for every matrix M of an exact stack."""
-    out = np.empty(mats.shape[:-2], dtype=object)
-    for idx in np.ndindex(out.shape):
-        out[idx] = evaluate(mats[idx])
-    return out
-
-
 def require_square(A):
     """A as an array, after checking that it is a square matrix."""
     A = np.asarray(A)

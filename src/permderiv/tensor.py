@@ -15,8 +15,8 @@ import numpy as np
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
 from .permanent import per, per_batch, minor_complement
 from .scalars import (
+    ExactComplex,
     is_exact,
-    map_matrices,
     require_square,
     to_complex,
     total,
@@ -48,47 +48,53 @@ def det(A):
 
 
 def det_bareiss(A):
-    """Fraction-free Bareiss elimination; exact for Gaussian-rational entries.
+    """Fraction-free Bareiss elimination over an (..., n, n) exact stack.
 
-    On Gaussian-integer entries every division is exact over Z[i] (each
-    quotient is a minor of A, by Sylvester's identity), so every pivot and
-    the result keep int parts and no Fraction is built.
+    Every matrix of the stack is eliminated at once: each step picks the
+    first nonzero entry at or below the diagonal as its pivot and swaps that
+    row up, per matrix.  A matrix with no pivot in some column has
+    determinant 0 and reads its pivot as 1 from then on, so no division is by
+    zero.  On Gaussian-integer entries every division of a regular matrix is
+    exact over Z[i] (each quotient is a minor, by Sylvester's identity), so
+    its pivots and result keep int parts and no Fraction is built.  A single
+    matrix gives a scalar.
     """
     A = np.asarray(A)
-    n = A.shape[0]
-    from .scalars import ExactComplex
-
-    if n == 0:
-        return ExactComplex(1)
-    M = [[A[i, j] for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = ExactComplex(1)
+    shape, n = A.shape[:-2], A.shape[-1]
+    M = A.reshape(math.prod(shape), n, n).copy()
+    flip = np.zeros(len(M), dtype=bool)
+    singular = np.zeros(len(M), dtype=bool)
+    prev = np.full(len(M), ExactComplex(1), dtype=object)
+    stack = np.arange(len(M))
     for i in range(n - 1):
-        if not M[i][i]:
-            for r in range(i + 1, n):
-                if M[r][i]:
-                    M[i], M[r] = M[r], M[i]
-                    sign = -sign
-                    break
-            else:
-                return ExactComplex(0)
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                M[r][c] = (M[r][c] * M[i][i] - M[r][i] * M[i][c]) / prev
-        prev = M[i][i]
-    result = M[n - 1][n - 1]
-    return -result if sign < 0 else result
+        nonzero = M[:, i:, i].astype(bool)
+        found = nonzero.any(axis=1)
+        r = i + nonzero.argmax(axis=1)  # i itself where nothing was found
+        pivot_rows = M[stack, r]
+        M[stack, r] = M[:, i]
+        M[:, i] = pivot_rows
+        flip ^= r != i
+        singular |= ~found
+        pivot = np.where(found, M[:, i, i], ExactComplex(1))
+        trailing = M[:, i + 1:, i + 1:] * pivot[:, None, None]
+        trailing -= M[:, i + 1:, i, None] * M[:, i, None, i + 1:]
+        M[:, i + 1:, i + 1:] = trailing / prev[:, None, None]
+        prev = pivot
+    dets = M[:, n - 1, n - 1] if n else np.full(len(M), ExactComplex(1), dtype=object)
+    dets[flip] = -dets[flip]
+    dets[singular] = ExactComplex(0)
+    return dets.reshape(shape)[()]
 
 
 def det_batch(mats: np.ndarray) -> np.ndarray:
     """Determinants of a stack of k x k matrices, in the stack's mode.
 
     A floating stack runs LAPACK LU and returns complex128; an exact (object)
-    stack runs Bareiss on each matrix and returns an object array.
+    stack runs one stacked Bareiss elimination and returns an object array.
     """
     mats = np.asarray(mats)
     if is_exact(mats):
-        return map_matrices(det_bareiss, mats)
+        return det_bareiss(mats)
     mats = mats.astype(complex)
     if mats.shape[-1] == 0:
         return np.ones(mats.shape[:-2], dtype=complex)

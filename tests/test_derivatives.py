@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
+from permderiv import derivatives, permanent
 from permderiv.derivatives import (
     DerivativeRequest,
     dkper,
@@ -13,8 +16,9 @@ from permderiv.derivatives import (
     dper,
 )
 from permderiv.oracle import mixed_partial_interp
-from permderiv.permanent import padj, per
-from permderiv.scalars import ExactComplex
+from permderiv.multiindex import index_plan
+from permderiv.permanent import padj, per, per_batch, replacement_stack
+from permderiv.scalars import ExactComplex, to_complex, total
 
 
 def test_dper_identity_is_trace(rng):
@@ -146,3 +150,109 @@ def test_dper_accepts_cancelling_terms():
         X = X - (np.sum(P * X) / np.sum(P * P.conj())) * P.conj()
         value = dper(A, X)
         assert abs(value) <= 1e-12 * np.abs(P * X).sum()
+
+
+# -- the columns form walks its replacement stack in slices --------------------
+
+
+@pytest.mark.parametrize("exact, n, k", [(False, 6, 3), (False, 5, 5), (True, 5, 2)])
+def test_columns_form_slices_give_the_same_value(exact, n, k, rng, monkeypatch):
+    # a 300-element budget cuts the k! C(n,k) replacement stack into several slices
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 300)
+    make = random_gaussian_integer if exact else random_complex
+    A, dirs = make(rng, n), tuple(make(rng, n) for _ in range(k))
+    whole = total(per_batch(replacement_stack(A, np.stack(dirs))))
+    calls = []
+    monkeypatch.setattr(derivatives, "per_batch", lambda mats: calls.append(len(mats)) or per_batch(mats))
+    value = dkper_columns(DerivativeRequest(A, dirs))
+    assert value == whole and type(value) is type(whole)
+    assert len(calls) > 1 and sum(calls) == math.factorial(k) * math.comb(n, k)
+    assert max(calls) * n * n <= 300
+
+
+def test_columns_form_memory_is_bounded_at_n8_k8(rng):
+    # the whole 8! = 40 320-matrix replacement stack alone would take 41 MB;
+    # the (k, n) index plan is kept for the process, so it is built first
+    A, X = random_complex(rng, 8), random_complex(rng, 8)
+    index_plan(8, 8).slots
+    tracemalloc.start()
+    try:
+        value = dkper_columns(DerivativeRequest(A, (X,) * 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert rel_dev([value, math.factorial(8) * per(X)]) < 1e-10
+
+
+# -- properties of D^k per, for all three forms --------------------------------
+
+FORMS = (dkper_columns, dkper_minors, dkper_tensor)
+_SIZES = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, min(n, 3)))
+)
+_PROPERTY = settings(max_examples=20, deadline=None)
+
+
+def _instance(seed, n, k, exact=False):
+    rng = np.random.default_rng(seed)
+    make = random_gaussian_integer if exact else random_complex
+    return make(rng, n), tuple(make(rng, n) for _ in range(k))
+
+
+def _forms(A, dirs):
+    req = DerivativeRequest(A, tuple(dirs))
+    return [form(req) for form in FORMS]
+
+
+@_PROPERTY
+@given(size=_SIZES, seed=st.integers(0, 2**32 - 1), order=st.randoms())
+def test_property_direction_order_does_not_matter(size, seed, order):
+    n, k = size
+    A, dirs = _instance(seed, n, k)
+    shuffled = list(dirs)
+    order.shuffle(shuffled)
+    for value, permuted in zip(_forms(A, dirs), _forms(A, shuffled)):
+        assert rel_dev([value, permuted]) < 1e-10
+
+
+@_PROPERTY
+@given(size=_SIZES, seed=st.integers(0, 2**32 - 1))
+def test_property_linear_in_the_first_slot(size, seed):
+    n, k = size
+    A, dirs = _instance(seed, n, k + 1)
+    U, V, rest = dirs[0], dirs[1], dirs[2:]
+    alpha = complex(*np.random.default_rng(seed).standard_normal(2))
+    lhs = _forms(A, (U + alpha * V, *rest))
+    for value, u, v in zip(lhs, _forms(A, (U, *rest)), _forms(A, (V, *rest))):
+        assert rel_dev([value, u + alpha * v]) < 1e-10
+
+
+@_PROPERTY
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), exact=st.booleans())
+def test_property_order_above_n_is_an_exact_zero(n, seed, exact):
+    A, dirs = _instance(seed, n, n + 1, exact)
+    for value in _forms(A, dirs):
+        assert value == 0
+        assert isinstance(value, ExactComplex if exact else complex)
+
+
+@_PROPERTY
+@given(size=_SIZES, seed=st.integers(0, 2**32 - 1))
+def test_property_exact_mode_agrees_with_floating_mode(size, seed):
+    n, k = size
+    A, dirs = _instance(seed, n, k, exact=True)
+    floating = _forms(to_complex(A), map(to_complex, dirs))
+    for value, approx in zip(_forms(A, dirs), floating):
+        assert isinstance(value, ExactComplex)
+        assert rel_dev([complex(value), approx]) < 1e-10
+
+
+@_PROPERTY
+@given(size=_SIZES.filter(lambda s: s[0] <= 4), seed=st.integers(0, 2**32 - 1))
+def test_property_exact_mode_equals_the_interpolation_oracle(size, seed):
+    n, k = size
+    A, dirs = _instance(seed, n, k, exact=True)
+    oracle = mixed_partial_interp("per", A, dirs)
+    for value in _forms(A, dirs):
+        assert value == oracle

@@ -6,7 +6,12 @@ import pytest
 from conftest import random_complex, random_gaussian_integer, rel_dev
 from permderiv.charpoly import charpoly_all
 from permderiv.derivatives import dper
-from permderiv.oracle import faddeev_leverrier, finite_diff, mixed_partial_interp
+from permderiv.oracle import (
+    _linear_coeff_weights,
+    faddeev_leverrier,
+    finite_diff,
+    mixed_partial_interp,
+)
 from permderiv.permanent import per
 from permderiv.scalars import exact_matrix
 
@@ -115,3 +120,12 @@ def test_interp_exact_matrix_helper():
     A = exact_matrix([[1, 2], [3, 4]])
     X = exact_matrix([[1, 0], [0, 1]])
     assert mixed_partial_interp("per", A, (X,)) == dper(A, X)
+
+
+def test_linear_coeff_weights_extract_the_linear_coefficient():
+    # sum_j w_j f(j) is the t coefficient of f for every f = t^p of degree p <= d
+    for d in range(9):
+        weights = _linear_coeff_weights(d)
+        assert len(weights) == d + 1
+        for p in range(d + 1):
+            assert sum(w * j**p for j, w in enumerate(weights)) == (1 if p == 1 else 0)

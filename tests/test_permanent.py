@@ -16,7 +16,6 @@ from permderiv.permanent import (
     per,
     per_batch,
     per_naive,
-    per_ryser,
     sigma_columns,
     submatrix,
 )
@@ -58,14 +57,14 @@ def test_per_matches_naive_random(rng):
     for _ in range(200):
         n = int(rng.integers(1, 8))
         A = random_complex(rng, n)
-        assert rel_dev([per_ryser(A), per_naive(A)]) < 1e-12
+        assert rel_dev([per(A), per_naive(A)]) < 1e-12
 
 
 def test_per_exact_mode(rng):
     for _ in range(20):
         n = int(rng.integers(1, 6))
         A = random_gaussian_integer(rng, n)
-        assert per_ryser(A) == per_naive(A)
+        assert per(A) == per_naive(A)
 
 
 def test_per_non_square():
@@ -275,7 +274,8 @@ def test_per_batch_keeps_the_stack_shape(rng):
 
 def test_kernel_chunk_loops(rng, monkeypatch):
     # two low columns and a 64-element budget: n = 6 loops over 2^4 high
-    # column subsets and walks a stack of 5 in chunks of 2
+    # column subsets and walks a stack of 5 in chunks of 2, on complex128
+    # and on ExactComplex object arrays alike
     monkeypatch.setattr(permanent, "_LOW_COLUMNS", 2)
     monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
     b, _, _, chunk = permanent._ryser_plan(6, 2, 64)
@@ -283,6 +283,11 @@ def test_kernel_chunk_loops(rng, monkeypatch):
     mats = np.stack([random_complex(rng, 6) for _ in range(5)])
     for M, value in zip(mats, per_batch(mats)):
         assert rel_dev([value, per(M), per_naive(M)]) < 1e-12
+    mats = np.stack([random_gaussian_integer(rng, 6) for _ in range(5)])
+    values = per_batch(mats)
+    assert values.dtype == object
+    for M, value in zip(mats, values):
+        assert isinstance(value, ExactComplex) and value == per(M) == per_naive(M)
 
 
 def test_per_batch_memory_is_bounded(rng):
@@ -296,4 +301,4 @@ def test_per_batch_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert rel_dev([values[7], per_ryser(mats[7])]) < 1e-12
+    assert rel_dev([values[7], per(mats[7])]) < 1e-12

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from permderiv.tensor import (
     antisym_power,
     det,
     det_bareiss,
+    det_batch,
     mixed_antisym_projected,
     mixed_sym_projected,
     sym_power,
@@ -173,6 +177,61 @@ def test_det_bareiss_singular():
 
     A = exact_matrix([[1, 2], [2, 4]])
     assert det_bareiss(A) == ExactComplex(0)
+
+
+def _leibniz(M):
+    """det M as the signed permutation sum, in exact arithmetic."""
+    n = M.shape[0]
+    value = ExactComplex(0)
+    for sigma in itertools.permutations(range(n)):
+        inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+        term = ExactComplex(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term = term * M[i, sigma[i]]
+        value = value + term
+    return value
+
+
+def _bareiss_cases(rng, n):
+    """Regular Gaussian-integer matrices mixed with every pivoting case."""
+    cases = [random_gaussian_integer(rng, n) for _ in range(4)]
+    if n:
+        M = random_gaussian_integer(rng, n)
+        M[0, 0] = ExactComplex(0)  # forces a row swap at the first step
+        cases.append(M)
+        M = random_gaussian_integer(rng, n)
+        M[:, n // 2] = ExactComplex(0)  # no pivot in one column
+        cases.append(M)
+        M = random_gaussian_integer(rng, n)
+        M[n - 1] = M[0]  # a repeated row
+        cases.append(M)
+        M = random_gaussian_integer(rng, n)
+        M[:, :2] = ExactComplex(0)  # zero pivots in the first columns
+        cases.append(M)
+        cases.append(np.full((n, n), ExactComplex(0), dtype=object))
+        M = random_gaussian_integer(rng, n)
+        M[1:] = M[1:] * ExactComplex(0, 1) / 3  # Fraction parts
+        cases.append(M)
+    return cases
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_det_bareiss_stack_matches_leibniz(rng, n):
+    cases = _bareiss_cases(rng, n)
+    stack = np.stack(cases).reshape(2, len(cases) // 2, n, n)
+    dets = det_bareiss(stack)
+    assert dets.shape == stack.shape[:2] and dets.dtype == object
+    assert det_batch(stack).tolist() == dets.tolist()
+    for M, value in zip(cases, dets.ravel()):
+        single = det_bareiss(M)
+        assert isinstance(single, ExactComplex) and single == value == _leibniz(M)
+
+
+def test_det_bareiss_fraction_entries():
+    M = np.array([[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 5), 0, Fraction(2, 7)],
+                  [0, Fraction(3, 4), Fraction(-1, 9)]], dtype=object)
+    assert det_bareiss(M) == _leibniz(M) != 0
+    assert det_bareiss(np.stack([M, M[::-1]])).tolist() == [_leibniz(M), -_leibniz(M)]
 
 
 def test_det_empty():
