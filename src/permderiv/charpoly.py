@@ -89,7 +89,7 @@ def dk_gr_columns(A, directions, k: int, r: int):
     A, directions, n = _validate(A, directions, k, r)
     if k > r:
         return zero_like(A)
-    stack = len(index_plan(k, r).slots) * r * r  # the replacement stack of one restriction
+    stack = math.perm(r, k) * r * r  # the replacement stack of one restriction
     return total_in_order(np.concatenate([
         _row_totals(det_batch(replacement_stack(AI, XI)))
         for AI, XI in _restriction_chunks(A, directions, r, stack)

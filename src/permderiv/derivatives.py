@@ -95,7 +95,7 @@ def dkper_columns(req: DerivativeRequest):
     if k > n:
         return zero_like(A)
     Xs = np.stack(req.directions)
-    count, step = len(index_plan(k, n).slots), slice_length(n)
+    count, step = math.perm(n, k), slice_length(n)
     return total(np.concatenate(
         [per_batch(replacement_stack(A, Xs, slice(s, s + step))) for s in range(0, count, step)]
     ))

@@ -6,9 +6,9 @@ the canonical basis order for every tensor block built on top of these.
 
 The formulas index matrices through `index_plan(k, n)`, one cached
 `IndexPlan` per (k, n): read-only zero-based numpy arrays of the strict
-k-combinations, their complements and index parities, the k! permutations
-and the column-replacement slot table.  Each array is built on first use,
-so importing the package builds none.
+k-combinations, their complements and index parities, and the k!
+permutations.  Each array is built on first use, so importing the package
+builds none.
 """
 
 from __future__ import annotations
@@ -133,19 +133,6 @@ class IndexPlan:
         """(k!, k): the permutations of range(k) in lexicographic one-line order."""
         perms = permutations_of(self.k)
         return _frozen(np.array(perms, dtype=np.intp).reshape(len(perms), self.k))
-
-    @cached_property
-    def slots(self) -> np.ndarray:
-        """(k! C, n): slots[m, j] is the source of column j in A(J; X^sigma).
-
-        Row m = s C + c pairs sigma = perms[s] with J = combos[c] (sigma
-        outermost); slot 0 is A and slot p + 1 is X^p.
-        """
-        perms, combos = self.perms, self.combos
-        P, C = len(perms), len(combos)
-        slots = np.zeros((P, C, self.n), dtype=np.intp)
-        slots[np.arange(P)[:, None, None], np.arange(C)[:, None], combos] = perms[:, None] + 1
-        return _frozen(slots.reshape(P * C, self.n))
 
 
 @lru_cache

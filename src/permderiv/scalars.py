@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
 _RATIONAL = (int, Fraction)
 _HASH_BITS = sys.hash_info.width
 _HASH_MASK = (1 << _HASH_BITS) - 1
+_RE, _IM = attrgetter("re"), attrgetter("im")
 
 
 def _part(q):
@@ -158,6 +160,21 @@ def _coerce(value):
             return _new(int(re), int(im))
         return NotImplemented
     return NotImplemented
+
+
+def rational_parts(values):
+    """Lists of the real and imaginary parts (int or Fraction) of the values.
+
+    TypeError when a value is not a Gaussian rational, i.e. when ExactComplex
+    arithmetic would not accept it.
+    """
+    if set(map(type, values)) - {ExactComplex}:
+        coerced = [_coerce(z) for z in values]
+        for z, c in zip(values, coerced):
+            if c is NotImplemented:
+                raise TypeError(f"not a Gaussian rational: {z!r}")
+        values = coerced
+    return list(map(_RE, values)), list(map(_IM, values))
 
 
 def is_exact(matrix) -> bool:

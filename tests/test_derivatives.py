@@ -174,7 +174,7 @@ def test_columns_form_memory_is_bounded_at_n8_k8(rng):
     # the whole 8! = 40 320-matrix replacement stack alone would take 41 MB;
     # the (k, n) index plan is kept for the process, so it is built first
     A, X = random_complex(rng, 8), random_complex(rng, 8)
-    index_plan(8, 8).slots
+    index_plan(8, 8).perms
     tracemalloc.start()
     try:
         value = dkper_columns(DerivativeRequest(A, (X,) * 8))
@@ -182,6 +182,24 @@ def test_columns_form_memory_is_bounded_at_n8_k8(rng):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+    assert rel_dev([value, math.factorial(8) * per(X)]) < 1e-10
+
+
+def test_columns_form_keeps_no_slot_table(rng):
+    # a whole 8! x 8 slot table of the replacement stack would stay at 2.6 MB;
+    # only the plan's combinations and permutations are kept, so build them first
+    A, X = random_complex(rng, 8), random_complex(rng, 8)
+    plan = index_plan(8, 8)
+    plan.combos, plan.perms
+    dkper_columns(DerivativeRequest(A, (X,) * 8))  # warms the kernel's own caches
+    tracemalloc.start()
+    try:
+        value = dkper_columns(DerivativeRequest(A, (X,) * 8))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert not hasattr(plan, "slots")
     assert rel_dev([value, math.factorial(8) * per(X)]) < 1e-10
 
 

@@ -124,14 +124,18 @@ def test_index_plan_agrees_with_the_enumeration(k, n):
             for p, j in enumerate(J.zero_based()):
                 row[j] = sigma[p] + 1
             expected.append(row)
-    assert plan.slots.tolist() == expected
+    # every entry of slot q is q, so row 0 of each replaced matrix names its slots
+    slots = np.arange(k + 1)[:, None, None] * np.ones((n, n), dtype=int)
+    assert replacement_stack(slots[0], slots[1:])[:, 0].tolist() == expected
+    for part in (slice(1, None, 2), slice(len(expected) // 2), slice(len(expected), None)):
+        assert replacement_stack(slots[0], slots[1:], part)[:, 0].tolist() == expected[part]
     assert index_plan(k, n) is plan
 
 
 @pytest.mark.parametrize("k, n", PLAN_SIZES)
 def test_index_plan_arrays_are_read_only(k, n):
     plan = index_plan(k, n)
-    for a in (plan.combos, plan.complements, plan.parity, plan.perms, plan.slots):
+    for a in (plan.combos, plan.complements, plan.parity, plan.perms):
         assert a.dtype == np.intp and not a.flags.writeable
         if a.size:
             with pytest.raises(ValueError):

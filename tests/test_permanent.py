@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
 from permderiv import permanent
@@ -275,7 +279,8 @@ def test_per_batch_keeps_the_stack_shape(rng):
 def test_kernel_chunk_loops(rng, monkeypatch):
     # two low columns and a 64-element budget: n = 6 loops over 2^4 high
     # column subsets and walks a stack of 5 in chunks of 2, on complex128
-    # and on ExactComplex object arrays alike
+    # and on the int64 images of an exact stack alike (an exact stack is
+    # also split into slices of 2 before it is mapped to images)
     monkeypatch.setattr(permanent, "_LOW_COLUMNS", 2)
     monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
     b, _, _, chunk = permanent._ryser_plan(6, 2, 64)
@@ -302,3 +307,134 @@ def test_per_batch_memory_is_bounded(rng):
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert rel_dev([values[7], per(mats[7])]) < 1e-12
+
+
+# -- exact stacks: int64 images mod primes ---------------------------------------
+
+
+@st.composite
+def exact_stacks(draw):
+    """(m, n, n) object stacks, n <= 6, mixing ExactComplex, int and Fraction entries."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    # 2^45 needs several primes; 2^70 is beyond int64 and reduced as Python ints
+    bound = draw(st.sampled_from([4, 2**20, 2**45, 2**70]))
+    part = st.integers(-bound, bound)
+    denominator = st.integers(1, 12)
+    entry = st.one_of(
+        st.builds(ExactComplex, part, part),
+        part,
+        st.builds(Fraction, part, denominator),
+        st.builds(lambda a, d, b: ExactComplex(Fraction(a, d), b), part, denominator, part),
+    )
+    mats = np.empty((m, n, n), dtype=object)
+    for idx in np.ndindex(mats.shape):
+        mats[idx] = draw(entry)
+    zeros = draw(st.sampled_from(["none", "row", "all"]))
+    if zeros == "row" and n:
+        mats[:, draw(st.integers(0, n - 1))] = 0
+    elif zeros == "all":
+        mats[...] = ExactComplex(0)
+    return mats
+
+
+def _is_exact_result(value):
+    parts = (value.re, value.im)
+    return type(value) is ExactComplex and all(
+        type(x) is (int if Fraction(x).denominator == 1 else Fraction) for x in parts
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_stacks())
+def test_exact_per_and_per_batch_equal_the_permutation_sum(mats):
+    values = per_batch(mats)
+    assert values.shape == (len(mats),) and values.dtype == object
+    for M, value in zip(mats, values):
+        expected = per_naive(M)
+        assert value == expected and _is_exact_result(value)
+        single = per(M)
+        assert single == expected and _is_exact_result(single)
+
+
+def test_parts_beyond_int64_are_reduced_mod_each_prime(rng, monkeypatch):
+    A = random_gaussian_integer(rng, 4)
+    A[1, 2] = ExactComplex(3, 2**63)
+    # a Fraction row whose cleared parts no longer fit int64
+    B = random_gaussian_integer(rng, 4)
+    B[0] = [ExactComplex(Fraction(2**62, 3)), ExactComplex(Fraction(1, 5)), 1, 0]
+    # -2^63 itself fits int64; 200-digit parts need about 45 primes at n = 2
+    C = A.copy()
+    C[1, 2] = ExactComplex(-(2**63), 7)
+    D = np.full((4, 4), ExactComplex(10**200, -1), dtype=object)
+    for M in (A, B, C, D, D[:2, :2]):
+        value = per(M)
+        assert value == per_naive(M) and _is_exact_result(value)
+    # slices of 4 matrices (a 64-element budget): the second slice holds the
+    # parts beyond int64 and takes more primes than the first
+    monkeypatch.setattr(permanent, "_LOW_COLUMNS", 2)
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
+    assert permanent.slice_length(4) == 4
+    mats = np.stack([random_gaussian_integer(rng, 4) for _ in range(4)] + [A, B])
+    values = per_batch(mats)
+    assert all(v == per_naive(M) and _is_exact_result(v) for M, v in zip(mats, values))
+
+
+def test_exact_per_batch_memory_does_not_grow_with_the_stack(rng, monkeypatch):
+    # a 1024-element budget cuts 4 x 4 stacks into slices of 64 matrices;
+    # beyond the results kept, 20 slices take no more memory than one
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 1024)
+    assert permanent.slice_length(4) == 64
+    mats = np.stack([random_gaussian_integer(rng, 4) for _ in range(1280)])
+    per_batch(mats[:64])
+    extra = []
+    for m in (64, 1280):
+        tracemalloc.start()
+        try:
+            values = per_batch(mats[:m])
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - current)
+    assert extra[1] < 2 * extra[0]
+    assert values[-1] == per(mats[-1])
+
+
+def test_entries_that_are_not_gaussian_rationals_raise_type_error():
+    for bad in (1.5, 1.0, 0.5 + 2j, "a"):
+        A = np.array([[bad, 1], [2, 3]], dtype=object)
+        with pytest.raises(TypeError):
+            per(A)
+        with pytest.raises(TypeError):
+            per_batch(np.stack([A, A]))
+
+
+def test_cached_moduli_are_primes_one_mod_four_with_a_root_of_minus_one():
+    assert permanent._prime_count(2**400) >= 13
+    moduli = [permanent._modulus(i) for i in range(permanent._modulus.cache_info().currsize)]
+    assert len(moduli) >= 13
+    primes = [p for p, _ in moduli]
+    assert primes == sorted(set(primes), reverse=True)
+    divisors = np.arange(2, math.isqrt(2**31) + 1)
+    for p, s in moduli:
+        assert p < 2**31 and p % 4 == 1 and (s * s + 1) % p == 0
+        assert np.all(p % divisors[divisors < p]), p
+
+
+def test_residues_near_the_prime_do_not_overflow(monkeypatch):
+    # c = -1 mod the first prime, so every image residue is p - 1 and every
+    # product of two residues is near 2^62; four low columns make the
+    # high-column loop run from n = 5 on
+    monkeypatch.setattr(permanent, "_LOW_COLUMNS", 4)
+    c = permanent._modulus(0)[0] - 1
+    for n in range(1, 13):
+        J = np.full((n, n), ExactComplex(c), dtype=object)
+        assert per(J) == c**n * math.factorial(n)
+
+
+def test_import_builds_no_prime_table():
+    code = (
+        "import permderiv; from permderiv import permanent; "
+        "print(permanent._modulus.cache_info().currsize, permanent._crt_plan.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
