@@ -27,9 +27,15 @@ import numpy as np
 
 from . import permanent
 from .multiindex import MultiIndex, enumerate_strict, index_plan
-from .permanent import replacement_stack, submatrix
+from .permanent import replacement_values, slice_length
 from .scalars import require_square, total, total_in_order, zero_like
-from .tensor import det_batch, mixed_entries, sigma_blocks, signed_complement_minors
+from .tensor import (
+    det_batch,
+    mixed_entries,
+    principal_blocks,
+    sigma_blocks,
+    signed_complement_minors,
+)
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,8 @@ class PrincipalRestriction:
 def principal_restrictions(A, r: int) -> tuple[PrincipalRestriction, ...]:
     """All r x r principal restrictions of A, in lexicographic I order."""
     A = require_square(A)
-    return tuple(
-        PrincipalRestriction(I, submatrix(A, I, I))
-        for I in enumerate_strict(r, A.shape[0])
-    )
+    values = principal_blocks(A, index_plan(r, A.shape[0]).combos)
+    return tuple(map(PrincipalRestriction, enumerate_strict(r, A.shape[0]), values))
 
 
 def g_r(A, r: int):
@@ -74,7 +78,7 @@ def g_r(A, r: int):
     n = A.shape[0]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
-    return total(det_batch(_restrict(A, index_plan(r, n).combos)))
+    return total(det_batch(principal_blocks(A, index_plan(r, n).combos)))
 
 
 def charpoly_all(A) -> CharPolyCoefficients:
@@ -89,9 +93,9 @@ def dk_gr_columns(A, directions, k: int, r: int):
     A, directions, n = _validate(A, directions, k, r)
     if k > r:
         return zero_like(A)
-    stack = math.perm(r, k) * r * r  # the replacement stack of one restriction
+    stack = min(math.perm(r, k), slice_length(r)) * r * r  # one slice of a restriction
     return total_in_order(np.concatenate([
-        _row_totals(det_batch(replacement_stack(AI, XI)))
+        _row_totals(replacement_values(AI, XI, det_batch))
         for AI, XI in _restriction_chunks(A, directions, r, stack)
     ]))
 
@@ -157,15 +161,6 @@ def _validate(A, directions, k, r):
     return A, directions, n
 
 
-def _restrict(M, rows) -> np.ndarray:
-    """The principal restrictions M[I|I] for every row I of the index array `rows`.
-
-    M is (..., n, n) and rows a (c, r) zero-based array such as
-    `index_plan(r, n).combos`; the result is (..., c, r, r).
-    """
-    return M[..., rows[:, :, None], rows[:, None, :]]
-
-
 def _restriction_chunks(A, directions, r, stack):
     """(A_I, X_I) for I in Q_{r,n}, lexicographic, in chunks of whole restrictions.
 
@@ -179,7 +174,7 @@ def _restriction_chunks(A, directions, r, stack):
     step = max(permanent._STACK_BUDGET // max(stack, (len(Xs) + 1) * r * r), 1)
     for s in range(0, len(rows), step):
         chunk = rows[s:s + step]
-        yield _restrict(A, chunk), np.moveaxis(_restrict(Xs, chunk), 0, 1)
+        yield principal_blocks(A, chunk), np.moveaxis(principal_blocks(Xs, chunk), 0, 1)
 
 
 def _row_totals(values) -> np.ndarray:

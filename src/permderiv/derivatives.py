@@ -11,17 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MultiIndex, index_plan
-from .permanent import (
-    ReplacementSpec,
-    column_replace,
-    minor_complement,
-    padj,
-    per,
-    per_batch,
-    replacement_stack,
-    slice_length,
-)
+from .multiindex import index_plan
+from .permanent import padj, per, per_batch, replacement_stack, replacement_values
 from .scalars import ExactComplex, is_exact, require_square, total, zero_like
 from .tensor import (
     block_trace,
@@ -63,14 +54,12 @@ def dper(A, X):
     P = padj(A)
     value = _sum(P[i, j] * X[i, j] for i in range(A.shape[0]) for j in range(A.shape[1]))
     if __debug__:
-        by_columns = _sum(
-            per(column_replace(A, ReplacementSpec(MultiIndex((j + 1,)), (X,))))
-            for j in range(A.shape[0])
-        )
+        by_columns = _sum(per(M) for M in replacement_stack(A, X[None]))
+        comps = index_plan(1, A.shape[0]).complements
         by_minors = _sum(
-            X[i, j] * per(minor_complement(A, MultiIndex((i + 1,)), MultiIndex((j + 1,))))
-            for i in range(A.shape[0])
-            for j in range(A.shape[1])
+            X[i, j] * per(A[rows[:, None], cols])
+            for i, rows in enumerate(comps)
+            for j, cols in enumerate(comps)
         )
         # the rounding bound of the sum, which |value| is not when its terms cancel
         scale = 0.0 if is_exact(P) else float(np.abs(P * X).sum())
@@ -83,9 +72,7 @@ def dper(A, X):
 def dkper_columns(req: DerivativeRequest):
     """Column-replacement form: sum over sigma and J of per A(J; X^sigma).
 
-    The k! C(n,k) replaced matrices are built and evaluated in slices of
-    `slice_length(n)`, so memory stays bounded; their permanents are summed
-    at once, as for one stack.
+    The k! C(n,k) permanents are evaluated in slices and summed at once, as for one stack.
     """
     A = np.asarray(req.A)
     n = A.shape[0]
@@ -94,11 +81,7 @@ def dkper_columns(req: DerivativeRequest):
         return per(A)
     if k > n:
         return zero_like(A)
-    Xs = np.stack(req.directions)
-    count, step = math.perm(n, k), slice_length(n)
-    return total(np.concatenate(
-        [per_batch(replacement_stack(A, Xs, slice(s, s + step))) for s in range(0, count, step)]
-    ))
+    return total(replacement_values(A, np.stack(req.directions), per_batch))
 
 
 def dkper_minors(req: DerivativeRequest):

@@ -131,8 +131,9 @@ class IndexPlan:
     @cached_property
     def perms(self) -> np.ndarray:
         """(k!, k): the permutations of range(k) in lexicographic one-line order."""
-        perms = permutations_of(self.k)
-        return _frozen(np.array(perms, dtype=np.intp).reshape(len(perms), self.k))
+        count, k = factorial(self.k), self.k
+        flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
+        return _frozen(np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k))
 
 
 @lru_cache

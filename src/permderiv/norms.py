@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .charpoly import _restrict
 from .multiindex import index_plan
 from .scalars import to_complex, total_in_order
+from .tensor import principal_blocks
 
 
 @dataclass(frozen=True)
@@ -182,4 +182,4 @@ def _restriction_singular_values(A, r: int) -> np.ndarray:
 
     One full SVD of the stack, as `svd` computes it for each matrix alone.
     """
-    return np.linalg.svd(_restrict(to_complex(A), index_plan(r, A.shape[0]).combos))[1]
+    return np.linalg.svd(principal_blocks(to_complex(A), index_plan(r, A.shape[0]).combos))[1]

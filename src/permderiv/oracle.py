@@ -35,18 +35,18 @@ def _functional(phi, r):
         return phi
     if phi == "per":
         return per
-    if phi in ("gr", "g_r"):
+    if phi == "gr":
         if r is None:
             raise ValueError("g_r selector requires r")
         return lambda M: g_r(M, r)
     raise ValueError(f"unknown functional selector {phi!r}")
 
 
-def mixed_partial_interp(phi, A, directions, *, r: int | None = None, degree: int | None = None):
+def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
     """Mixed partial of phi(A + sum t_i X^i) in t_1..t_k at 0, by interpolation.
 
     phi is "per", "gr" (with r), or any callable polynomial functional of
-    degree <= `degree` (defaults: n for per, r for gr).
+    degree <= n; the interpolation degree is r for "gr" and n otherwise.
     """
     A = np.asarray(A)
     n = A.shape[0]
@@ -56,9 +56,8 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None, degree: in
         raise ValueError(f"interpolation oracle limited to order {MAX_ORDER}")
     if n > MAX_N:
         raise ValueError(f"interpolation oracle limited to n <= {MAX_N}")
-    if degree is None:
-        degree = n if (phi == "per" or callable(phi)) else (r if r is not None else n)
     func = _functional(phi, r)
+    degree = r if phi == "gr" else n
     if is_exact(A) and not all(is_exact(X) for X in directions):
         raise ValueError("exact mode requires exact-mode directions")
     weights = _linear_coeff_weights(degree)

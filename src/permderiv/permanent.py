@@ -8,7 +8,8 @@ table), and only the subsets of the remaining columns are looped over in
 Python.  An exact stack runs that kernel on int64 images mod primes
 p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
 permanents are lifted back by the Chinese remainder theorem (the classic
-multimodular method).
+multimodular method).  The formulas gather their submatrices through
+`multiindex.index_plan`; `submatrix` and `minor_complement` are reference helpers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multiindex import MultiIndex, enumerate_strict, index_plan
+from .multiindex import MultiIndex, complement, index_plan
 from .scalars import ExactComplex, is_exact, rational_parts, require_square, zeros_like_mode
 
 NAIVE_MAX_N = 10
@@ -333,25 +334,20 @@ def minor_complement(A, I: MultiIndex, J: MultiIndex):
     for index in (I, J):
         if index.entries and (index.entries[0] < 1 or index.entries[-1] > n):
             raise ValueError(f"entries {index.entries} out of range [1..{n}]")
-    return A[_kept(n, I.entries)[:, None], _kept(n, J.entries)]
-
-
-@lru_cache
-def _kept(n: int, entries: tuple[int, ...]) -> np.ndarray:
-    """The zero-based indices of [1..n] minus the 1-based entries, read-only."""
-    kept = np.array([i for i in range(n) if i + 1 not in entries], dtype=np.intp)
-    kept.flags.writeable = False  # shared by every caller
-    return kept
+    rows, cols = (np.setdiff1d(np.arange(n), x.zero_based()) for x in (I, J))
+    return A[rows[:, None], cols]
 
 
 def laplace_per(A, I: MultiIndex):
     """Laplace expansion along rows I: sum_J per A[I|J] * per A(I|J)."""
     A = require_square(A)
     n = A.shape[0]
-    k = len(I)
+    kept = np.array(complement(I, n).zero_based(), dtype=np.intp)[:, None]
+    rows = np.array(I.zero_based(), dtype=np.intp)[:, None]
+    plan = index_plan(len(I), n)
     total = None
-    for J in enumerate_strict(k, n):
-        term = per(submatrix(A, I, J)) * per(minor_complement(A, I, J))
+    for J, kept_cols in zip(plan.combos, plan.complements):
+        term = per(A[rows, J]) * per(A[kept, kept_cols])
         total = term if total is None else total + term
     return total
 
@@ -362,11 +358,11 @@ def padj(A):
     n = A.shape[0]
     if n < 1:
         raise ValueError("padj requires n >= 1")
+    comps = index_plan(1, n).complements
     out = zeros_like_mode(A, (n, n))
-    for i in range(n):
-        Ii = MultiIndex((i + 1,))
-        for j in range(n):
-            out[i, j] = per(minor_complement(A, Ii, MultiIndex((j + 1,))))
+    for i, rows in enumerate(comps):
+        for j, cols in enumerate(comps):
+            out[i, j] = per(A[rows[:, None], cols])
     return out
 
 
@@ -404,6 +400,19 @@ def replacement_stack(A, Xs, part=slice(None)):
     sources = np.concatenate([np.asarray(A)[..., None, :, :], Xs], axis=-3)
     flat = sources.reshape(*sources.shape[:-3], -1)
     return flat.take(slots[:, None, :] * (n * n) + np.arange(n * n).reshape(n, n), axis=-1)
+
+
+def replacement_values(A, Xs, evaluate) -> np.ndarray:
+    """evaluate (`per_batch` or `det_batch`) of `replacement_stack(A, Xs)`: (..., k! C(n,k)).
+
+    The stack is built and evaluated in `slice_length(n)` slices, so memory stays bounded.
+    """
+    k, n = Xs.shape[-3], Xs.shape[-1]
+    step = slice_length(n)
+    return np.concatenate([
+        evaluate(replacement_stack(A, Xs, slice(s, s + step)))
+        for s in range(0, math.perm(n, k), step)
+    ], axis=-1)
 
 
 def sigma_columns(spec: ReplacementSpec, sigma: tuple[int, ...], n: int | None = None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
-from .permanent import per, per_batch, minor_complement
+from .permanent import per, per_batch
 from .scalars import (
     ExactComplex,
     is_exact,
@@ -120,6 +120,15 @@ def sigma_blocks(Xs, rows, sigma) -> np.ndarray:
     return Xs[..., sigma, rows[:, None, :, None], rows[None, :, None, :]]
 
 
+def principal_blocks(M, rows) -> np.ndarray:
+    """The principal restrictions M[I|I] for every row I of the index array `rows`.
+
+    M is (..., n, n) and rows a (c, r) zero-based array such as
+    `index_plan(r, n).combos`; the result is (..., c, r, r).
+    """
+    return M[..., rows[:, :, None], rows[:, None, :]]
+
+
 def sym_power(A, k: int) -> TensorBlock:
     """k-th symmetric tensor power on the weak-index basis.
 
@@ -159,14 +168,15 @@ def tilde_sym_block(A, k: int) -> TensorBlock:
 
     At k = n the complement is empty and the single entry is per(empty) = 1.
     """
-    n = require_square(A).shape[0]
+    A = require_square(A)
+    n = A.shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}")
-    basis = enumerate_strict(k, n)
+    basis, comps = enumerate_strict(k, n), index_plan(k, n).complements
     entries = zeros_like_mode(A, (len(basis), len(basis)))
-    for b, J in enumerate(basis):
-        for a, I in enumerate(basis):
-            entries[b, a] = per(minor_complement(A, I, J))
+    for b, cols in enumerate(comps):
+        for a, rows in enumerate(comps):
+            entries[b, a] = per(A[rows[:, None], cols])
     return TensorBlock(basis, basis, entries)
 
 

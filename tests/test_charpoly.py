@@ -14,6 +14,7 @@ from permderiv.charpoly import (
     dk_gr_minors,
     dk_gr_tensor,
     g_r,
+    principal_restrictions,
 )
 from permderiv.oracle import finite_diff, mixed_partial_interp
 from permderiv.multiindex import enumerate_strict, index_plan
@@ -212,8 +213,12 @@ def test_one_restriction_per_chunk_gives_the_same_value(form, exact, n, k, r, rn
     monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
     monkeypatch.setattr(charpoly, "det_batch", lambda m: calls.append(1) or det_batch(m))
     assert form(A, dirs, k, r) == whole
-    # one det_batch per chunk and stacked term: C(n, r) chunks
-    terms = 1 if form is dk_gr_columns else math.factorial(k)
+    # one det_batch per chunk and stacked term: C(n, r) chunks; the columns
+    # form's one term is its replacement stack, walked in slices
+    if form is dk_gr_columns:
+        terms = -(-math.perm(r, k) // permanent.slice_length(r))
+    else:
+        terms = math.factorial(k)
     assert len(calls) == math.comb(n, r) * terms
 
 
@@ -229,6 +234,36 @@ def test_peak_memory_is_bounded_at_n10_k3_r6(form, rng):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_columns_form_memory_is_bounded_at_n8_k8_r8(rng):
+    # one restriction's whole 8! = 40 320-matrix replacement stack would take
+    # 41 MB; the index plan is kept for the process, so it is built first
+    A, X = random_complex(rng, 8), random_complex(rng, 8)
+    plan = index_plan(8, 8)
+    plan.combos, plan.perms
+    tracemalloc.start()
+    try:
+        value = dk_gr_columns(A, (X,) * 8, 8, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert rel_dev([value, math.factorial(8) * np.linalg.det(X)]) < 1e-10
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_principal_restrictions_equal_the_submatrices(exact, rng):
+    make = random_gaussian_integer if exact else random_complex
+    for n in range(1, 6):
+        A = make(rng, n)
+        for r in range(n + 2):
+            basis = enumerate_strict(r, n)
+            got = principal_restrictions(A, r)
+            assert [p.I for p in got] == list(basis)
+            for p, I in zip(got, basis):
+                expected = submatrix(A, I, I)
+                assert p.value.dtype == expected.dtype and np.array_equal(p.value, expected)
 
 
 # -- properties of D^k g_r, for all three forms --------------------------------

@@ -1,12 +1,14 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from permderiv.multiindex import (
+    IndexPlan,
     MultiIndex,
     complement,
     enumerate_strict,
@@ -140,6 +142,20 @@ def test_index_plan_arrays_are_read_only(k, n):
         if a.size:
             with pytest.raises(ValueError):
                 a.flat[0] = 1
+
+
+def test_index_plan_permutations_are_built_in_place():
+    for k in range(9):
+        assert IndexPlan(k, 9).perms.tolist() == [list(p) for p in permutations_of(k)]
+    # a tuple of 9! tuples on the way would take about three times the array
+    tracemalloc.start()
+    try:
+        perms = IndexPlan(9, 9).perms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert perms.shape == (math.factorial(9), 9)
+    assert peak < 1.2 * perms.nbytes
 
 
 def test_index_plan_rejects_bad_orders():

@@ -174,6 +174,31 @@ def test_laplace_reproduces_per(rng):
                 assert rel_dev([laplace_per(A, I), target]) < 1e-12
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_gathers_equal_the_reference_helpers(exact, rng):
+    make = random_gaussian_integer if exact else random_complex
+    for n in range(1, 6):
+        A = make(rng, n)
+        singles = enumerate_strict(1, n)
+        expected = [[per(minor_complement(A, I, J)) for J in singles] for I in singles]
+        assert padj(A).tolist() == expected
+        for k in range(n + 1):
+            for I in enumerate_strict(k, n):
+                expected = None
+                for J in enumerate_strict(k, n):
+                    term = per(submatrix(A, I, J)) * per(minor_complement(A, I, J))
+                    expected = term if expected is None else expected + term
+                assert laplace_per(A, I) == expected
+
+
+@pytest.mark.parametrize(
+    "I", [MultiIndex((1, 2, 3)), MultiIndex((3,)), MultiIndex((0, 1)), MultiIndex((1, 1), "weak")]
+)
+def test_laplace_rejects_rows_outside_the_matrix(I):
+    with pytest.raises(ValueError):
+        laplace_per(np.array([[1, 2], [3, 4]], dtype=complex), I)
+
+
 def test_padj_2x2():
     A = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.array_equal(padj(A), np.array([[4, 3], [2, 1]], dtype=complex))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_gaussian_integer
-from permderiv.permanent import padj
+from permderiv.multiindex import enumerate_strict
+from permderiv.permanent import minor_complement, padj, per
 from permderiv.scalars import ExactComplex
 from permderiv.tensor import (
     antisym_power,
@@ -87,6 +88,19 @@ def test_antisym_power_corners(rng):
 def test_tilde_sym_block_k1_is_padj_transpose(rng):
     A = random_complex(rng, 4)
     assert np.allclose(tilde_sym_block(A, 1).entries, padj(A).T)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_tilde_sym_block_equals_the_minor_complements(exact, rng):
+    make = random_gaussian_integer if exact else random_complex
+    for n in range(1, 6):
+        A = make(rng, n)
+        for k in range(n + 1):
+            basis = enumerate_strict(k, n)
+            entries = tilde_sym_block(A, k).entries
+            expected = [[per(minor_complement(A, I, J)) for I in basis] for J in basis]
+            assert entries.tolist() == expected
+            assert entries.flags.c_contiguous  # block_trace sums in memory order
 
 
 def test_tilde_sym_block_identity():
