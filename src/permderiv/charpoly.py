@@ -5,14 +5,14 @@ x^n - g_1 x^{n-1} + ... + (-1)^n g_n.  The derivative formulas are the
 determinant analogues of the permanent ones, applied inside every
 principal restriction A_I and summed over I in Q_{r,n}.
 
-Each form runs over the restrictions as stacks: A's as (c, r, r) and the
-directions' as (c, k, r, r), gathered through the index plan of Q_{r,n}, in
-chunks of c whole restrictions so that no temporary holds more than
-`permanent._STACK_BUDGET` elements.  The inner formulas index through the
-plan of Q_{k,r}, with one `det_batch` call per chunk and stacked term.  Each
-restriction's terms are reduced as one restriction alone would be, and the
-restriction sums are added in lexicographic I order, so a result does not
-depend on the chunking.
+g_r and the forms walk the restrictions in chunks of whole restrictions
+(`tensor.map_restrictions`), gathered through the index plan of Q_{r,n}, so
+that no temporary outgrows the stack budget of `permanent`.  The forms share
+one driver and supply only their terms of A_I (c, r, r) and X_I
+(c, k, r, r), which index through the plan of Q_{k,r} with one `det_batch`
+call per chunk and stacked term.  Each restriction's terms are reduced as
+one restriction alone would be, and the restriction values are added in
+lexicographic I order, so a result does not depend on the chunking.
 
 Sign weights |J| in the signed-minor form are computed after relabelling
 the restriction's rows/columns to 1..r.
@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import permanent
 from .multiindex import MultiIndex, enumerate_strict, index_plan
 from .permanent import replacement_values, slice_length
 from .scalars import require_square, total, total_in_order, zero_like
 from .tensor import (
     det_batch,
+    map_restrictions,
     mixed_entries,
     principal_blocks,
     sigma_blocks,
@@ -78,7 +78,7 @@ def g_r(A, r: int):
     n = A.shape[0]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
-    return total(det_batch(principal_blocks(A, index_plan(r, n).combos)))
+    return total(map_restrictions(A, r, det_batch))
 
 
 def charpoly_all(A) -> CharPolyCoefficients:
@@ -90,42 +90,35 @@ def charpoly_all(A) -> CharPolyCoefficients:
 
 def dk_gr_columns(A, directions, k: int, r: int):
     """Column-replacement form, summed over principal restrictions."""
-    A, directions, n = _validate(A, directions, k, r)
-    if k > r:
-        return zero_like(A)
-    stack = min(math.perm(r, k), slice_length(r)) * r * r  # one slice of a restriction
-    return total_in_order(np.concatenate([
-        _row_totals(replacement_values(AI, XI, det_batch))
-        for AI, XI in _restriction_chunks(A, directions, r, stack)
-    ]))
+
+    def term(AI, XI):
+        return _row_totals(replacement_values(AI, XI, det_batch))
+
+    return _restriction_sum(A, directions, k, r, term, _slice_elements)
 
 
 def dk_gr_minors(A, directions, k: int, r: int):
     """Signed complementary-minor form inside every principal restriction."""
-    A, directions, n = _validate(A, directions, k, r)
-    if k > r:
-        return zero_like(A)
-    plan = index_plan(k, r)
-    sums = []  # (c, k!) per chunk: one term per restriction and sigma
-    for AI, XI in _restriction_chunks(A, directions, r, _block_elements(k, r)):
+
+    def term(AI, XI):  # (c, k!): one term per restriction and sigma
         signed = signed_complement_minors(AI, k)  # (c, K, J): rows K and columns J deleted
-        sums.append(np.stack([
+        plan = index_plan(k, r)
+        return np.stack([
             _row_totals(signed * det_batch(sigma_blocks(XI, plan.combos, sigma)))
             for sigma in plan.perms
-        ], axis=-1))
-    return total_in_order(np.concatenate(sums))
+        ], axis=-1)
+
+    return _restriction_sum(A, directions, k, r, term, _block_elements)
 
 
 def dk_gr_tensor(A, directions, k: int, r: int):
     """Tensor-trace form: k! sum_I tr(tilde-antisym(A_I) * X^1_I ^...^ X^k_I)."""
-    A, directions, n = _validate(A, directions, k, r)
-    if k > r:
-        return zero_like(A)
-    # tr(tilde * mixed) with tilde = signed^T sums the entries of signed * mixed
-    return math.factorial(k) * total_in_order(np.concatenate([
-        _row_totals(signed_complement_minors(AI, k) * mixed_entries(XI, det_batch))
-        for AI, XI in _restriction_chunks(A, directions, r, _block_elements(k, r))
-    ]))
+
+    def term(AI, XI):
+        # tr(tilde * mixed) with tilde = signed^T sums the entries of signed * mixed
+        return _row_totals(signed_complement_minors(AI, k) * mixed_entries(XI, det_batch))
+
+    return math.factorial(k) * _restriction_sum(A, directions, k, r, term, _block_elements)
 
 
 def dk_gr(A, directions, k: int, r: int, formula: str = "columns"):
@@ -145,7 +138,13 @@ def dk_gr(A, directions, k: int, r: int, formula: str = "columns"):
     raise ValueError(f"unknown formula {formula!r}")
 
 
-def _validate(A, directions, k, r):
+def _restriction_sum(A, directions, k, r, term, elements):
+    """Sum over I in Q_{r,n}, in lexicographic order, of the values term(A_I, X_I).
+
+    term maps a chunk, A_I (c, r, r) and X_I (c, k, r, r), to (c, ...) values,
+    each reduced as for one restriction alone; elements(k, r) counts its
+    largest temporary for one restriction.
+    """
     A = require_square(A)
     n = A.shape[0]
     directions = tuple(directions)
@@ -158,23 +157,11 @@ def _validate(A, directions, k, r):
     for X in directions:
         if np.asarray(X).shape != A.shape:
             raise ValueError("directions must match the order of A")
-    return A, directions, n
-
-
-def _restriction_chunks(A, directions, r, stack):
-    """(A_I, X_I) for I in Q_{r,n}, lexicographic, in chunks of whole restrictions.
-
-    A_I is (c, r, r) and X_I is (c, k, r, r).  `stack` is the number of
-    elements of the largest temporary a form builds for one restriction; c is
-    as large as keeps that, and the (c, k + 1, r, r) of A_I and X_I together,
-    within permanent._STACK_BUDGET, and at least 1.
-    """
-    Xs = np.stack(directions)
-    rows = index_plan(r, A.shape[0]).combos
-    step = max(permanent._STACK_BUDGET // max(stack, (len(Xs) + 1) * r * r), 1)
-    for s in range(0, len(rows), step):
-        chunk = rows[s:s + step]
-        yield principal_blocks(A, chunk), np.moveaxis(principal_blocks(Xs, chunk), 0, 1)
+    if k > r:
+        return zero_like(A)
+    M = np.stack((A, *directions))
+    values = map_restrictions(M, r, lambda MI: term(MI[0], np.moveaxis(MI[1:], 0, 1)), elements(k, r))
+    return total_in_order(values)
 
 
 def _row_totals(values) -> np.ndarray:
@@ -185,6 +172,11 @@ def _row_totals(values) -> np.ndarray:
     """
     values = np.ascontiguousarray(values)
     return values.reshape(len(values), -1).sum(axis=-1)
+
+
+def _slice_elements(k, r):
+    """Elements of one slice of a restriction's replacement stack in the columns form."""
+    return min(math.perm(r, k), slice_length(r)) * r * r
 
 
 def _block_elements(k, r):

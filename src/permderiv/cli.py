@@ -242,6 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 (no limit) before 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)  # exact results are read and written in full
     try:
         # a non-finite result is reported below as an input error, so
         # numpy's overflow warnings would only add noise on stderr
@@ -251,6 +254,9 @@ def main(argv=None) -> int:
     except (ValueError, IndexError, OSError, OverflowError) as exc:
         print(json.dumps({"error": "input", "detail": str(exc)}, sort_keys=True))
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)  # main may run in the caller's process
     print(text)
     return code
 

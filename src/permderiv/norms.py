@@ -2,8 +2,9 @@
 
 Singular values come from LAPACK (`numpy.linalg.svd`), wrapped so that the
 factors read A = U diag(s) V.  The g_r norm and bound take the singular
-values of all C(n, r) principal restrictions from one call on their stack,
-and run the elementary symmetric polynomials across the restrictions at once.
+values of the C(n, r) principal restrictions from one batched SVD per chunk
+of restrictions (`tensor.map_restrictions`), so memory stays bounded, and
+run the elementary symmetric polynomials across the restrictions at once.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .multiindex import index_plan
 from .scalars import to_complex, total_in_order
-from .tensor import principal_blocks
+from .tensor import map_restrictions
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,6 @@ def gr_perturb_bound_weak(A, X, r: int) -> BoundReport:
 def _restriction_singular_values(A, r: int) -> np.ndarray:
     """(C(n, r), r): the singular values of every r x r principal restriction of A.
 
-    One full SVD of the stack, as `svd` computes it for each matrix alone.
+    A full SVD of each chunk of restrictions, as `svd` computes it for each matrix alone.
     """
-    return np.linalg.svd(principal_blocks(to_complex(A), index_plan(r, A.shape[0]).combos))[1]
+    return map_restrictions(to_complex(A), r, lambda AI: np.linalg.svd(AI)[1])

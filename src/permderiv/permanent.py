@@ -98,21 +98,30 @@ def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     if n == 0:
         return np.full(m, _one(mats), dtype=object if is_exact(mats) else complex)
     if mod is None and is_exact(mats):
-        step = slice_length(n)
-        if m <= step:
-            return _modular_stack(mats)
-        return np.concatenate([_modular_stack(mats[s:s + step]) for s in range(0, m, step)])
+        return in_slices(lambda s: _modular_stack(mats[s]), m, slice_length(n))
     if mod is None:
         mats = np.asarray(mats, dtype=complex)
     b, bits, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)
     if mod is not None:
         bits, signs = _residue_plan(n, _LOW_COLUMNS, _STACK_BUDGET)
-    if m <= chunk:
-        return _ryser_block(mats, b, bits, signs, mod)
-    return np.concatenate([
-        _ryser_block(mats[s:s + chunk], b, bits, signs, None if mod is None else mod[s:s + chunk])
-        for s in range(0, m, chunk)
-    ])
+    return in_slices(
+        lambda s: _ryser_block(mats[s], b, bits, signs, None if mod is None else mod[s]), m, chunk
+    )
+
+
+def in_slices(evaluate, count: int, step: int, axis: int = 0) -> np.ndarray:
+    """evaluate(s) for the slices s of range(count) of length step, joined along axis.
+
+    A count within one step is evaluated as evaluate(slice(None)), with no copy.
+    """
+    if count <= step:
+        return evaluate(slice(None))
+    return np.concatenate([evaluate(slice(s, s + step)) for s in range(0, count, step)], axis=axis)
+
+
+def budget_length(elements: int) -> int:
+    """How many items of `elements` elements each one slice holds: at least 1."""
+    return max(_STACK_BUDGET // elements, 1)
 
 
 def slice_length(n: int) -> int:
@@ -123,7 +132,7 @@ def slice_length(n: int) -> int:
     slice by slice runs in the same chunks, bit for bit, as in one call.
     """
     chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)[3]
-    return max(_STACK_BUDGET // (n * n * chunk), 1) * chunk
+    return budget_length(n * n * chunk) * chunk
 
 
 @lru_cache(maxsize=None)
@@ -286,30 +295,12 @@ def _modulus(i: int) -> tuple[int, int]:
     finds none."""
     q = (_modulus(i - 1)[0] if i else 1 << 31) - 1
     q -= (q - 1) % 4
-    while not _is_prime(q):
+    while not np.all(q % np.arange(3, math.isqrt(q) + 1, 2)):  # trial division
         q -= 4
     a = 2
     while pow(a, (q - 1) // 2, q) != q - 1:  # a quadratic non-residue
         a += 1
     return q, pow(a, (q - 1) // 4, q)
-
-
-def _is_prime(q: int) -> bool:
-    """Miller-Rabin to the bases 2, 7 and 61: exact for odd 61 < q < 4 759 123 141."""
-    d, r = q - 1, 0
-    while not d & 1:
-        d, r = d >> 1, r + 1
-    for a in (2, 7, 61):
-        x = pow(a, d, q)
-        if x == 1:
-            continue
-        for _ in range(r):
-            if x == q - 1:
-                break
-            x = x * x % q
-        else:
-            return False
-    return True
 
 
 def submatrix(A, I: MultiIndex, J: MultiIndex):
@@ -408,11 +399,9 @@ def replacement_values(A, Xs, evaluate) -> np.ndarray:
     The stack is built and evaluated in `slice_length(n)` slices, so memory stays bounded.
     """
     k, n = Xs.shape[-3], Xs.shape[-1]
-    step = slice_length(n)
-    return np.concatenate([
-        evaluate(replacement_stack(A, Xs, slice(s, s + step)))
-        for s in range(0, math.perm(n, k), step)
-    ], axis=-1)
+    return in_slices(
+        lambda s: evaluate(replacement_stack(A, Xs, s)), math.perm(n, k), slice_length(n), axis=-1
+    )
 
 
 def sigma_columns(spec: ReplacementSpec, sigma: tuple[int, ...], n: int | None = None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
-from .permanent import per, per_batch
+from .permanent import budget_length, in_slices, per, per_batch
 from .scalars import (
     ExactComplex,
     is_exact,
@@ -38,13 +38,9 @@ class TensorBlock:
 
 
 def det(A):
-    """Determinant: fraction-free Bareiss in exact mode, LAPACK LU otherwise."""
-    A = require_square(A)
-    if is_exact(A):
-        return det_bareiss(A)
-    if A.shape[0] == 0:
-        return complex(1.0)
-    return complex(np.linalg.det(A.astype(complex)))
+    """Determinant of one matrix: `det_batch` of it, a Python complex in floating mode."""
+    value = det_batch(require_square(A))
+    return value if is_exact(A) else complex(value)
 
 
 def det_bareiss(A):
@@ -127,6 +123,18 @@ def principal_blocks(M, rows) -> np.ndarray:
     `index_plan(r, n).combos`; the result is (..., c, r, r).
     """
     return M[..., rows[:, :, None], rows[:, None, :]]
+
+
+def map_restrictions(M, r: int, evaluate, elements: int = 0) -> np.ndarray:
+    """evaluate of the restrictions M[I|I], I in Q_{r,n}, in chunks joined in I order.
+
+    M is (..., n, n); evaluate maps a (..., c, r, r) chunk to its c values along
+    axis 0.  c keeps the chunk, and `elements` (evaluate's largest temporary
+    for one restriction), within the stack budget, and is at least 1.
+    """
+    rows = index_plan(r, M.shape[-1]).combos
+    size = max(elements, math.prod(M.shape[:-2]) * r * r)
+    return in_slices(lambda s: evaluate(principal_blocks(M, rows[s])), len(rows), budget_length(size))
 
 
 def sym_power(A, k: int) -> TensorBlock:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
-from permderiv import charpoly, permanent
+from permderiv import charpoly, permanent, tensor
 from permderiv.charpoly import (
     charpoly_all,
     dk_gr,
@@ -16,6 +16,7 @@ from permderiv.charpoly import (
     g_r,
     principal_restrictions,
 )
+from permderiv.norms import dk_gr_norm_exact, gr_perturb_bound
 from permderiv.oracle import finite_diff, mixed_partial_interp
 from permderiv.multiindex import enumerate_strict, index_plan
 from permderiv.permanent import replacement_stack, submatrix
@@ -201,25 +202,67 @@ def test_batched_forms_equal_the_loop_over_restrictions(n, rng):
             assert got == _loop_over_restrictions(A, dirs[:k], k, r)
 
 
-@pytest.mark.parametrize("form", FORMS)
+def _g_r(A, dirs, k, r):
+    return g_r(A, r)
+
+
+def _norm(A, dirs, k, r):
+    return dk_gr_norm_exact(A, k, r).value
+
+
+def _bound(A, dirs, k, r):
+    return gr_perturb_bound(A, dirs[0], r).value
+
+
+@pytest.mark.parametrize("form", FORMS + (_g_r, _norm, _bound))
 @pytest.mark.parametrize("exact, n, k, r", [(False, 6, 2, 4), (False, 5, 3, 3), (True, 5, 2, 3)])
 def test_one_restriction_per_chunk_gives_the_same_value(form, exact, n, k, r, rng, monkeypatch):
     make = random_gaussian_integer if exact else random_complex
     A = make(rng, n)
     dirs = tuple(make(rng, n) for _ in range(k))
     whole = form(A, dirs, k, r)
-    calls = []
+    calls, chunks = [], []
     det_batch = charpoly.det_batch
+    principal_blocks = tensor.principal_blocks
     monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
     monkeypatch.setattr(charpoly, "det_batch", lambda m: calls.append(1) or det_batch(m))
+    monkeypatch.setattr(tensor, "principal_blocks", lambda *a: chunks.append(1) or principal_blocks(*a))
     assert form(A, dirs, k, r) == whole
+    if form not in FORMS:
+        # several restrictions of r x r elements fit one 64-element chunk
+        assert 1 < len(chunks) < math.comb(n, r)
+        return
     # one det_batch per chunk and stacked term: C(n, r) chunks; the columns
     # form's one term is its replacement stack, walked in slices
     if form is dk_gr_columns:
         terms = -(-math.perm(r, k) // permanent.slice_length(r))
     else:
         terms = math.factorial(k)
+    assert len(chunks) == math.comb(n, r)
     assert len(calls) == math.comb(n, r) * terms
+
+
+@pytest.mark.parametrize("name", ["g_r", "charpoly_all", "dk_gr_norm_exact", "gr_perturb_bound"])
+def test_restriction_sums_memory_is_bounded_at_n16_r8(name, rng):
+    # gathered at once, the 12 870 restrictions of order 8 (and their SVD
+    # factors) take 26-40 MB; the index plans are kept for the process, so
+    # they are built first
+    A, X = random_complex(rng, 16), random_complex(rng, 16)
+    run = {
+        "g_r": lambda: g_r(A, 8),
+        "charpoly_all": lambda: charpoly_all(A),
+        "dk_gr_norm_exact": lambda: dk_gr_norm_exact(A, 1, 8),
+        "gr_perturb_bound": lambda: gr_perturb_bound(A, X, 8),
+    }[name]
+    for r in range(1, 17):
+        index_plan(r, 16).combos
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("form", FORMS)

@@ -234,3 +234,23 @@ def test_verify_rejects_bad_arguments_before_any_work(args, detail, capsys, monk
     monkeypatch.setattr(cli, "run_verify", no_work)
     assert cli.main(["verify", *args]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "input", "detail": detail}
+
+
+def test_exact_output_beyond_the_int_digit_limit(tmp_path, capsys):
+    # per [[a, a], [a, a]] = 2 a^2 has 4401 digits, beyond Python's default
+    # 4300-digit int/str limit, which main lifts for the job and restores
+    from permderiv import cli
+
+    a = 10**2200
+    path = tmp_path / "job.json"
+    path.write_text('{"A": [[%d, %d], [%d, %d]]}' % (a, a, a, a))
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(["per", "--mode", "exact", "--input", str(path)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        value = json.loads(out)["value"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert value == [2 * 10**4400, 0]
