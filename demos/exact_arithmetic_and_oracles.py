@@ -9,10 +9,7 @@ A central-difference check covers the floating path.
 import numpy as np
 
 from permderiv import (
-    DerivativeRequest,
-    dkper_columns,
-    dkper_minors,
-    dkper_tensor,
+    dkper,
     dper,
     exact_matrix,
     finite_diff,
@@ -25,14 +22,23 @@ A = exact_matrix([[2, 1 + 1j, 0], [3, -1, 2j], [1, 0, 1 - 2j]])
 X = exact_matrix([[1, 0, 1], [0, 1j, 0], [2, 0, -1]])
 Y = exact_matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
-request = DerivativeRequest(A, (X, Y))
-closed_forms = [dkper_columns(request), dkper_minors(request), dkper_tensor(request)]
+# every form takes (A, directions); "all" evaluates the three closed forms
+closed_forms = dkper(A, (X, Y), "all")
 oracle = mixed_partial_interp("per", A, (X, Y))
 print("D^2 per(A)(X, Y), exact arithmetic:")
-for name, value in zip(("columns", "minors", "tensor", "oracle"), closed_forms + [oracle]):
+for name, value in {**closed_forms, "oracle": oracle}.items():
     print(f"  {name:>7s} = {complex(value)}")
-assert all(value == oracle for value in closed_forms)
+assert all(value == oracle for value in closed_forms.values())
 print("all three closed forms equal the interpolation oracle, literally.")
+
+# A call is exact when any operand is exact: an integer array is then made
+# exact, and a floating one is refused.
+C = np.array([[10**6, -3, 1], [2, 10**6, 0], [7, 1, -10**6]])
+print(f"\nD per(C)(X) with integer C and exact X = {dper(C, X)!r}")
+try:
+    dper(C.astype(float), X)
+except ValueError as error:
+    print(f"floating C with exact X: ValueError: {error}")
 
 # Floating mode: central differences converge to the first derivative.
 rng = np.random.default_rng(5)

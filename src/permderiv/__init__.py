@@ -35,7 +35,6 @@ from .tensor import (
     tilde_sym_block,
 )
 from .derivatives import (
-    DerivativeRequest,
     dkper,
     dkper_columns,
     dkper_minors,

@@ -3,7 +3,9 @@
 g_r(A) is the sum of r x r principal minors; det(xI - A) =
 x^n - g_1 x^{n-1} + ... + (-1)^n g_n.  The derivative formulas are the
 determinant analogues of the permanent ones, applied inside every
-principal restriction A_I and summed over I in Q_{r,n}.
+principal restriction A_I and summed over I in Q_{r,n}.  Like the
+`D^k per` forms, each takes (A, directions), here followed by k and r, and
+`scalars.require_directions` fixes one mode for the call.
 
 g_r and the forms walk the restrictions in chunks of whole restrictions
 (`tensor.map_restrictions`), gathered through the index plan of Q_{r,n}, so
@@ -27,7 +29,8 @@ import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, index_plan
 from .permanent import replacement_values, slice_length
-from .scalars import require_square, total, total_in_order, zero_like
+from .derivatives import dispatch
+from .scalars import require_directions, require_square, total, total_in_order, zero_like
 from .tensor import (
     det_batch,
     map_restrictions,
@@ -122,20 +125,10 @@ def dk_gr_tensor(A, directions, k: int, r: int):
 
 
 def dk_gr(A, directions, k: int, r: int, formula: str = "columns"):
-    """Dispatch on the formula selector; "all" returns a dict of all three."""
-    if formula == "columns":
-        return dk_gr_columns(A, directions, k, r)
-    if formula == "minors":
-        return dk_gr_minors(A, directions, k, r)
-    if formula == "tensor":
-        return dk_gr_tensor(A, directions, k, r)
-    if formula == "all":
-        return {
-            "columns": dk_gr_columns(A, directions, k, r),
-            "minors": dk_gr_minors(A, directions, k, r),
-            "tensor": dk_gr_tensor(A, directions, k, r),
-        }
-    raise ValueError(f"unknown formula {formula!r}")
+    """D^k g_r(A)(X^1, ..., X^k) by the selected form; "all" returns a dict of all three."""
+    # the table is built per call, so a rebound module-level form is the one called
+    forms = {"columns": dk_gr_columns, "minors": dk_gr_minors, "tensor": dk_gr_tensor}
+    return dispatch(forms, formula, A, directions, k, r)
 
 
 def _restriction_sum(A, directions, k, r, term, elements):
@@ -145,18 +138,14 @@ def _restriction_sum(A, directions, k, r, term, elements):
     each reduced as for one restriction alone; elements(k, r) counts its
     largest temporary for one restriction.
     """
-    A = require_square(A)
+    A, directions = require_directions(A, directions)
     n = A.shape[0]
-    directions = tuple(directions)
     if len(directions) != k:
         raise ValueError(f"expected {k} directions, got {len(directions)}")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
     if k < 1:
         raise ValueError("need k >= 1")
-    for X in directions:
-        if np.asarray(X).shape != A.shape:
-            raise ValueError("directions must match the order of A")
     if k > r:
         return zero_like(A)
     M = np.stack((A, *directions))

@@ -1,19 +1,23 @@
 """The three closed forms for higher-order derivatives of the permanent.
 
-All three take an ordered direction tuple (X^1, ..., X^k); the value is
-symmetric in the directions and linear in each slot.  k > n gives 0.
+Each form takes (A, directions), the directions being the ordered tuple
+(X^1, ..., X^k); the value is symmetric in the directions and linear in each
+slot.  k = 0 gives per A and k > n gives 0.  `scalars.require_directions`
+checks the shapes and fixes one mode for the call: exact when any operand is
+an object array, with integer operands made exact and a floating one refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .multiindex import index_plan
 from .permanent import padj, per, per_batch, replacement_stack, replacement_values
-from .scalars import ExactComplex, is_exact, require_square, total, zero_like
+from .scalars import ExactComplex, is_exact, require_directions, total, zero_like
 from .tensor import (
     block_trace,
     map_blocks,
@@ -24,43 +28,29 @@ from .tensor import (
 
 FORMULAS = ("columns", "minors", "tensor")
 
-@dataclass(frozen=True)
-class DerivativeRequest:
-    """A matrix, an ordered direction tuple, and a formula selector."""
 
-    A: np.ndarray
-    directions: tuple
-    formula: str = "columns"
-
-    def __post_init__(self):
-        A = require_square(self.A)
-        for X in self.directions:
-            if np.asarray(X).shape != A.shape:
-                raise ValueError("directions must match the order of A")
-        if self.formula not in FORMULAS + ("all",):
-            raise ValueError(f"unknown formula {self.formula!r}")
-
-    @property
-    def order(self) -> int:
-        return len(self.directions)
+def dispatch(forms: dict, formula: str, *args):
+    """forms[formula](*args); "all" returns a dict of every form's value, in table order."""
+    if formula == "all":
+        return {name: form(*args) for name, form in forms.items()}
+    if formula not in forms:
+        raise ValueError(f"unknown formula {formula!r}")
+    return forms[formula](*args)
 
 
 def dper(A, X):
     """First derivative of per at A in direction X: tr(padj(A)^T X)."""
-    A = np.asarray(A)
-    X = np.asarray(X)
-    if X.shape != A.shape:
-        raise ValueError("direction must match the order of A")
+    A, (X,) = require_directions(A, (X,))
     P = padj(A)
-    value = _sum(P[i, j] * X[i, j] for i in range(A.shape[0]) for j in range(A.shape[1]))
+    value = reduce(add, (P[i, j] * X[i, j] for i in range(A.shape[0]) for j in range(A.shape[1])))
     if __debug__:
-        by_columns = _sum(per(M) for M in replacement_stack(A, X[None]))
+        by_columns = reduce(add, (per(M) for M in replacement_stack(A, X[None])))
         comps = index_plan(1, A.shape[0]).complements
-        by_minors = _sum(
+        by_minors = reduce(add, (
             X[i, j] * per(A[rows[:, None], cols])
             for i, rows in enumerate(comps)
             for j, cols in enumerate(comps)
-        )
+        ))
         # the rounding bound of the sum, which |value| is not when its terms cancel
         scale = 0.0 if is_exact(P) else float(np.abs(P * X).sum())
         assert _close(value, by_columns, scale) and _close(value, by_minors, scale), (
@@ -69,74 +59,55 @@ def dper(A, X):
     return value
 
 
-def dkper_columns(req: DerivativeRequest):
+def dkper_columns(A, directions):
     """Column-replacement form: sum over sigma and J of per A(J; X^sigma).
 
     The k! C(n,k) permanents are evaluated in slices and summed at once, as for one stack.
     """
-    A = np.asarray(req.A)
-    n = A.shape[0]
-    k = req.order
-    if k == 0:
-        return per(A)
-    if k > n:
-        return zero_like(A)
-    return total(replacement_values(A, np.stack(req.directions), per_batch))
+    return _form(A, directions, lambda A, Xs: total(replacement_values(A, Xs, per_batch)))
 
 
-def dkper_minors(req: DerivativeRequest):
+def dkper_minors(A, directions):
     """Minor-expansion form: sum of per A(I|J) * per Y^sigma_[J] [I|J]."""
-    A = np.asarray(req.A)
-    n = A.shape[0]
-    k = req.order
-    if k == 0:
-        return per(A)
-    if k > n:
-        return zero_like(A)
-    plan = index_plan(k, n)
-    comps = plan.complements
-    per_comp = map_blocks(A, comps, comps, per_batch)  # (C, C) indexed (I, J)
-    Xs = np.stack(req.directions)
-    return total(
-        sum(per_comp * per_batch(sigma_blocks(Xs, plan.combos, sigma)) for sigma in plan.perms)
-    )
+
+    def term(A, Xs):
+        plan = index_plan(len(Xs), A.shape[0])
+        comps = plan.complements
+        per_comp = map_blocks(A, comps, comps, per_batch)  # (C, C) indexed (I, J)
+        return total(
+            sum(per_comp * per_batch(sigma_blocks(Xs, plan.combos, sigma)) for sigma in plan.perms)
+        )
+
+    return _form(A, directions, term)
 
 
-def dkper_tensor(req: DerivativeRequest):
+def dkper_tensor(A, directions):
     """Tensor-trace form: k! tr(tilde-block * mixed symmetric block)."""
-    A = np.asarray(req.A)
-    n = A.shape[0]
-    k = req.order
-    if k == 0:
-        return per(A)
-    if k > n:
-        return zero_like(A)
-    tilde = tilde_sym_block(A, k)
-    mixed = mixed_sym_projected(req.directions)
-    return math.factorial(k) * block_trace(tilde, mixed)
+
+    def term(A, Xs):
+        k = len(Xs)
+        return math.factorial(k) * block_trace(tilde_sym_block(A, k), mixed_sym_projected(Xs))
+
+    return _form(A, directions, term)
 
 
 def dkper(A, directions, formula: str = "columns"):
-    """Dispatch on the formula selector; "all" returns a dict of all three."""
-    req = DerivativeRequest(np.asarray(A), tuple(directions), formula)
-    if formula == "columns":
-        return dkper_columns(req)
-    if formula == "minors":
-        return dkper_minors(req)
-    if formula == "tensor":
-        return dkper_tensor(req)
-    return {
-        "columns": dkper_columns(req),
-        "minors": dkper_minors(req),
-        "tensor": dkper_tensor(req),
-    }
+    """D^k per(A)(X^1, ..., X^k) by the selected form; "all" returns a dict of all three."""
+    # the table is built per call, so a rebound module-level form is the one called
+    forms = {"columns": dkper_columns, "minors": dkper_minors, "tensor": dkper_tensor}
+    return dispatch(forms, formula, A, directions)
 
 
-def _sum(terms):
-    total = None
-    for t in terms:
-        total = t if total is None else total + t
-    return total
+def _form(A, directions, term):
+    """term(A, Xs) for k = len(directions) in 1..n, with Xs the (k, n, n) stack
+    of the directions; per A for k = 0 and 0 for k > n."""
+    A, directions = require_directions(A, directions)
+    k, n = len(directions), A.shape[0]
+    if k == 0:
+        return per(A)
+    if k > n:
+        return zero_like(A)
+    return term(A, np.stack(directions))
 
 
 def _close(a, b, scale, tol=1e-12):

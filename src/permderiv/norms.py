@@ -59,8 +59,8 @@ def singular_values(A) -> np.ndarray:
 
 
 def operator_norm(A) -> float:
-    """Largest singular value."""
-    return float(singular_values(A)[0])
+    """Largest singular value; 0.0 for an empty matrix."""
+    return float(singular_values(A).max(initial=0.0))
 
 
 def trace_norm(A) -> float:

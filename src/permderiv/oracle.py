@@ -17,7 +17,7 @@ import numpy as np
 
 from .charpoly import g_r
 from .permanent import per
-from .scalars import is_exact, to_complex, zero_like
+from .scalars import require_directions, to_complex, zero_like
 
 MAX_ORDER = 8
 MAX_N = 6
@@ -48,9 +48,8 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
     phi is "per", "gr" (with r), or any callable polynomial functional of
     degree <= n; the interpolation degree is r for "gr" and n otherwise.
     """
-    A = np.asarray(A)
+    A, directions = require_directions(A, directions)
     n = A.shape[0]
-    directions = tuple(np.asarray(X) for X in directions)
     k = len(directions)
     if k > MAX_ORDER:
         raise ValueError(f"interpolation oracle limited to order {MAX_ORDER}")
@@ -58,8 +57,6 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
         raise ValueError(f"interpolation oracle limited to n <= {MAX_N}")
     func = _functional(phi, r)
     degree = r if phi == "gr" else n
-    if is_exact(A) and not all(is_exact(X) for X in directions):
-        raise ValueError("exact mode requires exact-mode directions")
     weights = _linear_coeff_weights(degree)
     total = zero_like(A)
     for nodes in product(range(degree + 1), repeat=k):
@@ -97,6 +94,8 @@ def faddeev_leverrier(A) -> tuple[complex, ...]:
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("square matrix required")
+    if n == 0:
+        return ()
     coeffs = []
     M = A.copy()
     c = -complex(np.trace(M))

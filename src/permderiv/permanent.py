@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -53,14 +53,11 @@ def per_naive(A):
         raise ValueError(f"per_naive limited to n <= {NAIVE_MAX_N}, got {n}")
     if n == 0:
         return _one(A)
-    total = None
-    rows = range(n)
-    for sigma in itertools.permutations(range(n)):
-        term = A[0, sigma[0]]
-        for i in rows[1:]:
-            term = term * A[i, sigma[i]]
-        total = term if total is None else total + term
-    return total
+    terms = (
+        reduce(operator.mul, (A[i, j] for i, j in enumerate(sigma)))
+        for sigma in itertools.permutations(range(n))
+    )
+    return reduce(operator.add, terms)
 
 
 def per(A):
@@ -336,11 +333,8 @@ def laplace_per(A, I: MultiIndex):
     kept = np.array(complement(I, n).zero_based(), dtype=np.intp)[:, None]
     rows = np.array(I.zero_based(), dtype=np.intp)[:, None]
     plan = index_plan(len(I), n)
-    total = None
-    for J, kept_cols in zip(plan.combos, plan.complements):
-        term = per(A[rows, J]) * per(A[kept, kept_cols])
-        total = term if total is None else total + term
-    return total
+    terms = (per(A[rows, J]) * per(A[kept, cols]) for J, cols in zip(plan.combos, plan.complements))
+    return reduce(operator.add, terms)
 
 
 def padj(A):

@@ -262,3 +262,26 @@ def require_square(A):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"square matrix required, got shape {A.shape}")
     return A
+
+
+def require_directions(A, directions):
+    """(A, directions) as arrays in one mode, after checking their shapes.
+
+    A must be square and every direction of A's shape.  The job is exact when
+    any operand is an object array: integer operands are then made exact with
+    `exact_matrix`, and a floating operand raises a ValueError naming it.
+    Otherwise the operands are returned as given, as arrays.
+    """
+    A = require_square(A)
+    operands = [A, *map(np.asarray, directions)]
+    for p, X in enumerate(operands[1:], 1):
+        if X.shape != A.shape:
+            raise ValueError(f"direction {p} has shape {X.shape}, expected {A.shape}")
+    if any(map(is_exact, operands)):
+        for p, X in enumerate(operands):
+            if X.dtype.kind in "biu":
+                operands[p] = exact_matrix(X.tolist())
+            elif X.dtype != object:
+                name = f"direction {p}" if p else "A"
+                raise ValueError(f"exact mode needs exact or integer operands; {name} is {X.dtype}")
+    return operands[0], tuple(operands[1:])

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .charpoly import charpoly_all, dk_gr_columns, dk_gr_minors, dk_gr_tensor, g_r
-from .derivatives import DerivativeRequest, dkper_columns, dkper_minors, dkper_tensor, dper
+from .derivatives import dkper_columns, dkper_minors, dkper_tensor, dper
 from .multiindex import enumerate_strict
 from .norms import dkper_norm_bound, dk_gr_norm_exact, operator_norm, svd
 from .oracle import faddeev_leverrier
@@ -92,10 +92,9 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
         A = random_complex(rng, n)
         for k in range(1, min(kmax, n) + 1):
             dirs = tuple(random_complex(rng, n) for _ in range(k))
-            req = DerivativeRequest(A, dirs)
             dev = max(
                 dev,
-                rel_dev([dkper_columns(req), dkper_minors(req), dkper_tensor(req)]),
+                rel_dev([dkper_columns(A, dirs), dkper_minors(A, dirs), dkper_tensor(A, dirs)]),
             )
     record("dkper_three_formulas", dev, tolerance)
 
@@ -104,10 +103,8 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
     for _ in range(TRIALS):
         A = random_complex(rng, n)
         X = random_complex(rng, n)
-        req = DerivativeRequest(A, (X,) * n)
-        dev = max(dev, rel_dev([dkper_columns(req), math.factorial(n) * per(X)]))
-        req_over = DerivativeRequest(A, (X,) * (n + 1))
-        dev = max(dev, abs(dkper_columns(req_over)))
+        dev = max(dev, rel_dev([dkper_columns(A, (X,) * n), math.factorial(n) * per(X)]))
+        dev = max(dev, abs(dkper_columns(A, (X,) * (n + 1))))
     record("dkper_degenerate", dev, tolerance)
 
     # three-way agreement of the D^k g_r formulas
@@ -156,7 +153,7 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
         for k in range(1, min(kmax, n) + 1):
             bound = dkper_norm_bound(A, k).value
             dirs = tuple(random_unitary(rng, n) for _ in range(k))
-            val = abs(dkper_columns(DerivativeRequest(A, dirs)))
+            val = abs(dkper_columns(A, dirs))
             dev = max(dev, (val - bound) / max(bound, 1.0))
     record("dkper_norm_bound_soundness", dev, 1e-12)
 

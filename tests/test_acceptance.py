@@ -20,7 +20,6 @@ from permderiv.charpoly import (
     g_r,
 )
 from permderiv.derivatives import (
-    DerivativeRequest,
     dkper_columns,
     dkper_minors,
     dkper_tensor,
@@ -60,10 +59,9 @@ def test_criterion_01_cross_formula_permanent():
         A = random_complex(rng, n)
         for k in range(1, n + 1):
             dirs = tuple(random_complex(rng, n) for _ in range(k))
-            req = DerivativeRequest(A, dirs)
             worst = max(
                 worst,
-                rel_dev([dkper_columns(req), dkper_minors(req), dkper_tensor(req)]),
+                rel_dev([dkper_columns(A, dirs), dkper_minors(A, dirs), dkper_tensor(A, dirs)]),
             )
     exact_ok = True
     for i in range(30):
@@ -71,12 +69,11 @@ def test_criterion_01_cross_formula_permanent():
         A = random_gaussian_integer(rng, n)
         for k in range(1, min(n, 3) + 1):
             dirs = tuple(random_gaussian_integer(rng, n) for _ in range(k))
-            req = DerivativeRequest(A, dirs)
             oracle = mixed_partial_interp("per", A, dirs)
             exact_ok &= (
-                dkper_columns(req) == oracle
-                and dkper_minors(req) == oracle
-                and dkper_tensor(req) == oracle
+                dkper_columns(A, dirs) == oracle
+                and dkper_minors(A, dirs) == oracle
+                and dkper_tensor(A, dirs) == oracle
             )
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and exact_ok and elapsed <= 60.0
@@ -96,14 +93,14 @@ def test_criterion_02_degenerate_identities():
         n = 2 + i % 4  # 2..5
         A = random_gaussian_integer(rng, n)
         X = random_gaussian_integer(rng, n)
-        value = dkper_columns(DerivativeRequest(A, (X,) * n))
+        value = dkper_columns(A, (X,) * n)
         top_ok &= value == math.factorial(n) * per(X)
         for extra in (1, 2):
-            req = DerivativeRequest(A, (X,) * (n + extra))
+            dirs = (X,) * (n + extra)
             zero_ok &= (
-                not dkper_columns(req)
-                and not dkper_minors(req)
-                and not dkper_tensor(req)
+                not dkper_columns(A, dirs)
+                and not dkper_minors(A, dirs)
+                and not dkper_tensor(A, dirs)
             )
     _report(
         2,
@@ -145,7 +142,7 @@ def test_criterion_04_norm_bound_soundness_and_tightness():
             bound = dkper_norm_bound(A, k).value
             for _ in range(500):
                 dirs = tuple(random_unitary(rng, n) for _ in range(k))
-                value = abs(dkper_columns(DerivativeRequest(A, dirs)))
+                value = abs(dkper_columns(A, dirs))
                 excess = (value - bound) / bound
                 worst_excess = max(worst_excess, excess)
                 sound &= excess <= 1e-12

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_complex, random_gaussian_integer, rel_dev
 from permderiv import derivatives, permanent
 from permderiv.derivatives import (
-    DerivativeRequest,
     dkper,
     dkper_columns,
     dkper_minors,
@@ -49,9 +48,8 @@ def test_three_formulas_agree_floating(rng):
         A = random_complex(rng, n)
         k = int(rng.integers(1, n + 1))
         dirs = tuple(random_complex(rng, n) for _ in range(k))
-        req = DerivativeRequest(A, dirs)
         assert (
-            rel_dev([dkper_columns(req), dkper_minors(req), dkper_tensor(req)]) < 1e-10
+            rel_dev([dkper_columns(A, dirs), dkper_minors(A, dirs), dkper_tensor(A, dirs)]) < 1e-10
         )
 
 
@@ -61,9 +59,8 @@ def test_three_formulas_agree_exact(rng):
         A = random_gaussian_integer(rng, n)
         k = int(rng.integers(1, min(n, 3) + 1))
         dirs = tuple(random_gaussian_integer(rng, n) for _ in range(k))
-        req = DerivativeRequest(A, dirs)
-        v1 = dkper_columns(req)
-        assert v1 == dkper_minors(req) == dkper_tensor(req)
+        v1 = dkper_columns(A, dirs)
+        assert v1 == dkper_minors(A, dirs) == dkper_tensor(A, dirs)
         assert v1 == mixed_partial_interp("per", A, dirs)
         assert isinstance(v1, ExactComplex)
 
@@ -72,20 +69,19 @@ def test_k_equals_n_collapses(rng):
     for n in (2, 3, 4):
         A = random_complex(rng, n)
         X = random_complex(rng, n)
-        req = DerivativeRequest(A, (X,) * n)
         expected = math.factorial(n) * per(X)
         for f in (dkper_columns, dkper_minors, dkper_tensor):
-            assert rel_dev([f(req), expected]) < 1e-10
+            assert rel_dev([f(A, (X,) * n), expected]) < 1e-10
 
 
 def test_k_above_n_is_zero(rng):
     A = random_complex(rng, 3)
     X = random_complex(rng, 3)
     for k in (4, 5):
-        req = DerivativeRequest(A, (X,) * k)
-        assert dkper_columns(req) == 0
-        assert dkper_minors(req) == 0
-        assert dkper_tensor(req) == 0
+        dirs = (X,) * k
+        assert dkper_columns(A, dirs) == 0
+        assert dkper_minors(A, dirs) == 0
+        assert dkper_tensor(A, dirs) == 0
 
 
 def test_first_order_consistency(rng):
@@ -93,20 +89,19 @@ def test_first_order_consistency(rng):
         n = int(rng.integers(2, 6))
         A = random_complex(rng, n)
         X = random_complex(rng, n)
-        req = DerivativeRequest(A, (X,))
         base = dper(A, X)
         for f in (dkper_columns, dkper_minors, dkper_tensor):
-            assert rel_dev([f(req), base]) < 1e-12
+            assert rel_dev([f(A, (X,)), base]) < 1e-12
 
 
 def test_direction_permutation_symmetry(rng):
     n = 4
     A = random_complex(rng, n)
     dirs = tuple(random_complex(rng, n) for _ in range(3))
-    base = dkper_columns(DerivativeRequest(A, dirs))
+    base = dkper_columns(A, dirs)
     for p in [(1, 0, 2), (2, 1, 0), (1, 2, 0)]:
         shuffled = tuple(dirs[i] for i in p)
-        assert rel_dev([dkper_columns(DerivativeRequest(A, shuffled)), base]) < 1e-10
+        assert rel_dev([dkper_columns(A, shuffled), base]) < 1e-10
 
 
 def test_multilinearity(rng):
@@ -116,10 +111,8 @@ def test_multilinearity(rng):
     U = random_complex(rng, n)
     V = random_complex(rng, n)
     alpha = 0.9 - 1.4j
-    lhs = dkper_columns(DerivativeRequest(A, (X, U + alpha * V)))
-    rhs = dkper_columns(DerivativeRequest(A, (X, U))) + alpha * dkper_columns(
-        DerivativeRequest(A, (X, V))
-    )
+    lhs = dkper_columns(A, (X, U + alpha * V))
+    rhs = dkper_columns(A, (X, U)) + alpha * dkper_columns(A, (X, V))
     assert rel_dev([lhs, rhs]) < 1e-10
 
 
@@ -134,7 +127,7 @@ def test_dispatch_all(rng):
 def test_shape_mismatch():
     A = np.eye(3, dtype=complex)
     with pytest.raises(ValueError):
-        DerivativeRequest(A, (np.eye(2, dtype=complex),))
+        dkper(A, (np.eye(2, dtype=complex),))
     with pytest.raises(ValueError):
         dper(A, np.eye(2, dtype=complex))
 
@@ -164,7 +157,7 @@ def test_columns_form_slices_give_the_same_value(exact, n, k, rng, monkeypatch):
     whole = total(per_batch(replacement_stack(A, np.stack(dirs))))
     calls = []
     monkeypatch.setattr(derivatives, "per_batch", lambda mats: calls.append(len(mats)) or per_batch(mats))
-    value = dkper_columns(DerivativeRequest(A, dirs))
+    value = dkper_columns(A, dirs)
     assert value == whole and type(value) is type(whole)
     assert len(calls) > 1 and sum(calls) == math.factorial(k) * math.comb(n, k)
     assert max(calls) * n * n <= 300
@@ -177,7 +170,7 @@ def test_columns_form_memory_is_bounded_at_n8_k8(rng):
     index_plan(8, 8).perms
     tracemalloc.start()
     try:
-        value = dkper_columns(DerivativeRequest(A, (X,) * 8))
+        value = dkper_columns(A, (X,) * 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,10 +184,10 @@ def test_columns_form_keeps_no_slot_table(rng):
     A, X = random_complex(rng, 8), random_complex(rng, 8)
     plan = index_plan(8, 8)
     plan.combos, plan.perms
-    dkper_columns(DerivativeRequest(A, (X,) * 8))  # warms the kernel's own caches
+    dkper_columns(A, (X,) * 8)  # warms the kernel's own caches
     tracemalloc.start()
     try:
-        value = dkper_columns(DerivativeRequest(A, (X,) * 8))
+        value = dkper_columns(A, (X,) * 8)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -219,8 +212,8 @@ def _instance(seed, n, k, exact=False):
 
 
 def _forms(A, dirs):
-    req = DerivativeRequest(A, tuple(dirs))
-    return [form(req) for form in FORMS]
+    dirs = tuple(dirs)
+    return [form(A, dirs) for form in FORMS]
 
 
 @_PROPERTY

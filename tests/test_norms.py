@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_complex, random_unitary, rel_dev
 from permderiv.charpoly import g_r, principal_restrictions
-from permderiv.derivatives import DerivativeRequest, dkper_columns, dper
+from permderiv.derivatives import dkper_columns, dper
 from permderiv.norms import (
     dk_gr_norm_exact,
     dkper_norm_bound,
@@ -59,6 +59,9 @@ def test_operator_norm_examples(rng):
     assert operator_norm(np.diag([3.0, 1.0]).astype(complex)) == pytest.approx(3)
     assert operator_norm(np.eye(5, dtype=complex)) == pytest.approx(1)
     assert operator_norm(2 * random_unitary(rng, 3)) == pytest.approx(2)
+    empty = np.zeros((0, 0), dtype=complex)
+    assert operator_norm(empty) == 0.0
+    assert per_perturb_bound(empty, empty).value == 0
 
 
 def test_trace_norm_examples(rng):
@@ -146,7 +149,7 @@ def test_dkper_norm_bound_soundness(rng):
             bound = dkper_norm_bound(A, k).value
             for _ in range(25):
                 dirs = tuple(random_unitary(rng, n) for _ in range(k))
-                val = abs(dkper_columns(DerivativeRequest(A, dirs)))
+                val = abs(dkper_columns(A, dirs))
                 assert val <= bound * (1 + 1e-12)
 
 

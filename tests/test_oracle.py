@@ -107,6 +107,8 @@ def test_faddeev_leverrier_nilpotent():
 
 
 def test_faddeev_leverrier_matches_minor_sums(rng):
+    empty = np.zeros((0, 0), dtype=complex)
+    assert faddeev_leverrier(empty) == charpoly_all(empty).g == ()
     for _ in range(20):
         n = int(rng.integers(2, 9))
         A = random_complex(rng, n)
