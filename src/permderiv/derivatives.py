@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
 from .multiindex import index_plan
-from .permanent import padj, per, per_batch, replacement_stack, replacement_values
+from .permanent import map_submatrices, padj, per, per_batch, replacement_stack, replacement_values
 from .scalars import ExactComplex, is_exact, require_directions, total, zero_like
 from .tensor import (
     block_trace,
@@ -46,11 +46,8 @@ def dper(A, X):
     if __debug__:
         by_columns = reduce(add, (per(M) for M in replacement_stack(A, X[None])))
         comps = index_plan(1, A.shape[0]).complements
-        by_minors = reduce(add, (
-            X[i, j] * per(A[rows[:, None], cols])
-            for i, rows in enumerate(comps)
-            for j, cols in enumerate(comps)
-        ))
+        minors = map_submatrices(A, comps[:, None], comps[None, :], per)
+        by_minors = reduce(add, map(mul, X.ravel(), minors.ravel()))
         # the rounding bound of the sum, which |value| is not when its terms cancel
         scale = 0.0 if is_exact(P) else float(np.abs(P * X).sum())
         assert _close(value, by_columns, scale) and _close(value, by_minors, scale), (

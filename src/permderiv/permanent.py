@@ -5,11 +5,14 @@ independent oracle.  `per` and `per_batch` share one blocked Ryser kernel
 in both modes, O(2^n * n) per matrix: the row sums over all subsets of up
 to ten columns are formed at once (a product with a cached 0/1 subset
 table), and only the subsets of the remaining columns are looped over in
-Python.  An exact stack runs that kernel on int64 images mod primes
-p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
+Python.  A stack within one chunk, as a single matrix always is, goes
+straight into the kernel, so a scalar `per` costs about one matmul, one row
+product and one dot.  An exact stack runs that kernel on int64 images mod
+primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
 permanents are lifted back by the Chinese remainder theorem (the classic
 multimodular method).  The formulas gather their submatrices through
-`multiindex.index_plan`; `submatrix` and `minor_complement` are reference helpers.
+`multiindex.index_plan`; `map_submatrices` gathers the complements of `padj`,
+`laplace_per` and `tilde_sym_block` in budgeted slices, one `per` per entry.
 """
 
 from __future__ import annotations
@@ -92,15 +95,16 @@ def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     more than _STACK_BUDGET elements whatever n or m.
     """
     m, n = mats.shape[0], mats.shape[-1]
+    exact = mats.dtype == object
     if n == 0:
-        return np.full(m, _one(mats), dtype=object if is_exact(mats) else complex)
-    if mod is None and is_exact(mats):
+        return np.full(m, _one(mats), dtype=object if exact else complex)
+    if mod is None and exact:
         return in_slices(lambda s: _modular_stack(mats[s]), m, slice_length(n))
     if mod is None:
-        mats = np.asarray(mats, dtype=complex)
-    b, bits, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)
-    if mod is not None:
-        bits, signs = _residue_plan(n, _LOW_COLUMNS, _STACK_BUDGET)
+        mats = mats.astype(complex, copy=False)
+    b, bits, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET, mats.dtype)
+    if m <= chunk:  # one chunk, as for a single matrix: no slice and no closure
+        return _ryser_block(mats, b, bits, signs, mod)
     return in_slices(
         lambda s: _ryser_block(mats[s], b, bits, signs, None if mod is None else mod[s]), m, chunk
     )
@@ -118,7 +122,7 @@ def in_slices(evaluate, count: int, step: int, axis: int = 0) -> np.ndarray:
 
 def budget_length(elements: int) -> int:
     """How many items of `elements` elements each one slice holds: at least 1."""
-    return max(_STACK_BUDGET // elements, 1)
+    return max(_STACK_BUDGET // max(elements, 1), 1)
 
 
 def slice_length(n: int) -> int:
@@ -133,26 +137,19 @@ def slice_length(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ryser_plan(n: int, low_columns: int, budget: int):
+def _ryser_plan(n: int, low_columns: int, budget: int, dtype=complex):
     """Split of order n: low column count b, its subset table and signs, chunk size.
 
     bits is the (b, 2^b) 0/1 table of the subsets L of the low columns and
-    signs[L] = (-1)^(n + |L|); b is cut so that n * 2^b <= budget.
+    signs[L] = (-1)^(n + |L|), both of dtype (complex, or int64 for residues);
+    b is cut so that n * 2^b <= budget.
     """
     b = max(min(n, low_columns, (budget // n).bit_length() - 1), 0)
     bits = (np.arange(1 << b) >> np.arange(b)[:, None]) & 1
     signs = 1 - 2 * ((n + bits.sum(axis=0)) % 2)
-    bits, signs = bits.astype(complex), signs.astype(complex)
+    bits, signs = bits.astype(dtype), signs.astype(dtype)
     bits.flags.writeable = signs.flags.writeable = False  # shared by every caller
     return b, bits, signs, max(budget // (n << b), 1)
-
-
-@lru_cache(maxsize=None)
-def _residue_plan(n: int, low_columns: int, budget: int):
-    """The subset table and signs of _ryser_plan(n, low_columns, budget) as int64."""
-    bits, signs = (a.real.astype(np.int64) for a in _ryser_plan(n, low_columns, budget)[1:3])
-    bits.flags.writeable = signs.flags.writeable = False  # shared by every caller
-    return bits, signs
 
 
 def _ryser_block(block, b, bits, signs, mod=None):
@@ -173,8 +170,8 @@ def _ryser_block(block, b, bits, signs, mod=None):
     if mod is not None:
         p, rows_p = mod[:, None], mod[:, None, None]
         low %= rows_p
-    shifts = np.arange(n - b)
-    sums = np.empty_like(low) if n > b else None
+    if n > b:
+        shifts, sums = np.arange(n - b), np.empty_like(low)
     acc = None
     for t in range(1 << (n - b)):
         rows = low
@@ -184,15 +181,13 @@ def _ryser_block(block, b, bits, signs, mod=None):
             if mod is not None:
                 rows %= rows_p
         if mod is None:
-            prods = rows[:, 0] if n == 1 else rows[:, 0] * rows[:, 1]
-            for i in range(2, n):
-                prods *= rows[:, i]
+            prods = rows.prod(axis=1)  # row by row, left to right, as a loop of *=
         else:
             prods = rows[:, 0]
             for i in range(1, n):
                 prods = prods * rows[:, i] % p
         term = prods.dot(signs)
-        if bin(t).count("1") % 2:
+        if t.bit_count() % 2:
             term = -term
         acc = term if acc is None else acc + term
         if mod is not None:
@@ -206,8 +201,9 @@ def _modular_stack(mats: np.ndarray) -> np.ndarray:
     Each row is scaled by the lcm of its denominators (per is multilinear in
     the rows) and the result divided by the product of the scales.  The
     parts of every permanent are bounded by prod_i sum_j (|re_ij| + |im_ij|),
-    and primes are taken until their product M exceeds twice that.  As
-    s^2 = -1 (mod p), the images re + s im and re - s im (mod p) have
+    and primes are taken until their product M exceeds twice that (Hadamard's
+    row 2-norm bound holds for det, not per: per J_4 = 24 > 16 = its bound).
+    As s^2 = -1 (mod p), the images re + s im and re - s im (mod p) have
     permanents u = R + s I and v = R - s I; R = (u + v) / 2 and
     I = (u - v) / 2s are combined over the primes by the Chinese remainder
     theorem and lifted to (-M/2, M/2].  A TypeError is raised when an entry
@@ -326,29 +322,46 @@ def minor_complement(A, I: MultiIndex, J: MultiIndex):
     return A[rows[:, None], cols]
 
 
+def map_submatrices(A, rows, cols, evaluate) -> np.ndarray:
+    """evaluate(A[r|c]), one call each, for every pair of an index row r of `rows` and c of `cols`.
+
+    rows and cols are (..., i) and (..., j) zero-based index arrays whose
+    leading shapes broadcast, e.g. `comps[:, None]` and `comps[None, :]` for
+    every pair of complements; the result has that shape and A's mode.  The
+    submatrices are gathered by one fancy index per slice of
+    `budget_length(i * j)` of them.  `evaluate` is a scalar evaluator (`per`).
+    """
+    A = np.asarray(A)
+    shape = np.broadcast_shapes(rows.shape[:-1], cols.shape[:-1])
+    rows, cols = (np.broadcast_to(x, shape + x.shape[-1:]) for x in (rows, cols))
+    count, dtype = math.prod(shape), object if A.dtype == object else complex
+
+    def values(s):
+        at = np.unravel_index(np.arange(*s.indices(count)), shape)
+        subs = A[rows[at][:, :, None], cols[at][:, None, :]]
+        return np.fromiter(map(evaluate, subs), dtype, len(subs))
+
+    return in_slices(values, count, budget_length(rows.shape[-1] * cols.shape[-1])).reshape(shape)
+
+
 def laplace_per(A, I: MultiIndex):
     """Laplace expansion along rows I: sum_J per A[I|J] * per A(I|J)."""
     A = require_square(A)
     n = A.shape[0]
-    kept = np.array(complement(I, n).zero_based(), dtype=np.intp)[:, None]
-    rows = np.array(I.zero_based(), dtype=np.intp)[:, None]
+    rows, kept = (np.array(x.zero_based(), dtype=np.intp) for x in (I, complement(I, n)))
     plan = index_plan(len(I), n)
-    terms = (per(A[rows, J]) * per(A[kept, cols]) for J, cols in zip(plan.combos, plan.complements))
-    return reduce(operator.add, terms)
+    tops = map_submatrices(A, rows, plan.combos, per)
+    bottoms = map_submatrices(A, kept, plan.complements, per)
+    return reduce(operator.add, map(operator.mul, tops, bottoms))
 
 
 def padj(A):
     """Permanental adjoint: (i,j)-entry is per A(i|j)."""
     A = require_square(A)
-    n = A.shape[0]
-    if n < 1:
+    if A.shape[0] < 1:
         raise ValueError("padj requires n >= 1")
-    comps = index_plan(1, n).complements
-    out = zeros_like_mode(A, (n, n))
-    for i, rows in enumerate(comps):
-        for j, cols in enumerate(comps):
-            out[i, j] = per(A[rows[:, None], cols])
-    return out
+    comps = index_plan(1, A.shape[0]).complements
+    return map_submatrices(A, comps[:, None], comps[None, :], per)
 
 
 def column_replace(A, spec: ReplacementSpec):

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
-from .permanent import budget_length, in_slices, per, per_batch
-from .scalars import (
-    ExactComplex,
-    is_exact,
-    require_square,
-    to_complex,
-    total,
-    zeros_like_mode,
-)
+from .permanent import budget_length, in_slices, map_submatrices, per, per_batch
+from .scalars import ExactComplex, is_exact, require_square, to_complex, total
 
 
 @dataclass(frozen=True)
@@ -176,16 +169,11 @@ def tilde_sym_block(A, k: int) -> TensorBlock:
 
     At k = n the complement is empty and the single entry is per(empty) = 1.
     """
-    A = require_square(A)
-    n = A.shape[0]
+    n = require_square(A).shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}")
     basis, comps = enumerate_strict(k, n), index_plan(k, n).complements
-    entries = zeros_like_mode(A, (len(basis), len(basis)))
-    for b, cols in enumerate(comps):
-        for a, rows in enumerate(comps):
-            entries[b, a] = per(A[rows[:, None], cols])
-    return TensorBlock(basis, basis, entries)
+    return TensorBlock(basis, basis, map_submatrices(A, comps[None, :], comps[:, None], per))
 
 
 def tilde_antisym_block(A, k: int) -> TensorBlock:

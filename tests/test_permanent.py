@@ -176,8 +176,10 @@ def test_laplace_reproduces_per(rng):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_gathers_equal_the_reference_helpers(exact, rng):
+    # every sliced gather against per of the reference helpers' submatrices,
+    # entry by entry: padj at n = 1 and the empty complement at k = n included
     make = random_gaussian_integer if exact else random_complex
-    for n in range(1, 6):
+    for n in range(1, 7):
         A = make(rng, n)
         singles = enumerate_strict(1, n)
         expected = [[per(minor_complement(A, I, J)) for J in singles] for I in singles]
@@ -318,6 +320,87 @@ def test_kernel_chunk_loops(rng, monkeypatch):
     assert values.dtype == object
     for M, value in zip(mats, values):
         assert isinstance(value, ExactComplex) and value == per(M) == per_naive(M)
+
+
+def _kernel_plan(n):
+    return permanent._ryser_plan(n, permanent._LOW_COLUMNS, permanent._STACK_BUDGET)
+
+
+def _ryser_reference(mats):
+    """The float kernel written out: each row product an explicit loop of *=, chunk by chunk."""
+    m, n = mats.shape[0], mats.shape[-1]
+    if n == 0:
+        return np.ones(m, dtype=complex)
+    b, bits, signs, chunk = _kernel_plan(n)
+    values = []
+    for start in range(0, m, chunk):
+        block = mats[start:start + chunk].astype(complex)
+        c = len(block)
+        low = (block[:, :, :b].reshape(c * n, b) @ bits).reshape(c, n, 1 << b)
+        for t in range(1 << (n - b)):
+            rows = low
+            if t:
+                rows = low + (block[:, :, b:] @ ((t >> np.arange(n - b)) & 1))[:, :, None]
+            prods = rows[:, 0].copy()
+            for i in range(1, n):
+                prods *= rows[:, i]
+            term = prods.dot(signs)
+            if bin(t).count("1") % 2:
+                term = -term
+            acc = acc + term if t else term
+        values.append(acc)
+    return np.concatenate(values)
+
+
+def test_kernel_is_bit_identical_to_the_explicit_row_loop(rng):
+    # n = 11..14 exceed the ten low columns, so the high-column loop runs;
+    # each stack holds one matrix more than a kernel chunk.  A matrix alone
+    # and in a stack may differ in the last bit (the low sums are one matmul
+    # over the chunk), so each is held to the reference of the same shape.
+    for n in range(15):
+        m = _kernel_plan(n)[3] + 1 if n else 2
+        mats = np.stack([random_complex(rng, n) for _ in range(m)])
+        mats *= 10.0 ** rng.integers(-3, 4, (m, 1, 1))
+        expected = _ryser_reference(mats)
+        assert permanent._ryser_stack(mats).tobytes() == expected.tobytes()
+        assert per_batch(mats).tobytes() == expected.tobytes()
+        for M in mats[[0, m - 2, m - 1]]:
+            alone = _ryser_reference(M[None])
+            assert permanent._ryser_stack(M[None]).tobytes() == alone.tobytes()
+            for value in (per(M), per_batch(M[None])[0]):
+                assert type(value) is np.complex128 and value.tobytes() == alone.tobytes()
+
+
+def test_exact_single_matrices_equal_their_stacks(rng):
+    for n in range(15):
+        mats = np.stack([random_gaussian_integer(rng, n, -2, 3) for _ in range(3)])
+        stacked = per_batch(mats)
+        for M, value in zip(mats, stacked):
+            single = (per(M), per_batch(M[None])[0], permanent._ryser_stack(M[None])[0])
+            assert all(_is_exact_result(v) and v == value for v in single)
+            if n <= 6:
+                assert value == per_naive(M)
+            elif n <= 9:
+                assert value == laplace_per(M, MultiIndex((1,)))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_exact_per_of_large_constant_matrices_takes_enough_primes(n):
+    # per(c J_n) = n! c^n.  Hadamard's bound prod_i ||row i||_2 = (sqrt(n) c)^n
+    # holds for determinants, not permanents, and is below n! c^n (at n = 4:
+    # 16 c^4 < 24 c^4).  The second c puts n! c^n above M/2 for a product M of
+    # leading moduli that exceeds twice Hadamard's bound, so primes counted
+    # from that bound would lift the result wrongly.
+    M = math.prod(permanent._modulus(i)[0] for i in range(4))
+    gap = round((M / (2 * math.sqrt(math.factorial(n) * n ** (n / 2)))) ** (1 / n))
+    assert 2 * n ** (n // 2) * gap**n < M < 2 * math.factorial(n) * gap**n
+    for c in (10**30, gap):
+        J = np.full((n, n), ExactComplex(c), dtype=object)
+        negated = J.copy()
+        negated[1] = ExactComplex(-c)
+        assert per(J) == math.factorial(n) * c**n and _is_exact_result(per(J))
+        assert per(negated) == -math.factorial(n) * c**n
+        assert per_batch(np.stack([J, negated])).tolist() == [per(J), per(negated)]
 
 
 def test_per_batch_memory_is_bounded(rng):

@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_complex, random_gaussian_integer
-from permderiv.multiindex import enumerate_strict
-from permderiv.permanent import minor_complement, padj, per
+from permderiv import permanent
+from permderiv.multiindex import MultiIndex, enumerate_strict, index_plan
+from permderiv.permanent import laplace_per, minor_complement, padj, per, submatrix
 from permderiv.scalars import ExactComplex
 from permderiv.tensor import (
     antisym_power,
@@ -93,7 +95,7 @@ def test_tilde_sym_block_k1_is_padj_transpose(rng):
 @pytest.mark.parametrize("exact", [False, True])
 def test_tilde_sym_block_equals_the_minor_complements(exact, rng):
     make = random_gaussian_integer if exact else random_complex
-    for n in range(1, 6):
+    for n in range(1, 7):
         A = make(rng, n)
         for k in range(n + 1):
             basis = enumerate_strict(k, n)
@@ -101,6 +103,39 @@ def test_tilde_sym_block_equals_the_minor_complements(exact, rng):
             expected = [[per(minor_complement(A, I, J)) for I in basis] for J in basis]
             assert entries.tolist() == expected
             assert entries.flags.c_contiguous  # block_trace sums in memory order
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_gathers_in_many_slices_equal_the_reference_helpers(exact, rng, monkeypatch):
+    # a 64-element budget gathers only two 5 x 5 or four 4 x 4 complements
+    # per slice, so every block is joined from many slices, in order
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
+    n, A = 6, (random_gaussian_integer if exact else random_complex)(rng, 6)
+    singles = enumerate_strict(1, n)
+    assert padj(A).tolist() == [[per(minor_complement(A, I, J)) for J in singles] for I in singles]
+    basis = enumerate_strict(2, n)
+    expected = [[per(minor_complement(A, I, J)) for I in basis] for J in basis]
+    assert tilde_sym_block(A, 2).entries.tolist() == expected
+    I = MultiIndex((2, 5))
+    terms = [per(submatrix(A, I, J)) * per(minor_complement(A, I, J)) for J in basis]
+    assert laplace_per(A, I) == sum(terms[1:], terms[0])
+
+
+def test_tilde_sym_block_memory_is_bounded_at_n9_k4(rng):
+    # one gather of all 126^2 5 x 5 complements would take 6.3 MB; the index
+    # plan is kept for the process, so it is built first
+    A = random_complex(rng, 9)
+    index_plan(4, 9).complements
+    tracemalloc.start()
+    try:
+        entries = tilde_sym_block(A, 4).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    basis = enumerate_strict(4, 9)
+    for b, a in ((0, 0), (0, 125), (125, 0), (77, 31), (125, 125)):
+        assert entries[b, a] == per(minor_complement(A, basis[a], basis[b]))
 
 
 def test_tilde_sym_block_identity():
