@@ -27,7 +27,14 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .multiindex import MultiIndex, complement, index_plan
-from .scalars import ExactComplex, is_exact, rational_parts, require_square, zeros_like_mode
+from .scalars import (
+    ExactComplex,
+    is_exact,
+    rational_parts,
+    require_square,
+    require_square_stack,
+    zeros_like_mode,
+)
 
 NAIVE_MAX_N = 10
 _LOW_COLUMNS = 10  # at most this many columns go into the cached subset table
@@ -78,7 +85,7 @@ def per_batch(mats: np.ndarray) -> np.ndarray:
     array of ExactComplex; both run the one blocked Ryser kernel, an exact
     stack on its int64 images mod primes.
     """
-    mats = np.asarray(mats)
+    mats = require_square_stack(mats)
     m, k = mats.shape[:-2], mats.shape[-1]
     return _ryser_stack(mats.reshape(math.prod(m), k, k)).reshape(m)
 

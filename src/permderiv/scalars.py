@@ -177,6 +177,22 @@ def rational_parts(values):
     return list(map(_RE, values)), list(map(_IM, values))
 
 
+def exact_values(values):
+    """values as an object array of ExactComplex; a 0-d input gives one ExactComplex.
+
+    int, Fraction and ExactComplex entries (and integral Python complex ones)
+    are accepted, with parts int while integral, as ExactComplex arithmetic
+    keeps them; an array that already holds only ExactComplex is returned as
+    is.  TypeError when an entry is not a Gaussian rational.
+    """
+    values = np.asarray(values, dtype=object)
+    flat = values.ravel().tolist()
+    if set(map(type, flat)) - {ExactComplex}:
+        re, im = rational_parts(flat)
+        values = np.fromiter(map(_new, re, im), dtype=object, count=len(flat)).reshape(values.shape)
+    return values[()]
+
+
 def is_exact(matrix) -> bool:
     """True when the matrix is an exact-mode (object dtype) array."""
     return np.asarray(matrix).dtype == object
@@ -262,6 +278,14 @@ def require_square(A):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"square matrix required, got shape {A.shape}")
     return A
+
+
+def require_square_stack(mats):
+    """mats as an array, after checking that it is an (..., k, k) stack of square matrices."""
+    mats = np.asarray(mats)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"stack of square matrices required, got shape {mats.shape}")
+    return mats
 
 
 def require_directions(A, directions):

@@ -3,6 +3,14 @@
 Every block is materialized on the lexicographically ordered multi-index
 basis.  Only the strict-index (compressed) blocks of the tilde operators
 and mixed powers are ever built; the formulas never need the full ones.
+
+`det_batch` is the determinant evaluator of both modes.  Stacks of order 0,
+1 and 2 are their Leibniz expansions 1, a and a d - b c, one expression on
+the stack's dtype, so the minors of order k and r - k that the `D^k g_r`
+forms mostly evaluate need no LU or elimination.  Orders >= 3 run LAPACK LU
+(floating) or `det_bareiss` (exact).  For floating entries above about
+1e154, a d and b c can overflow where LU would not, as the Ryser products of
+`per` already can.
 """
 
 from __future__ import annotations
@@ -14,7 +22,15 @@ import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
 from .permanent import budget_length, in_slices, map_submatrices, per, per_batch
-from .scalars import ExactComplex, is_exact, require_square, to_complex, total
+from .scalars import (
+    ExactComplex,
+    exact_values,
+    is_exact,
+    require_square,
+    require_square_stack,
+    to_complex,
+    total,
+)
 
 
 @dataclass(frozen=True)
@@ -78,16 +94,25 @@ def det_bareiss(A):
 def det_batch(mats: np.ndarray) -> np.ndarray:
     """Determinants of a stack of k x k matrices, in the stack's mode.
 
-    A floating stack runs LAPACK LU and returns complex128; an exact (object)
-    stack runs one stacked Bareiss elimination and returns an object array.
+    Orders 0, 1 and 2 are their Leibniz expansions 1, a and a d - b c,
+    evaluated as one expression on the stack's own dtype in both modes (no
+    pivot and no division).  From order 3 on, a floating stack runs LAPACK LU
+    and an exact (object) stack one stacked Bareiss elimination.  A floating
+    stack returns complex128; above about 1e154, a d and b c can overflow
+    where LU would not, as the Ryser products of `per` already can.  An exact
+    stack returns ExactComplex values, int parts while integral.
     """
-    mats = np.asarray(mats)
-    if is_exact(mats):
-        return det_bareiss(mats)
-    mats = mats.astype(complex)
-    if mats.shape[-1] == 0:
-        return np.ones(mats.shape[:-2], dtype=complex)
-    return np.linalg.det(mats)
+    mats = require_square_stack(mats)
+    exact, k = is_exact(mats), mats.shape[-1]
+    if k > 2:
+        return det_bareiss(mats) if exact else np.linalg.det(mats.astype(complex))
+    if not exact:
+        mats = mats.astype(complex, copy=False)
+    if k == 2:
+        dets = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    else:
+        dets = mats[..., 0, 0].copy() if k else np.ones(mats.shape[:-2], dtype=mats.dtype)
+    return exact_values(dets) if exact else dets
 
 
 def map_blocks(A, rows, cols, evaluate) -> np.ndarray:

@@ -242,6 +242,19 @@ def test_one_restriction_per_chunk_gives_the_same_value(form, exact, n, k, r, rn
     assert len(calls) == math.comb(n, r) * terms
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_exact_restrictions_reach_bareiss_from_order_three(r, rng, monkeypatch):
+    # det_batch expands orders <= 2 by Leibniz; the exact 3 x 3 restrictions
+    # still run the stacked Bareiss elimination
+    A = random_gaussian_integer(rng, 5)
+    reference = sum((tensor.det_bareiss(P.value) for P in principal_restrictions(A, r)), ExactComplex(0))
+    calls = []
+    det_bareiss = tensor.det_bareiss
+    monkeypatch.setattr(tensor, "det_bareiss", lambda m: calls.append(m.shape) or det_bareiss(m))
+    assert g_r(A, r) == reference
+    assert calls == ([(math.comb(5, r), r, r)] if r == 3 else [])
+
+
 @pytest.mark.parametrize("name", ["g_r", "charpoly_all", "dk_gr_norm_exact", "gr_perturb_bound"])
 def test_restriction_sums_memory_is_bounded_at_n16_r8(name, rng):
     # gathered at once, the 12 870 restrictions of order 8 (and their SVD

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import random_complex, random_gaussian_integer
 from permderiv import permanent
 from permderiv.multiindex import MultiIndex, enumerate_strict, index_plan
-from permderiv.permanent import laplace_per, minor_complement, padj, per, submatrix
+from permderiv.permanent import laplace_per, minor_complement, padj, per, per_batch, submatrix
 from permderiv.scalars import ExactComplex
 from permderiv.tensor import (
     antisym_power,
@@ -281,6 +282,91 @@ def test_det_bareiss_fraction_entries():
                   [0, Fraction(3, 4), Fraction(-1, 9)]], dtype=object)
     assert det_bareiss(M) == _leibniz(M) != 0
     assert det_bareiss(np.stack([M, M[::-1]])).tolist() == [_leibniz(M), -_leibniz(M)]
+
+
+def _parts(z):
+    return type(z), type(z.re), type(z.im)
+
+
+@pytest.mark.parametrize("n", range(3))
+@pytest.mark.parametrize("shape", [(), (2, 3)])
+def test_low_order_exact_dets_equal_leibniz_and_bareiss(rng, n, shape):
+    # orders 0, 1 and 2 take the Leibniz branch of det_batch; det_bareiss
+    # and the permutation sum are references that do not
+    cases = _bareiss_cases(rng, n) + [random_gaussian_integer(rng, n) * 10**30]
+    if n == 2:
+        M = random_gaussian_integer(rng, n)
+        M[1] = M[0] * ExactComplex(2, -1)  # singular with no zero entry
+        cases.append(M)
+    count = math.prod(shape)
+    for start in range(0, len(cases), count):
+        group = (cases[start:] + cases)[:count]
+        dets = det_batch(np.stack(group).reshape(*shape, n, n))
+        if not shape:
+            assert isinstance(dets, ExactComplex)
+        else:
+            assert dets.shape == shape and dets.dtype == object
+        bareiss = det_bareiss(np.stack(group))
+        for M, value, reference in zip(group, np.ravel(dets), bareiss):
+            assert value == _leibniz(M) == reference
+            assert _parts(value) == _parts(_leibniz(M))
+            if n == 2:  # at order 1, Bareiss returns the raw entry
+                assert _parts(value) == _parts(reference)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[5]],
+        [[Fraction(4, 2)]],
+        [[Fraction(1, 3)]],
+        [[2, 3], [5, 7]],
+        [[Fraction(1, 2), 1], [1, 4]],  # 2 - 1: a Fraction sum that is integral
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 7]],
+        [[ExactComplex(1, 2), 3], [Fraction(1, 2), ExactComplex(0, Fraction(1, 3))]],
+    ],
+)
+def test_exact_low_order_dets_are_exact_complex(entries):
+    M = np.array(entries, dtype=object)
+    value = det(M)
+    assert isinstance(value, ExactComplex) and value == _leibniz(M)
+    assert _parts(value) == _parts(_leibniz(M))
+    if len(M) == 2:
+        assert _parts(value) == _parts(det_bareiss(M))
+    stacked = det_batch(np.stack([M, M]))
+    assert [_parts(z) for z in stacked] == [_parts(value)] * 2
+    assert antisym_power(M, len(M)).entries.tolist() == [[value]]
+    assert _parts(antisym_power(M, len(M)).entries[0, 0]) == _parts(value)
+    assert _parts(antisym_power(M, 1).entries[0, 0]) == _parts(M[0, 0] + ExactComplex(0))
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_low_order_floating_dets_match_lapack(rng, n):
+    mats = rng.standard_normal((2, 50, n, n)) + 1j * rng.standard_normal((2, 50, n, n))
+    mats[0, :5] *= 1e150
+    mats[0, 5:10] *= 1e-150
+    if n == 2:
+        mats[1, :5, 1] = mats[1, :5, 0] * (0.3 - 0.7j)  # singular up to rounding
+    dets = det_batch(mats)
+    assert dets.shape == (2, 50) and dets.dtype == complex
+    if n == 2:
+        scale = abs(mats[..., 0, 0] * mats[..., 1, 1]) + abs(mats[..., 0, 1] * mats[..., 1, 0])
+    else:
+        scale = abs(np.linalg.det(mats))
+    assert np.all(abs(dets - np.linalg.det(mats)) <= 1e-12 * scale)
+    single = det(mats[1, 7])
+    assert type(single) is complex and single == dets[1, 7]
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 2), (4, 1, 2), (4,)])
+@pytest.mark.parametrize("evaluate", [det_batch, per_batch])
+@pytest.mark.parametrize("dtype", [complex, object])
+def test_batch_evaluators_reject_non_square_stacks(shape, evaluate, dtype):
+    mats = np.zeros(shape, dtype=dtype)
+    if dtype is object:
+        mats[...] = ExactComplex(1)
+    with pytest.raises(ValueError, match=rf"square matrices required, got shape \({shape[0]},"):
+        evaluate(mats)
 
 
 def test_det_empty():
