@@ -30,7 +30,14 @@ import numpy as np
 from .multiindex import MultiIndex, enumerate_strict, index_plan
 from .permanent import replacement_values, slice_length
 from .derivatives import dispatch
-from .scalars import require_directions, require_square, total, total_in_order, zero_like
+from .scalars import (
+    require_directions,
+    require_square,
+    require_square_stack,
+    total,
+    total_in_order,
+    zero_like,
+)
 from .tensor import (
     det_batch,
     map_restrictions,
@@ -76,12 +83,20 @@ def principal_restrictions(A, r: int) -> tuple[PrincipalRestriction, ...]:
 
 
 def g_r(A, r: int):
-    """Sum of the r x r principal minors of A."""
-    A = require_square(A)
-    n = A.shape[0]
+    """Sum of the r x r principal minors of A, or of each matrix of an (..., n, n) stack.
+
+    Each matrix's restriction determinants are summed over a contiguous last
+    axis, so a matrix of a stack gives bit for bit its g_r alone.  A single
+    matrix gives a scalar.
+    """
+    A = require_square_stack(A)
+    n = A.shape[-1]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
-    return total(map_restrictions(A, r, det_batch))
+    dets = map_restrictions(A, r, det_batch, axis=-1)  # (..., C(n, r))
+    if A.ndim == 2:
+        return total(dets)
+    return _row_totals(dets.reshape(-1, dets.shape[-1])).reshape(A.shape[:-2])
 
 
 def charpoly_all(A) -> CharPolyCoefficients:

@@ -4,20 +4,22 @@
 phi(A + t_1 X^1 + ... + t_k X^k) by exact Lagrange interpolation on the
 integer grid {0..d}^k, which equals the k-th mixed partial at 0.  It shares
 the permanent/determinant evaluators with the library but none of the
-closed-form derivative formulas.
+closed-form derivative formulas.  The node matrices A + sum_p t_p X^p are
+built as stacks and each stack is evaluated by one call: `per_batch` for
+"per" and `charpoly.g_r` for "gr".
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
 from .charpoly import g_r
-from .permanent import per
-from .scalars import require_directions, to_complex, zero_like
+from .permanent import budget_length, per, per_batch
+from .scalars import exact_from_parts, is_exact, rational_parts, require_directions, to_complex, zero_like
 
 MAX_ORDER = 8
 MAX_N = 6
@@ -46,7 +48,11 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
     """Mixed partial of phi(A + sum t_i X^i) in t_1..t_k at 0, by interpolation.
 
     phi is "per", "gr" (with r), or any callable polynomial functional of
-    degree <= n; the interpolation degree is r for "gr" and n otherwise.
+    degree <= n; the interpolation degree is r for "gr" and n otherwise.  The
+    node matrices are built as stacks of `budget_length(n * n)` nodes; "per"
+    evaluates each stack by one `per_batch` call and "gr" by one `g_r` call,
+    and a callable is called once per node.  The weighted values are added
+    in grid order.
     """
     A, directions = require_directions(A, directions)
     n = A.shape[0]
@@ -56,21 +62,48 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
     if n > MAX_N:
         raise ValueError(f"interpolation oracle limited to n <= {MAX_N}")
     func = _functional(phi, r)
+    evaluate = per_batch if phi == "per" else func
     degree = r if phi == "gr" else n
     weights = _linear_coeff_weights(degree)
+    weighted = ((math.prod((weights[t] for t in nodes), start=Fraction(1)), nodes)
+                for nodes in product(range(degree + 1), repeat=k))
+    grid = ((w, nodes) for w, nodes in weighted if w)
     total = zero_like(A)
-    for nodes in product(range(degree + 1), repeat=k):
-        w = Fraction(1)
-        for t in nodes:
-            w *= weights[t]
-        if w == 0:
-            continue
-        M = A
-        for t, X in zip(nodes, directions):
-            if t:
-                M = M + t * X
-        total = total + w * func(M)
+    while chunk := list(islice(grid, budget_length(n * n))):
+        ws, nodes = zip(*chunk)
+        M = _node_stack(A, directions, np.array(nodes, dtype=np.int64))
+        values = map(phi, M) if callable(phi) else evaluate(M).tolist()
+        for w, value in zip(ws, values):
+            total = total + w * value
     return total
+
+
+def _node_stack(A, directions, nodes):
+    """The matrices A + t_1 X^1 + ... + t_k X^k for the rows t of `nodes`, as one stack.
+
+    Exact nodes are summed on the rational parts of the operands, as Python
+    ints and Fractions, and built as ExactComplex once.
+    """
+    if not is_exact(A):
+        return _weighted_sums(A, directions, nodes)
+    parts = rational_parts(np.stack((A, *directions)).ravel().tolist())
+    re, im = (
+        _weighted_sums(x[0], x[1:], nodes.astype(object))
+        for x in (np.array(x, dtype=object).reshape(len(directions) + 1, *A.shape) for x in parts)
+    )
+    return exact_from_parts(re.ravel().tolist(), im.ravel().tolist()).reshape(re.shape)
+
+
+def _weighted_sums(A, directions, nodes):
+    """A + t_1 X^1 + ... + t_k X^k for each row t of `nodes`, added left to right.
+
+    Each t_p = 0 is skipped, as in the loop `if t: M = M + t * X`, so a
+    floating node has the bits of that loop's.
+    """
+    M = np.repeat(A[None], len(nodes), axis=0)
+    for t, X in zip(nodes.T[:, :, None, None], directions):
+        M = np.where(t != 0, M + t * X, M)
+    return M
 
 
 def finite_diff(phi, A, X, h: float, *, r: int | None = None):

@@ -10,9 +10,12 @@ straight into the kernel, so a scalar `per` costs about one matmul, one row
 product and one dot.  An exact stack runs that kernel on int64 images mod
 primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
 permanents are lifted back by the Chinese remainder theorem (the classic
-multimodular method).  The formulas gather their submatrices through
-`multiindex.index_plan`; `map_submatrices` gathers the complements of `padj`,
-`laplace_per` and `tilde_sym_block` in budgeted slices, one `per` per entry.
+multimodular method).  That driver, `_modular_stack`, takes its residue
+kernel as an argument; exact determinants (`tensor.det_bareiss`) run through
+it with Bareiss's recurrence mod p in place of Ryser's formula.  The
+formulas gather their submatrices through `multiindex.index_plan`;
+`map_submatrices` gathers the complements of `padj`, `laplace_per` and
+`tilde_sym_block` in budgeted slices, one `per` per entry.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .multiindex import MultiIndex, complement, index_plan
 from .scalars import (
     ExactComplex,
+    exact_from_parts,
     is_exact,
     rational_parts,
     require_square,
@@ -94,9 +98,10 @@ def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     """Permanents of an (m, n, n) stack by Ryser's formula, in its mode.
 
     A floating stack is cast to complex128.  An object stack is evaluated
-    slice by slice (`slice_length`) as int64 images mod primes and lifted
-    back to ExactComplex (`_modular_stack`), so its temporaries grow with
-    the number of primes P (2P images per matrix) but not with m.  With mod,
+    slice by slice (`slice_length`) as int64 images mod primes, by this
+    function as the kernel, and lifted back to ExactComplex
+    (`_modular_stack`), so its temporaries grow with the number of primes P
+    (2P images per matrix) but not with m.  With mod,
     the stack holds those int64 images and mod the modulus of each.  The
     stack is walked in chunks of whole matrices, so no kernel temporary holds
     more than _STACK_BUDGET elements whatever n or m.
@@ -106,7 +111,7 @@ def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     if n == 0:
         return np.full(m, _one(mats), dtype=object if exact else complex)
     if mod is None and exact:
-        return in_slices(lambda s: _modular_stack(mats[s]), m, slice_length(n))
+        return _modular_stack(mats, _ryser_stack)
     if mod is None:
         mats = mats.astype(complex, copy=False)
     b, bits, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET, mats.dtype)
@@ -202,21 +207,29 @@ def _ryser_block(block, b, bits, signs, mod=None):
     return acc
 
 
-def _modular_stack(mats: np.ndarray) -> np.ndarray:
-    """Permanents of an exact (m, n, n) stack from int64 images mod primes.
+def _modular_stack(mats: np.ndarray, kernel) -> np.ndarray:
+    """The values of an exact (m, n, n) stack from int64 images mod primes.
 
-    Each row is scaled by the lcm of its denominators (per is multilinear in
-    the rows) and the result divided by the product of the scales.  The
-    parts of every permanent are bounded by prod_i sum_j (|re_ij| + |im_ij|),
-    and primes are taken until their product M exceeds twice that (Hadamard's
-    row 2-norm bound holds for det, not per: per J_4 = 24 > 16 = its bound).
-    As s^2 = -1 (mod p), the images re + s im and re - s im (mod p) have
-    permanents u = R + s I and v = R - s I; R = (u + v) / 2 and
+    kernel(images, mod) maps an int64 stack of residues, and the prime of
+    each matrix, to its values mod those primes: `_ryser_stack` for per and
+    `tensor._bareiss_residues` for det.  The stack is walked in slices of
+    `slice_length(n)`.  Each row is scaled by the lcm of its denominators
+    (per and det are multilinear in the rows) and the result divided by the
+    product of the scales.  The parts of every value are bounded by
+    prod_i sum_j (|re_ij| + |im_ij|), which bounds per |A| and so |det A|
+    too, and primes are taken until their product M exceeds twice that
+    (Hadamard's row 2-norm bound holds for det, not per: per J_4 = 24 > 16 =
+    its bound).  As s^2 = -1 (mod p), the images re + s im and re - s im
+    (mod p) have values u = R + s I and v = R - s I; R = (u + v) / 2 and
     I = (u - v) / 2s are combined over the primes by the Chinese remainder
-    theorem and lifted to (-M/2, M/2].  A TypeError is raised when an entry
-    is not a Gaussian rational.
+    theorem and lifted to (-M/2, M/2].  Matrices of order 0 give 1.  A
+    TypeError is raised when an entry is not a Gaussian rational.
     """
     m, n = mats.shape[0], mats.shape[-1]
+    if n == 0:
+        return np.full(m, ExactComplex(1), dtype=object)
+    if m > slice_length(n):
+        return in_slices(lambda s: _modular_stack(mats[s], kernel), m, slice_length(n))
     re, im = rational_parts(mats.ravel().tolist())
     scales = _clear_rows(re, im, n) if {*map(type, re), *map(type, im)} - {int} else [1] * m
     try:
@@ -230,19 +243,16 @@ def _modular_stack(mats: np.ndarray) -> np.ndarray:
     p, signed_s, halves, weights, M = _crt_plan(_prime_count(2 * bound))
     cleared = (cleared % p).astype(np.int64, copy=False)  # (P, 2, m n n)
     images = (cleared[:, :1] + cleared[:, 1:] * signed_s) % p  # re + s im and re - s im
-    uv = _ryser_stack(images.reshape(-1, n, n), np.repeat(p.ravel(), 2 * m)).reshape(len(p), 2, m)
+    uv = kernel(images.reshape(-1, n, n), np.repeat(p.ravel(), 2 * m)).reshape(len(p), 2, m)
     u, v = uv[:, :1], uv[:, 1:]
     RI = np.concatenate([u + v, u - v], axis=1) * halves % p  # (u + v) / 2 and (u - v) / 2s
     R, I = (
         [_lift(sum(map(operator.mul, weights, residues)) % M, M) for residues in zip(*x)]
         for x in RI.transpose(1, 0, 2).tolist()
     )
-    out = np.empty(m, dtype=object)
-    out[:] = [
-        ExactComplex(r, i) if d == 1 else ExactComplex(Fraction(r, d), Fraction(i, d))
-        for r, i, d in zip(R, I, scales)
-    ]
-    return out
+    if any(d != 1 for d in scales):
+        R, I = ([Fraction(x, d) for x, d in zip(X, scales)] for X in (R, I))
+    return exact_from_parts(R, I)
 
 
 def _clear_rows(re: list, im: list, n: int) -> list[int]:

@@ -5,8 +5,10 @@ Matrices come in two modes: floating (numpy complex128 arrays) and exact
 for Gaussian-integer cross-checks where formula agreement must be literal
 equality, not a tolerance.  Each part of an ExactComplex is a Python int
 while it is integral and a Fraction only when it is not, so the Gaussian-
-integer arithmetic of the closed forms and of Bareiss elimination (whose
-divisions are exact over Z[i]) never builds a Fraction.
+integer arithmetic of the closed forms never builds a Fraction.  Exact
+permanents and determinants of order >= 3 are not evaluated on
+ExactComplex but on int64 residues mod primes (`permanent._modular_stack`),
+whose results are built from their parts (`exact_from_parts`).
 """
 
 from __future__ import annotations
@@ -188,9 +190,13 @@ def exact_values(values):
     values = np.asarray(values, dtype=object)
     flat = values.ravel().tolist()
     if set(map(type, flat)) - {ExactComplex}:
-        re, im = rational_parts(flat)
-        values = np.fromiter(map(_new, re, im), dtype=object, count=len(flat)).reshape(values.shape)
+        values = exact_from_parts(*rational_parts(flat)).reshape(values.shape)
     return values[()]
+
+
+def exact_from_parts(re, im) -> np.ndarray:
+    """A 1-d object array of ExactComplex from equal-length sequences of int / Fraction parts."""
+    return np.fromiter(map(_new, re, im), dtype=object, count=len(re))
 
 
 def is_exact(matrix) -> bool:

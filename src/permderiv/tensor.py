@@ -7,10 +7,12 @@ and mixed powers are ever built; the formulas never need the full ones.
 `det_batch` is the determinant evaluator of both modes.  Stacks of order 0,
 1 and 2 are their Leibniz expansions 1, a and a d - b c, one expression on
 the stack's dtype, so the minors of order k and r - k that the `D^k g_r`
-forms mostly evaluate need no LU or elimination.  Orders >= 3 run LAPACK LU
-(floating) or `det_bareiss` (exact).  For floating entries above about
-1e154, a d and b c can overflow where LU would not, as the Ryser products of
-`per` already can.
+forms mostly evaluate need no LU or elimination; a floating a d - b c that
+overflows is taken by LU instead.  Orders >= 3 run LAPACK LU (floating) or
+`det_bareiss` (exact): Bareiss's fraction-free recurrence on int64 residues
+mod primes, through the multimodular driver of exact `per`
+(`permanent._modular_stack`), which lifts the values by the Chinese
+remainder theorem.
 """
 
 from __future__ import annotations
@@ -21,16 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
-from .permanent import budget_length, in_slices, map_submatrices, per, per_batch
-from .scalars import (
-    ExactComplex,
-    exact_values,
-    is_exact,
-    require_square,
-    require_square_stack,
-    to_complex,
-    total,
-)
+from .permanent import _modular_stack, budget_length, in_slices, map_submatrices, per, per_batch
+from .scalars import exact_values, is_exact, require_square, require_square_stack, to_complex, total
 
 
 @dataclass(frozen=True)
@@ -53,42 +47,60 @@ def det(A):
 
 
 def det_bareiss(A):
-    """Fraction-free Bareiss elimination over an (..., n, n) exact stack.
+    """Determinants of an (..., n, n) exact stack by Bareiss's recurrence mod primes.
 
-    Every matrix of the stack is eliminated at once: each step picks the
-    first nonzero entry at or below the diagonal as its pivot and swaps that
-    row up, per matrix.  A matrix with no pivot in some column has
-    determinant 0 and reads its pivot as 1 from then on, so no division is by
-    zero.  On Gaussian-integer entries every division of a regular matrix is
-    exact over Z[i] (each quotient is a minor, by Sylvester's identity), so
-    its pivots and result keep int parts and no Fraction is built.  A single
-    matrix gives a scalar.
+    The stack runs through the multimodular driver of exact `per`
+    (`permanent._modular_stack`) with `_bareiss_residues` as its kernel, so
+    the values are exact, `Fraction` entries included, and keep int parts
+    while integral.  A single matrix gives a scalar.
     """
     A = np.asarray(A)
     shape, n = A.shape[:-2], A.shape[-1]
-    M = A.reshape(math.prod(shape), n, n).copy()
-    flip = np.zeros(len(M), dtype=bool)
-    singular = np.zeros(len(M), dtype=bool)
-    prev = np.full(len(M), ExactComplex(1), dtype=object)
-    stack = np.arange(len(M))
+    return _modular_stack(A.reshape(math.prod(shape), n, n), _bareiss_residues).reshape(shape)[()]
+
+
+def _bareiss_residues(mats: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """det of each matrix of an (m, n, n) int64 stack of residues mod its prime in mod.
+
+    Bareiss's fraction-free recurrence a_jl <- (a_ii a_jl - a_ji a_il) / prev
+    over Z_p, where the division by the previous pivot is a product with its
+    inverse.  Each step takes as its pivot, per matrix, the first row at or
+    below the diagonal with a nonzero residue.  Where there is none, the
+    column is 0 below the diagonal, so every later entry and the value come
+    out 0.  Residues stay below 2^31, so every product stays below 2^62.
+    """
+    M, n = mats.copy(), mats.shape[-1]
+    p, stack, flip = mod[:, None, None], np.arange(len(M)), np.zeros(len(M), dtype=bool)
     for i in range(n - 1):
-        nonzero = M[:, i:, i].astype(bool)
-        found = nonzero.any(axis=1)
-        r = i + nonzero.argmax(axis=1)  # i itself where nothing was found
+        r = i + (M[:, i:, i] != 0).argmax(axis=1)  # i itself where the column is 0
         pivot_rows = M[stack, r]
         M[stack, r] = M[:, i]
         M[:, i] = pivot_rows
         flip ^= r != i
-        singular |= ~found
-        pivot = np.where(found, M[:, i, i], ExactComplex(1))
-        trailing = M[:, i + 1:, i + 1:] * pivot[:, None, None]
-        trailing -= M[:, i + 1:, i, None] * M[:, i, None, i + 1:]
-        M[:, i + 1:, i + 1:] = trailing / prev[:, None, None]
-        prev = pivot
-    dets = M[:, n - 1, n - 1] if n else np.full(len(M), ExactComplex(1), dtype=object)
-    dets[flip] = -dets[flip]
-    dets[singular] = ExactComplex(0)
-    return dets.reshape(shape)[()]
+        pivot = M[:, i, i]
+        trailing = M[:, i + 1:, i + 1:] * pivot[:, None, None] % p
+        trailing -= M[:, i + 1:, i, None] * M[:, i, None, i + 1:] % p
+        if i:
+            trailing *= inverse[:, None, None]
+        M[:, i + 1:, i + 1:] = trailing % p
+        if i < n - 2:  # the last pivot divides nothing
+            inverse = _inverse_mod(pivot, mod)
+    dets = M[:, n - 1, n - 1]
+    return np.where(flip, -dets, dets) % mod
+
+
+def _inverse_mod(x: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """x^(p-2) mod p for int64 residues x, per prime p of mod: x^-1 (Fermat), and 0 for 0."""
+    inverse = np.empty_like(x)
+    for q in np.unique(mod).tolist():
+        at = mod == q
+        power, base = 1, x[at]
+        for bit in bin(q - 2)[:1:-1]:  # from the lowest bit up
+            if bit == "1":
+                power = power * base % q
+            base = base * base % q
+        inverse[at] = power
+    return inverse
 
 
 def det_batch(mats: np.ndarray) -> np.ndarray:
@@ -96,11 +108,11 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
 
     Orders 0, 1 and 2 are their Leibniz expansions 1, a and a d - b c,
     evaluated as one expression on the stack's own dtype in both modes (no
-    pivot and no division).  From order 3 on, a floating stack runs LAPACK LU
-    and an exact (object) stack one stacked Bareiss elimination.  A floating
-    stack returns complex128; above about 1e154, a d and b c can overflow
-    where LU would not, as the Ryser products of `per` already can.  An exact
-    stack returns ExactComplex values, int parts while integral.
+    pivot and no division); the floating a d - b c that come out non-finite
+    (a d or b c overflowed, above about 1e154) are taken by LU.  From order 3
+    on, a floating stack runs LAPACK LU and an exact (object) stack
+    `det_bareiss`, Bareiss's recurrence mod primes.  A floating stack returns
+    complex128, an exact stack ExactComplex values, int parts while integral.
     """
     mats = require_square_stack(mats)
     exact, k = is_exact(mats), mats.shape[-1]
@@ -109,7 +121,17 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     if not exact:
         mats = mats.astype(complex, copy=False)
     if k == 2:
-        dets = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+        def leibniz():
+            return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                dets = leibniz()
+        except FloatingPointError:  # a d or b c overflowed: the non-finite results by LU
+            with np.errstate(over="ignore", invalid="ignore"):
+                dets = np.array(leibniz())
+                bad = ~np.isfinite(dets)
+                dets[bad] = np.linalg.det(mats[bad])
     else:
         dets = mats[..., 0, 0].copy() if k else np.ones(mats.shape[:-2], dtype=mats.dtype)
     return exact_values(dets) if exact else dets
@@ -143,16 +165,18 @@ def principal_blocks(M, rows) -> np.ndarray:
     return M[..., rows[:, :, None], rows[:, None, :]]
 
 
-def map_restrictions(M, r: int, evaluate, elements: int = 0) -> np.ndarray:
+def map_restrictions(M, r: int, evaluate, elements: int = 0, axis: int = 0) -> np.ndarray:
     """evaluate of the restrictions M[I|I], I in Q_{r,n}, in chunks joined in I order.
 
     M is (..., n, n); evaluate maps a (..., c, r, r) chunk to its c values along
-    axis 0.  c keeps the chunk, and `elements` (evaluate's largest temporary
+    `axis`.  c keeps the chunk, and `elements` (evaluate's largest temporary
     for one restriction), within the stack budget, and is at least 1.
     """
     rows = index_plan(r, M.shape[-1]).combos
     size = max(elements, math.prod(M.shape[:-2]) * r * r)
-    return in_slices(lambda s: evaluate(principal_blocks(M, rows[s])), len(rows), budget_length(size))
+    return in_slices(
+        lambda s: evaluate(principal_blocks(M, rows[s])), len(rows), budget_length(size), axis
+    )
 
 
 def sym_power(A, k: int) -> TensorBlock:

@@ -255,6 +255,26 @@ def test_exact_restrictions_reach_bareiss_from_order_three(r, rng, monkeypatch):
     assert calls == ([(math.comb(5, r), r, r)] if r == 3 else [])
 
 
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_g_r_of_a_stack_equals_g_r_of_each_matrix(rng, n, chunked, monkeypatch):
+    floating = np.stack([random_complex(rng, n) for _ in range(3)]).reshape(3, 1, n, n)
+    exact = np.stack([random_gaussian_integer(rng, n) for _ in range(3)])
+    exact[1, 0] = exact[1, 0] / 3  # Fraction parts
+    singles = {r: ([g_r(M, r) for M in floating[:, 0]], [g_r(M, r) for M in exact]) for r in range(1, n + 1)}
+    if chunked:  # two restrictions per chunk, joined along the last axis
+        monkeypatch.setattr(tensor, "budget_length", lambda elements: 2)
+    for r, (floats, exacts) in singles.items():
+        values = g_r(floating, r)
+        assert values.shape == (3, 1) and values.dtype == complex
+        assert values[:, 0].tobytes() == np.array(floats).tobytes()  # bit for bit
+        values = g_r(exact, r)
+        assert values.shape == (3,) and values.dtype == object
+        for value, single in zip(values, exacts):
+            assert isinstance(value, ExactComplex) and value == single
+            assert (type(value.re), type(value.im)) == (type(single.re), type(single.im))
+
+
 @pytest.mark.parametrize("name", ["g_r", "charpoly_all", "dk_gr_norm_exact", "gr_perturb_bound"])
 def test_restriction_sums_memory_is_bounded_at_n16_r8(name, rng):
     # gathered at once, the 12 870 restrictions of order 8 (and their SVD

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -77,6 +78,19 @@ def test_gr_and_charpoly():
     assert json.loads(proc.stdout)["value"] == [11.0, 0.0]
     proc = run_cli(["charpoly"], payload)
     assert json.loads(proc.stdout)["g"] == [[6.0, 0.0], [11.0, 0.0], [6.0, 0.0]]
+
+
+def test_charpoly_of_huge_entries_is_finite():
+    # the 2 x 2 minor 1e200 * 1e200 - 1e200 * 1e200 overflows to inf - inf by
+    # Leibniz; det_batch takes such minors by LU instead
+    A = [[1e200, 1e200, 0], [1e200, 1e200, 0], [0, 0, 1]]
+    proc = run_cli(["charpoly"], json.dumps({"A": A}))
+    assert proc.returncode == 0, proc.stdout
+    g = [complex(*z) for z in json.loads(proc.stdout)["g"]]
+    M = np.array(A)
+    for r, value in enumerate(g, 1):
+        minors = sum(np.linalg.det(M[np.ix_(I, I)]) for I in itertools.combinations(range(3), r))
+        assert abs(value - minors) <= 1e-12 * abs(minors)
 
 
 def test_dkgr_verb():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
-from permderiv.charpoly import charpoly_all
-from permderiv.derivatives import dper
+from permderiv import oracle, permanent, tensor
+from permderiv.charpoly import charpoly_all, g_r
+from permderiv.derivatives import dkper, dper
 from permderiv.oracle import (
     _linear_coeff_weights,
     faddeev_leverrier,
@@ -131,3 +132,69 @@ def test_linear_coeff_weights_extract_the_linear_coefficient():
         assert len(weights) == d + 1
         for p in range(d + 1):
             assert sum(w * j**p for j, w in enumerate(weights)) == (1 if p == 1 else 0)
+
+
+def _fraction_matrix(rng, n):
+    M = random_gaussian_integer(rng, n)
+    M[0] = M[0] / 3
+    return M
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("make", [random_gaussian_integer, _fraction_matrix])
+def test_stacked_selectors_equal_the_per_node_callables(rng, k, make):
+    n = 3
+    A, Xs = make(rng, n), [make(rng, n) for _ in range(k)]
+    nodes = []
+    value = mixed_partial_interp("per", A, Xs)
+    assert value == mixed_partial_interp(lambda M: nodes.append(M) or per(M), A, Xs)
+    assert len(nodes) == (n + 1) ** k  # a callable is called once per node
+    for r in range(1, n + 1):
+        assert mixed_partial_interp("gr", A, Xs, r=r) == mixed_partial_interp(lambda M: g_r(M, r), A, Xs)
+
+
+def test_interp_of_the_empty_matrix():
+    # k = 0 leaves the single node A, of weight 1, and per of a 0 x 0 matrix is 1
+    assert mixed_partial_interp("per", np.zeros((0, 0), dtype=object), ()) == 1
+    assert mixed_partial_interp("per", np.zeros((0, 0)), ()) == 1
+
+
+def test_oracle_grid_over_many_node_slices(rng, monkeypatch):
+    n, k = 6, 4
+    assert (n + 1) ** k > oracle.budget_length(n * n)  # 2401 nodes, two slices
+    A, Xs = random_gaussian_integer(rng, n), [random_gaussian_integer(rng, n) for _ in range(k)]
+    assert mixed_partial_interp("per", A, Xs) == dkper(A, Xs)
+    A, Xs = A[:3, :3], [X[:3, :3] for X in Xs[:3]]
+    expected = [mixed_partial_interp("per", A, Xs), mixed_partial_interp("gr", A, Xs, r=2)]
+    monkeypatch.setattr(oracle, "budget_length", lambda elements: 5)  # 5 nodes per slice
+    assert [mixed_partial_interp("per", A, Xs), mixed_partial_interp("gr", A, Xs, r=2)] == expected
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("budget", [None, 5])
+def test_stacked_selectors_evaluate_once_per_node_slice(rng, monkeypatch, budget):
+    n, k, r = 5, 2, 3
+    A, Xs = random_gaussian_integer(rng, n), [random_gaussian_integer(rng, n) for _ in range(k)]
+    step = budget or oracle.budget_length(n * n)
+    if budget:
+        monkeypatch.setattr(oracle, "budget_length", lambda elements: budget)
+    calls = {}
+    for module, name in [(oracle, "g_r"), (tensor, "det_bareiss"), (oracle, "per_batch"),
+                         (oracle, "per"), (permanent, "per")]:
+        _count_calls(monkeypatch, calls, module, name)
+    mixed_partial_interp("gr", A, Xs, r=r)
+    # one g_r per node slice, and one det_bareiss for its C(5, 3) restrictions
+    slices = math.ceil((r + 1) ** k / step)
+    assert calls == {"g_r": slices, "det_bareiss": slices}
+    calls.clear()
+    mixed_partial_interp("per", A, Xs)
+    assert calls == {"per_batch": math.ceil((n + 1) ** k / step)}  # and no scalar per

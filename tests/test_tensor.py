@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_gaussian_integer
-from permderiv import permanent
+from permderiv import permanent, tensor
 from permderiv.multiindex import MultiIndex, enumerate_strict, index_plan
 from permderiv.permanent import laplace_per, minor_complement, padj, per, per_batch, submatrix
 from permderiv.scalars import ExactComplex
@@ -286,6 +286,56 @@ def test_det_bareiss_fraction_entries():
 
 def _parts(z):
     return type(z), type(z.re), type(z.im)
+
+
+def _residue_cases(rng, n):
+    """_bareiss_cases and matrices whose residues pivot unlike their integers."""
+    q = permanent._modulus(0)[0]  # the first prime
+    cases = _bareiss_cases(rng, n)
+    M = random_gaussian_integer(rng, n)
+    M[0, 0] = ExactComplex(q)  # 0 mod q: that image pivots on another row
+    cases.append(M)
+    M = random_gaussian_integer(rng, n)
+    M[:, 0] = M[:, 0] * q + ExactComplex(q)  # a first column of 0 mod q only
+    cases.append(M)
+    M = random_gaussian_integer(rng, n)
+    M[n - 1] = M[0] * ExactComplex(2, -1) + M[1] * 3  # singular, no zero entry
+    cases.append(M)
+    cases.append(random_gaussian_integer(rng, n) * 10**200 + random_gaussian_integer(rng, n))
+    M = random_gaussian_integer(rng, n) * 10**200
+    M[0] = M[0] / 7  # 200-digit parts and Fraction parts
+    cases.append(M)
+    return cases
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_residue_determinants_equal_leibniz(rng, n):
+    cases = _residue_cases(rng, n)
+    references = [_leibniz(M) for M in cases]
+    assert any(value == 0 for value in references) and any(value != 0 for value in references)
+    dets = det_bareiss(np.stack(cases))
+    assert dets.shape == (len(cases),) and dets.dtype == object
+    for value, reference in zip(dets, references):
+        assert value == reference and _parts(value) == _parts(reference)
+    for M, reference in zip(cases[-5:], references[-5:]):
+        single = det_bareiss(M)  # a single matrix gives a scalar
+        assert isinstance(single, ExactComplex) and single == reference
+        assert _parts(single) == _parts(reference)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_residue_determinants_of_a_stack_longer_than_a_slice(rng, n, monkeypatch):
+    cases = _residue_cases(rng, n)[:-2]  # 200-digit parts take dozens of primes per slice
+    references = [_leibniz(M) for M in cases]
+    count = permanent.slice_length(n) + 1
+    stack = np.stack([cases[i % len(cases)] for i in range(count)]).reshape(count, 1, n, n)
+    kernel, calls = tensor._bareiss_residues, []
+    monkeypatch.setattr(tensor, "_bareiss_residues", lambda *a: calls.append(a) or kernel(*a))
+    dets = det_bareiss(stack)
+    assert dets.shape == (count, 1) and len(calls) == 2  # one kernel call per slice
+    for i, value in enumerate(dets[:, 0]):
+        reference = references[i % len(cases)]
+        assert value == reference and _parts(value) == _parts(reference)
 
 
 @pytest.mark.parametrize("n", range(3))
