@@ -11,8 +11,8 @@ g_r and the forms walk the restrictions in chunks of whole restrictions
 (`tensor.map_restrictions`), gathered through the index plan of Q_{r,n}, so
 that no temporary outgrows the stack budget of `permanent`.  The forms share
 one driver and supply only their terms of A_I (c, r, r) and X_I
-(c, k, r, r), which index through the plan of Q_{k,r} with one `det_batch`
-call per chunk and stacked term.  Each restriction's terms are reduced as
+(c, k, r, r), gathered by `permanent.map_blocks` with one `det_batch` call
+per chunk, stacked term and slice.  Each restriction's terms are reduced as
 one restriction alone would be, and the restriction values are added in
 lexicographic I order, so a result does not depend on the chunking.
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, index_plan
-from .permanent import replacement_values, slice_length
+from .permanent import map_blocks, replacement_values, slice_length
 from .derivatives import dispatch
 from .scalars import (
     require_directions,
@@ -43,7 +43,6 @@ from .tensor import (
     map_restrictions,
     mixed_entries,
     principal_blocks,
-    sigma_blocks,
     signed_complement_minors,
 )
 
@@ -121,8 +120,9 @@ def dk_gr_minors(A, directions, k: int, r: int):
     def term(AI, XI):  # (c, k!): one term per restriction and sigma
         signed = signed_complement_minors(AI, k)  # (c, K, J): rows K and columns J deleted
         plan = index_plan(k, r)
+        combos = plan.combos
         return np.stack([
-            _row_totals(signed * det_batch(sigma_blocks(XI, plan.combos, sigma)))
+            _row_totals(signed * map_blocks(XI, combos[:, None], combos[None, :], det_batch, sigma))
             for sigma in plan.perms
         ], axis=-1)
 

@@ -16,15 +16,9 @@ from operator import add, mul
 import numpy as np
 
 from .multiindex import index_plan
-from .permanent import map_submatrices, padj, per, per_batch, replacement_stack, replacement_values
+from .permanent import each, map_blocks, padj, per, per_batch, replacement_stack, replacement_values
 from .scalars import ExactComplex, is_exact, require_directions, total, zero_like
-from .tensor import (
-    block_trace,
-    map_blocks,
-    mixed_sym_projected,
-    sigma_blocks,
-    tilde_sym_block,
-)
+from .tensor import block_trace, mixed_sym_projected, tilde_sym_block
 
 FORMULAS = ("columns", "minors", "tensor")
 
@@ -46,7 +40,7 @@ def dper(A, X):
     if __debug__:
         by_columns = reduce(add, (per(M) for M in replacement_stack(A, X[None])))
         comps = index_plan(1, A.shape[0]).complements
-        minors = map_submatrices(A, comps[:, None], comps[None, :], per)
+        minors = map_blocks(A, comps[:, None], comps[None, :], each(per))
         by_minors = reduce(add, map(mul, X.ravel(), minors.ravel()))
         # the rounding bound of the sum, which |value| is not when its terms cancel
         scale = 0.0 if is_exact(P) else float(np.abs(P * X).sum())
@@ -69,11 +63,12 @@ def dkper_minors(A, directions):
 
     def term(A, Xs):
         plan = index_plan(len(Xs), A.shape[0])
-        comps = plan.complements
-        per_comp = map_blocks(A, comps, comps, per_batch)  # (C, C) indexed (I, J)
-        return total(
-            sum(per_comp * per_batch(sigma_blocks(Xs, plan.combos, sigma)) for sigma in plan.perms)
-        )
+        comps, combos = plan.complements, plan.combos
+        per_comp = map_blocks(A, comps[:, None], comps[None, :], per_batch)  # (C, C) indexed (I, J)
+        return total(sum(
+            per_comp * map_blocks(Xs, combos[:, None], combos[None, :], per_batch, sigma)
+            for sigma in plan.perms
+        ))
 
     return _form(A, directions, term)
 

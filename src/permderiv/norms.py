@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scalars import to_complex, total_in_order
+from .scalars import require_square, to_complex, total_in_order
 from .tensor import map_restrictions
 
 
@@ -94,7 +94,7 @@ def elementary_symmetric(k: int, values):
 
 def dkper_norm_bound(A, k: int) -> BoundReport:
     """Upper bound k! C(n,k) ||A||^{n-k} for the norm of D^k per at A."""
-    A = np.asarray(A)
+    A = require_square(A)
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
@@ -109,10 +109,7 @@ def dkper_norm_bound(A, k: int) -> BoundReport:
 
 def per_perturb_bound(A, X) -> BoundReport:
     """Taylor bound: |per(A+X) - per A| <= sum_k C(n,k) ||A||^{n-k} ||X||^k."""
-    A = np.asarray(A)
-    X = np.asarray(X)
-    if X.shape != A.shape:
-        raise ValueError("A and X must have the same shape")
+    A, X = _operands(A, X)
     n = A.shape[0]
     na = operator_norm(A)
     nx = operator_norm(X)
@@ -122,7 +119,7 @@ def per_perturb_bound(A, X) -> BoundReport:
 
 def dk_gr_norm_exact(A, k: int, r: int) -> BoundReport:
     """Exact norm of D^k g_r: k! sum_I p_{r-k}(singular values of A_I)."""
-    A = np.asarray(A)
+    A = require_square(A)
     n = A.shape[0]
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= {n}")
@@ -140,10 +137,7 @@ def dk_gr_norm_exact(A, k: int, r: int) -> BoundReport:
 
 def gr_perturb_bound(A, X, r: int) -> BoundReport:
     """Sharp Taylor bound for g_r built from singular values of restrictions."""
-    A = np.asarray(A)
-    X = np.asarray(X)
-    if X.shape != A.shape:
-        raise ValueError("A and X must have the same shape")
+    A, X = _operands(A, X)
     n = A.shape[0]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
@@ -161,10 +155,7 @@ def gr_perturb_bound_weak(A, X, r: int) -> BoundReport:
     polynomial p_{r-k} of the r singular values of a restriction is at most
     C(r,k) times the largest one raised to the r-k.
     """
-    A = np.asarray(A)
-    X = np.asarray(X)
-    if X.shape != A.shape:
-        raise ValueError("A and X must have the same shape")
+    A, X = _operands(A, X)
     n = A.shape[0]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
@@ -175,6 +166,14 @@ def gr_perturb_bound_weak(A, X, r: int) -> BoundReport:
         for k in range(1, r + 1)
     )
     return BoundReport(value, "upper")
+
+
+def _operands(A, X):
+    """(A, X) as arrays, after checking that A is square and X of A's shape."""
+    A, X = require_square(A), np.asarray(X)
+    if X.shape != A.shape:
+        raise ValueError("A and X must have the same shape")
+    return A, X
 
 
 def _restriction_singular_values(A, r: int) -> np.ndarray:

@@ -13,9 +13,9 @@ permanents are lifted back by the Chinese remainder theorem (the classic
 multimodular method).  That driver, `_modular_stack`, takes its residue
 kernel as an argument; exact determinants (`tensor.det_bareiss`) run through
 it with Bareiss's recurrence mod p in place of Ryser's formula.  The
-formulas gather their submatrices through `multiindex.index_plan`;
-`map_submatrices` gathers the complements of `padj`, `laplace_per` and
-`tilde_sym_block` in budgeted slices, one `per` per entry.
+formulas index through `multiindex.index_plan`, and `map_blocks` gathers and
+evaluates every block of submatrices in budgeted slices: `per` of each block
+(`each`) for `padj`, `laplace_per` and `tilde_sym_block`.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def slice_length(n: int) -> int:
     puts more in one chunk) and whole kernel chunks, so a stack evaluated
     slice by slice runs in the same chunks, bit for bit, as in one call.
     """
-    chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)[3]
+    chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)[3] if n else 1
     return budget_length(n * n * chunk) * chunk
 
 
@@ -316,8 +316,7 @@ def _modulus(i: int) -> tuple[int, int]:
 def submatrix(A, I: MultiIndex, J: MultiIndex):
     """A[I|J]: the |I| x |J| matrix of rows I and columns J (weak allowed)."""
     A = np.asarray(A)
-    ri = I.zero_based()
-    cj = J.zero_based()
+    ri, cj = I.zero_based(), J.zero_based()
     n_rows, n_cols = A.shape
     if any(i < 0 or i >= n_rows for i in ri) or any(j < 0 or j >= n_cols for j in cj):
         raise IndexError(f"indices {I.entries}|{J.entries} out of bounds for shape {A.shape}")
@@ -339,26 +338,71 @@ def minor_complement(A, I: MultiIndex, J: MultiIndex):
     return A[rows[:, None], cols]
 
 
-def map_submatrices(A, rows, cols, evaluate) -> np.ndarray:
-    """evaluate(A[r|c]), one call each, for every pair of an index row r of `rows` and c of `cols`.
+def map_blocks(M, rows, cols, evaluate, source=None) -> np.ndarray:
+    """evaluate(M[r|c]) for every pair of an index row r of `rows` and c of `cols`.
 
-    rows and cols are (..., i) and (..., j) zero-based index arrays whose
-    leading shapes broadcast, e.g. `comps[:, None]` and `comps[None, :]` for
-    every pair of complements; the result has that shape and A's mode.  The
-    submatrices are gathered by one fancy index per slice of
-    `budget_length(i * j)` of them.  `evaluate` is a scalar evaluator (`per`).
+    rows and cols are (..., i) and (..., j) zero-based index arrays whose leading
+    shapes broadcast, e.g. `comps[:, None]` and `comps[None, :]` for every pair of
+    complements.  With a source, M is a (..., d, n, n) stack of directions and
+    column m of a block comes from direction source[m], source being a (..., j)
+    index into that axis that broadcasts like cols.  evaluate (`per_batch`,
+    `det_batch` or `each(per)`) maps a stack of blocks to their values; the result
+    has M's leading shape followed by the broadcast shape.  Blocks beyond one slice
+    of `slice_length(j)` are gathered into one buffer and evaluated slice by slice
+    in flat order, so a floating stack runs in the same kernel chunks, bit for bit,
+    as in one call.
     """
-    A = np.asarray(A)
-    shape = np.broadcast_shapes(rows.shape[:-1], cols.shape[:-1])
-    rows, cols = (np.broadcast_to(x, shape + x.shape[-1:]) for x in (rows, cols))
-    count, dtype = math.prod(shape), object if A.dtype == object else complex
+    M = np.asarray(M)
+    picks = () if source is None else (source,)
+    lead, step = M.shape[:M.ndim - 2 - len(picks)], slice_length(cols.shape[-1])
+    # the block count, or more where rows and cols share an axis
+    if math.prod(lead) * math.prod(rows.shape[:-1]) * math.prod(cols.shape[:-1]) <= step:
+        picked = (x[..., None, :] for x in picks)
+        return evaluate(M[(..., *picked, rows[..., :, None], cols[..., None, :])])
+    shape = lead + np.broadcast_shapes(rows.shape[:-1], cols.shape[:-1])
+    count = math.prod(shape)
+    # flat offsets into M of each block's rows, with M's leading axes, and columns
+    M = np.ascontiguousarray(M)
+    strides = [s // M.itemsize for s in M.strides]
+    axes = (np.arange(d).reshape(-1, *[1] * (len(shape) - p)) for p, d in enumerate(lead))
+    left = rows * strides[-2] + sum(a * stride for a, stride in zip(axes, strides))
+    right = cols * strides[-1] + sum(x * strides[-3] for x in picks)
+    # the buffers serve every slice, so that no slice maps fresh memory; the
+    # index, an int per element, is built for a quarter of a slice at a time,
+    # and is in range by construction, so `take` may clip and skip its own copy
+    blocks = np.empty((step, rows.shape[-1], cols.shape[-1]), M.dtype)
+    index, width = np.empty((-(-step // 4), *blocks.shape[1:]), np.intp), shape[-1]
 
-    def values(s):
-        at = np.unravel_index(np.arange(*s.indices(count)), shape)
-        subs = A[rows[at][:, :, None], cols[at][:, None, :]]
-        return np.fromiter(map(evaluate, subs), dtype, len(subs))
+    def gather(start, stop):
+        first = start // width
+        at = np.unravel_index(np.arange(first, -(-stop // width)), (1, *shape[:-1]))
+        lefts, rights = (  # cut from the whole rows of the last axis that cover the slice
+            np.broadcast_to(x, (1, *shape, x.shape[-1]))[at].reshape(-1, x.shape[-1])
+            [start - first * width:] for x in (left, right)
+        )
+        for lo in range(0, stop - start, len(index)):
+            hi = min(lo + len(index), stop - start)
+            np.add(lefts[lo:hi, :, None], rights[lo:hi, None, :], out=index[:hi - lo])
+            np.take(M.reshape(-1), index[:hi - lo], out=blocks[lo:hi], mode="clip")
+        return blocks[:stop - start]
 
-    return in_slices(values, count, budget_length(rows.shape[-1] * cols.shape[-1])).reshape(shape)
+    out = np.empty(shape, object if M.dtype == object else complex)
+    for start in range(0, count, step):
+        part = evaluate(gather(start, min(start + step, count)))
+        out.reshape(-1)[start:start + step] = part
+    # numpy writes an operator's result into an operand that is a temporary
+    # owning its data, which can round a complex product differently; so the
+    # result owns its data just when the evaluator's results do
+    return out if part.flags.owndata else out[...]
+
+
+def each(evaluate):
+    """The stack evaluator that calls the scalar `evaluate` (`per`) once for each matrix."""
+    def values(mats):
+        flat = mats.reshape(math.prod(mats.shape[:-2]), *mats.shape[-2:])
+        dtype = object if mats.dtype == object else complex
+        return np.fromiter(map(evaluate, flat), dtype, len(flat)).reshape(mats.shape[:-2])
+    return values
 
 
 def laplace_per(A, I: MultiIndex):
@@ -367,8 +411,8 @@ def laplace_per(A, I: MultiIndex):
     n = A.shape[0]
     rows, kept = (np.array(x.zero_based(), dtype=np.intp) for x in (I, complement(I, n)))
     plan = index_plan(len(I), n)
-    tops = map_submatrices(A, rows, plan.combos, per)
-    bottoms = map_submatrices(A, kept, plan.complements, per)
+    tops = map_blocks(A, rows, plan.combos, each(per))
+    bottoms = map_blocks(A, kept, plan.complements, each(per))
     return reduce(operator.add, map(operator.mul, tops, bottoms))
 
 
@@ -378,7 +422,7 @@ def padj(A):
     if A.shape[0] < 1:
         raise ValueError("padj requires n >= 1")
     comps = index_plan(1, A.shape[0]).complements
-    return map_submatrices(A, comps[:, None], comps[None, :], per)
+    return map_blocks(A, comps[:, None], comps[None, :], each(per))
 
 
 def column_replace(A, spec: ReplacementSpec):

@@ -1,8 +1,8 @@
 """Symmetric / antisymmetric tensor-power blocks and their compressions.
 
-Every block is materialized on the lexicographically ordered multi-index
-basis.  Only the strict-index (compressed) blocks of the tilde operators
-and mixed powers are ever built; the formulas never need the full ones.
+Every block is built on the lexicographically ordered multi-index basis by
+`permanent.map_blocks`, in budgeted slices.  Only the strict-index blocks of
+the tilde operators and mixed powers are built; the formulas need no others.
 
 `det_batch` is the determinant evaluator of both modes.  Stacks of order 0,
 1 and 2 are their Leibniz expansions 1, a and a d - b c, one expression on
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
-from .permanent import _modular_stack, budget_length, in_slices, map_submatrices, per, per_batch
+from .permanent import _modular_stack, budget_length, each, in_slices, map_blocks, per, per_batch
 from .scalars import exact_values, is_exact, require_square, require_square_stack, to_complex, total
 
 
@@ -137,25 +137,6 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     return exact_values(dets) if exact else dets
 
 
-def map_blocks(A, rows, cols, evaluate) -> np.ndarray:
-    """evaluate(A[I|J]) for every row I of `rows` and J of `cols`.
-
-    rows and cols are zero-based index arrays such as `index_plan(k, n).combos`;
-    A is (..., n, n) and the result is (..., len(rows), len(cols)).  `evaluate`
-    is `per_batch` or `det_batch`.
-    """
-    return evaluate(np.asarray(A)[..., rows[:, None, :, None], cols[None, :, None, :]])
-
-
-def sigma_blocks(Xs, rows, sigma) -> np.ndarray:
-    """Blocks with (l, m) entry X^{sigma(m)}[i_l, j_m], for rows I, J of `rows`.
-
-    Xs is (..., k, n, n) and rows a (C, k) index array; the result is
-    (..., C, C, k, k).
-    """
-    return Xs[..., sigma, rows[:, None, :, None], rows[None, :, None, :]]
-
-
 def principal_blocks(M, rows) -> np.ndarray:
     """The principal restrictions M[I|I] for every row I of the index array `rows`.
 
@@ -191,8 +172,8 @@ def sym_power(A, k: int) -> TensorBlock:
     basis = enumerate_weak(k, n)
     norms = np.array([math.sqrt(multiplicity(I)) for I in basis])
     idx = np.array([I.zero_based() for I in basis], dtype=np.intp)
-    entries = map_blocks(to_complex(A), idx, idx, per_batch) / np.outer(norms, norms)
-    return TensorBlock(basis, basis, entries)
+    entries = map_blocks(to_complex(A), idx[:, None], idx[None, :], per_batch)
+    return TensorBlock(basis, basis, entries / np.outer(norms, norms))
 
 
 def sym_power_projected(A, k: int) -> TensorBlock:
@@ -201,7 +182,7 @@ def sym_power_projected(A, k: int) -> TensorBlock:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
     basis, idx = enumerate_strict(k, n), index_plan(k, n).combos
-    return TensorBlock(basis, basis, map_blocks(A, idx, idx, per_batch))
+    return TensorBlock(basis, basis, map_blocks(A, idx[:, None], idx[None, :], per_batch))
 
 
 def antisym_power(A, k: int) -> TensorBlock:
@@ -210,7 +191,7 @@ def antisym_power(A, k: int) -> TensorBlock:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
     basis, idx = enumerate_strict(k, n), index_plan(k, n).combos
-    return TensorBlock(basis, basis, map_blocks(A, idx, idx, det_batch))
+    return TensorBlock(basis, basis, map_blocks(A, idx[:, None], idx[None, :], det_batch))
 
 
 def tilde_sym_block(A, k: int) -> TensorBlock:
@@ -222,7 +203,7 @@ def tilde_sym_block(A, k: int) -> TensorBlock:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}")
     basis, comps = enumerate_strict(k, n), index_plan(k, n).complements
-    return TensorBlock(basis, basis, map_submatrices(A, comps[None, :], comps[:, None], per))
+    return TensorBlock(basis, basis, map_blocks(A, comps[None, :], comps[:, None], each(per)))
 
 
 def tilde_antisym_block(A, k: int) -> TensorBlock:
@@ -243,7 +224,7 @@ def signed_complement_minors(A, k: int) -> np.ndarray:
     A is (..., n, n); the result is (..., C, C), C = C(n, k).
     """
     plan = index_plan(k, np.shape(A)[-1])
-    minors = map_blocks(A, plan.complements, plan.complements, det_batch)
+    minors = map_blocks(A, plan.complements[:, None], plan.complements[None, :], det_batch)
     odd = plan.parity[:, None] ^ plan.parity[None, :]
     return np.where(odd, -minors, minors)
 
@@ -279,14 +260,15 @@ def _mixed_block(directions, symmetric: bool) -> TensorBlock:
 
 
 def mixed_entries(Xs, evaluate) -> np.ndarray:
-    """(1/k!) sum_sigma evaluate(sigma_blocks(Xs, Q_{k,n}, sigma)): (..., C, C).
+    """(1/k!) sum_sigma evaluate(X^sigma[I|J]), I, J in Q_{k,n}: (..., C, C).
 
-    Xs is a (..., k, n, n) stack of directions; `evaluate` is `per_batch` for
-    the symmetrized product and `det_batch` for the antisymmetrized one.
+    Column m of X^sigma[I|J] is column j_m of X^{sigma(m)}.  Xs is a (..., k, n, n)
+    stack; `evaluate` is `per_batch` for the symmetrized product, else `det_batch`.
     """
     k, n = Xs.shape[-3], Xs.shape[-1]
     plan = index_plan(k, n)
-    acc = sum(evaluate(sigma_blocks(Xs, plan.combos, sigma)) for sigma in plan.perms)
+    combos = plan.combos
+    acc = sum(map_blocks(Xs, combos[:, None], combos[None, :], evaluate, sigma) for sigma in plan.perms)
     return acc / math.factorial(k)
 
 

@@ -6,6 +6,7 @@ given (n, kmax, seed, tolerance) always produces the same report.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -35,11 +36,7 @@ def rel_dev(values) -> float:
     """Largest pairwise difference over max(largest magnitude, 1)."""
     values = list(values)
     scale = max(max(abs(v) for v in values), 1.0)
-    worst = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            worst = max(worst, abs(values[i] - values[j]) / scale)
-    return worst
+    return max([0.0, *(abs(a - b) / scale for a, b in itertools.combinations(values, 2))])
 
 
 def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-10) -> dict:
@@ -48,14 +45,8 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
     checks = []
 
     def record(name: str, deviation: float, tol: float):
-        checks.append(
-            {
-                "name": name,
-                "passed": bool(deviation <= tol),
-                "max_deviation": float(deviation),
-                "tolerance": float(tol),
-            }
-        )
+        passed, deviation, tol = bool(deviation <= tol), float(deviation), float(tol)
+        checks.append({"name": name, "passed": passed, "max_deviation": deviation, "tolerance": tol})
 
     # permanent vs the naive permutation sum
     dev = 0.0
@@ -92,10 +83,8 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
         A = random_complex(rng, n)
         for k in range(1, min(kmax, n) + 1):
             dirs = tuple(random_complex(rng, n) for _ in range(k))
-            dev = max(
-                dev,
-                rel_dev([dkper_columns(A, dirs), dkper_minors(A, dirs), dkper_tensor(A, dirs)]),
-            )
+            forms = (dkper_columns, dkper_minors, dkper_tensor)
+            dev = max(dev, rel_dev([form(A, dirs) for form in forms]))
     record("dkper_three_formulas", dev, tolerance)
 
     # degenerate identities: k = n collapses to n! per X, k > n vanishes
@@ -114,16 +103,8 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
         for r in range(1, n + 1):
             for k in range(1, min(kmax, r) + 1):
                 dirs = tuple(random_complex(rng, n) for _ in range(k))
-                dev = max(
-                    dev,
-                    rel_dev(
-                        [
-                            dk_gr_columns(A, dirs, k, r),
-                            dk_gr_minors(A, dirs, k, r),
-                            dk_gr_tensor(A, dirs, k, r),
-                        ]
-                    ),
-                )
+                forms = (dk_gr_columns, dk_gr_minors, dk_gr_tensor)
+                dev = max(dev, rel_dev([form(A, dirs, k, r) for form in forms]))
     record("dkgr_three_formulas", dev, tolerance)
 
     # characteristic polynomial: principal minors vs Faddeev-LeVerrier
@@ -189,7 +170,6 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
 
 
 def _rel_dev_seq(a, b) -> float:
-    a = list(a)
-    b = list(b)
+    a, b = list(a), list(b)
     scale = max(max(abs(v) for v in a + b), 1.0)
     return max(abs(x - y) for x, y in zip(a, b)) / scale

@@ -178,6 +178,24 @@ def test_columns_form_memory_is_bounded_at_n8_k8(rng):
     assert rel_dev([value, math.factorial(8) * per(X)]) < 1e-10
 
 
+@pytest.mark.parametrize("form", [dkper_minors, dkper_tensor])
+def test_minor_and_tensor_forms_memory_is_bounded_at_n9_k4(form, rng):
+    # gathering all 126^2 blocks of each kind at once took 7.5 MiB (minors)
+    # and 5.9 MiB (tensor); the index plans are kept for the process, so
+    # they are built first
+    A, dirs = random_complex(rng, 9), tuple(random_complex(rng, 9) for _ in range(4))
+    plan = index_plan(4, 9)
+    plan.combos, plan.complements, plan.perms
+    tracemalloc.start()
+    try:
+        value = form(A, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert rel_dev([value, dkper_columns(A, dirs)]) < 1e-10
+
+
 def test_columns_form_keeps_no_slot_table(rng):
     # a whole 8! x 8 slot table of the replacement stack would stay at 2.6 MB;
     # only the plan's combinations and permutations are kept, so build them first

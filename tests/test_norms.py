@@ -264,3 +264,28 @@ def test_singular_values_match_numpy(rng):
         assert np.allclose(
             singular_values(A), np.linalg.svd(A, compute_uv=False), atol=1e-10
         )
+
+
+_NOT_SQUARE = [(2, 3), (3,), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", _NOT_SQUARE)
+@pytest.mark.parametrize("bound", [
+    pytest.param(lambda A: dkper_norm_bound(A, 1), id="dkper_norm_bound"),
+    pytest.param(lambda A: per_perturb_bound(A, A), id="per_perturb_bound"),
+    pytest.param(lambda A: dk_gr_norm_exact(A, 1, 1), id="dk_gr_norm_exact"),
+    pytest.param(lambda A: gr_perturb_bound(A, A, 1), id="gr_perturb_bound"),
+    pytest.param(lambda A: gr_perturb_bound_weak(A, A, 1), id="gr_perturb_bound_weak"),
+])
+def test_norms_refuse_a_matrix_that_is_not_square(bound, shape):
+    # with a 2 x 3 A, per_perturb_bound once returned 18 and the weak g_r bound
+    # 4.9; the other three failed inside numpy, each with another error
+    with pytest.raises(ValueError, match="square matrix required"):
+        bound(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("bound", [per_perturb_bound, gr_perturb_bound, gr_perturb_bound_weak])
+def test_perturbation_bounds_refuse_a_direction_of_another_shape(bound):
+    args = (1,) if bound is not per_perturb_bound else ()
+    with pytest.raises(ValueError, match="same shape"):
+        bound(np.eye(3, dtype=complex), np.eye(2, dtype=complex), *args)

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import random_complex, random_gaussian_integer
 from permderiv import permanent, tensor
+from permderiv.derivatives import dkper_minors
 from permderiv.multiindex import MultiIndex, enumerate_strict, index_plan
 from permderiv.permanent import laplace_per, minor_complement, padj, per, per_batch, submatrix
-from permderiv.scalars import ExactComplex
+from permderiv.scalars import ExactComplex, to_complex, total
 from permderiv.tensor import (
     antisym_power,
     det,
@@ -120,6 +121,132 @@ def test_gathers_in_many_slices_equal_the_reference_helpers(exact, rng, monkeypa
     I = MultiIndex((2, 5))
     terms = [per(submatrix(A, I, J)) * per(minor_complement(A, I, J)) for J in basis]
     assert laplace_per(A, I) == sum(terms[1:], terms[0])
+    if exact:  # a floating stack may differ from its matrices alone in the last bit
+        blocks = [[submatrix(A, I, J) for J in basis] for I in basis]
+        assert sym_power_projected(A, 2).entries.tolist() == [[per(B) for B in row] for row in blocks]
+        assert antisym_power(A, 2).entries.tolist() == [[det(B) for B in row] for row in blocks]
+
+
+def _whole(M, rows, cols, source=None):
+    """Every block M[r|c] by one numpy index: the whole gathered stack."""
+    picks = () if source is None else (source[..., None, :],)
+    return np.asarray(M)[(..., *picks, rows[..., :, None], cols[..., None, :])]
+
+
+def _each_per(mats):
+    """per of each matrix of an (..., k, k) stack, as a loop."""
+    values = [per(mats[i]) for i in np.ndindex(mats.shape[:-2])]
+    dtype = object if mats.dtype == object else complex
+    return np.array(values, dtype=dtype).reshape(mats.shape[:-2])
+
+
+def _assert_same(got, expected):
+    """Floating values bit for bit; exact values == with the same part types."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    if got.dtype != object:
+        assert got.tobytes() == expected.tobytes()
+        return
+    assert got.tolist() == expected.tolist()
+    types = [[(type(z.re), type(z.im)) for z in x.ravel()] for x in (got, expected)]
+    assert types[0] == types[1]
+
+
+def _sigma_sum(Xs, evaluate):
+    """sum_sigma evaluate of the whole stack of blocks X^sigma[I|J], I, J in Q_{k,n}."""
+    plan = index_plan(Xs.shape[-3], Xs.shape[-1])
+    c = plan.combos
+    return sum(evaluate(_whole(Xs, c[:, None], c[None, :], sigma)) for sigma in plan.perms)
+
+
+def _callers(n, k):
+    """(name, caller, reference): each caller of permanent.map_blocks at order k, and the
+    same value from one evaluation of each whole gathered stack."""
+    plan = index_plan(k, n)
+    c, comps = plan.combos, plan.complements
+    pairs = c[:, None], c[None, :]
+    weak = np.array([I.zero_based() for I in tensor.enumerate_weak(k, n)], dtype=np.intp)
+    norms = np.array([math.sqrt(tensor.multiplicity(I)) for I in tensor.enumerate_weak(k, n)])
+    odd = plan.parity[:, None] ^ plan.parity[None, :]
+
+    def signed(A):
+        minors = det_batch(_whole(A, comps[:, None], comps[None, :]))
+        return np.where(odd, -minors, minors)
+
+    def dkper_minors_reference(A, Xs):
+        per_comp = per_batch(_whole(A, comps[:, None], comps[None, :]))
+        return total(sum(
+            per_comp * per_batch(_whole(Xs, *pairs, sigma)) for sigma in index_plan(k, k).perms
+        ))
+
+    def laplace_reference(A, Xs):
+        tops = _each_per(_whole(A, np.arange(k), c))
+        return sum(t * b for t, b in zip(tops, _each_per(_whole(A, np.arange(k, n), comps))))
+
+    def sym_power_reference(A, Xs):
+        return per_batch(_whole(to_complex(A), weak[:, None], weak[None, :])) / np.outer(norms, norms)
+
+    ones = index_plan(1, n).complements
+    return [
+        ("padj", lambda A, Xs: padj(A),
+         lambda A, Xs: _each_per(_whole(A, ones[:, None], ones[None, :]))),
+        ("laplace_per", lambda A, Xs: laplace_per(A, MultiIndex(tuple(range(1, k + 1)))),
+         laplace_reference),
+        ("tilde_sym_block", lambda A, Xs: tilde_sym_block(A, k).entries,
+         lambda A, Xs: _each_per(_whole(A, comps[None, :], comps[:, None]))),
+        ("tilde_antisym_block", lambda A, Xs: tilde_antisym_block(A, k).entries,
+         lambda A, Xs: signed(A).T),
+        ("sym_power_projected", lambda A, Xs: sym_power_projected(A, k).entries,
+         lambda A, Xs: per_batch(_whole(A, *pairs))),
+        ("antisym_power", lambda A, Xs: antisym_power(A, k).entries,
+         lambda A, Xs: det_batch(_whole(A, *pairs))),
+        ("mixed_sym_projected", lambda A, Xs: mixed_sym_projected(tuple(Xs)).entries,
+         lambda A, Xs: _sigma_sum(Xs, per_batch) / math.factorial(k)),
+        ("mixed_antisym_projected", lambda A, Xs: mixed_antisym_projected(tuple(Xs)).entries,
+         lambda A, Xs: _sigma_sum(Xs, det_batch) / math.factorial(k)),
+        ("dkper_minors", lambda A, Xs: dkper_minors(A, tuple(Xs)), dkper_minors_reference),
+        ("sym_power", lambda A, Xs: sym_power(A, k).entries, sym_power_reference),
+    ]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("name", [name for name, _, _ in _callers(2, 1)])
+def test_sliced_gathers_equal_one_evaluation_of_the_whole_stack(name, exact, rng, monkeypatch):
+    # a 64-element budget cuts the gathers below into slices, many with a
+    # partial last slice (the 100 blocks of order 2 at n = 5 and k = 2 or 3
+    # take 6 slices of 16 and one of 4); k = n gathers the one empty complement
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
+    assert permanent.slice_length(2) == 16
+    n = 5
+    make = random_gaussian_integer if exact else random_complex
+    A = make(rng, n)
+    for k in range(1, n + 1):
+        if name == "sym_power" and (exact or k > 3):
+            continue  # floating only; its weak basis grows fast
+        Xs = np.stack([make(rng, n) for _ in range(k)])
+        caller, reference = next((c, r) for nm, c, r in _callers(n, k) if nm == name)
+        _assert_same(caller(A, Xs), reference(A, Xs))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_map_blocks_slices_leading_axes_and_sources(exact, rng, monkeypatch):
+    # the stacked restrictions of the D^k g_r forms: a leading axis of 3
+    # restrictions, k = 2 directions each, non-contiguous as the forms gather them
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
+    make = random_gaussian_integer if exact else random_complex
+    M = np.stack([np.stack([make(rng, 5) for _ in range(3)]) for _ in range(3)])  # (3, 3, 5, 5)
+    XI = np.moveaxis(M, 0, 1)[:, 1:]  # (3, 2, 5, 5)
+    c = index_plan(2, 5).combos
+    for sigma in index_plan(2, 2).perms:
+        for evaluate in (per_batch, det_batch):
+            got = permanent.map_blocks(XI, c[:, None], c[None, :], evaluate, sigma)
+            assert got.shape == (3, 10, 10)
+            _assert_same(got, evaluate(_whole(XI, c[:, None], c[None, :], sigma)))
+    # two leading axes, and complements of order 3
+    N, comps = np.stack([XI[:, 0], XI[:, 1]]), index_plan(2, 5).complements  # (2, 3, 5, 5)
+    got = permanent.map_blocks(N, comps[:, None], comps[None, :], det_batch)
+    assert got.shape == (2, 3, 10, 10)
+    _assert_same(got, det_batch(_whole(N, comps[:, None], comps[None, :])))
 
 
 def test_tilde_sym_block_memory_is_bounded_at_n9_k4(rng):
@@ -137,6 +264,52 @@ def test_tilde_sym_block_memory_is_bounded_at_n9_k4(rng):
     basis = enumerate_strict(4, 9)
     for b, a in ((0, 0), (0, 125), (125, 0), (77, 31), (125, 125)):
         assert entries[b, a] == per(minor_complement(A, basis[a], basis[b]))
+
+
+@pytest.mark.parametrize("evaluate", [per_batch, det_batch])
+def test_sliced_results_take_part_in_products_as_whole_ones(evaluate, rng):
+    # numpy can write a product into an operand that is a temporary owning its
+    # data (above 256 KiB), and that can round it differently from a product
+    # into a new array; the 165^2 blocks here take 5 slices, and their joined
+    # result owns its data just when the evaluator's own results do
+    Xs = np.stack([random_complex(rng, 11) for _ in range(3)])[None]
+    c, sigma = index_plan(3, 11).combos, index_plan(3, 3).perms[3]
+    weights = random_complex(rng, 165)[None]
+    assert 165**2 * 16 >= 2**18 and permanent.slice_length(3) < 165**2
+    got = weights * permanent.map_blocks(Xs, c[:, None], c[None, :], evaluate, sigma)
+    _assert_same(got, weights * evaluate(_whole(Xs, c[:, None], c[None, :], sigma)))
+
+
+def _peak(run, *plans):
+    """tracemalloc peak of run(), with the (k, n) index plans built first, as the
+    process keeps them."""
+    for k, n in plans:
+        plan = index_plan(k, n)
+        plan.combos, plan.complements, plan.perms
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mixed_sym_projected_memory_is_bounded_at_n9_k4(rng):
+    # 24 gathers of all 126^2 blocks of order 4 at once took 5.6 MiB
+    Xs = [random_complex(rng, 9) for _ in range(4)]
+    assert _peak(lambda: mixed_sym_projected(Xs), (4, 9)) < 4 * 2**20
+
+
+def test_sym_power_memory_is_bounded_at_n6_k5(rng):
+    # one gather of all 252^2 blocks of order 5 at once took 26.5 MiB
+    A = random_complex(rng, 6)
+    assert _peak(lambda: sym_power(A, 5)) < 4 * 2**20
+
+
+def test_antisym_power_memory_is_bounded_at_n10_k5(rng):
+    # one gather of all 252^2 blocks of order 5 at once took 49.4 MiB
+    A = random_complex(rng, 10)
+    assert _peak(lambda: antisym_power(A, 5), (5, 10)) < 4 * 2**20
 
 
 def test_tilde_sym_block_identity():
