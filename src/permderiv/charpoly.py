@@ -14,7 +14,9 @@ one driver and supply only their terms of A_I (c, r, r) and X_I
 (c, k, r, r), gathered by `permanent.map_blocks` with one `det_batch` call
 per chunk, stacked term and slice.  Each restriction's terms are reduced as
 one restriction alone would be, and the restriction values are added in
-lexicographic I order, so a result does not depend on the chunking.
+lexicographic I order, so a result does not depend on the chunking.  As for
+the `D^k per` forms, an exact sum runs once on the int64 images of the
+operands mod primes and is lifted once (`permanent.modular_value`).
 
 Sign weights |J| in the signed-minor form are computed after relabelling
 the restriction's rows/columns to 1..r.
@@ -28,12 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, index_plan
-from .permanent import map_blocks, replacement_values, slice_length
+from .permanent import map_blocks, modular_value, replacement_values, slice_length
 from .derivatives import dispatch
 from .scalars import (
+    is_exact,
+    product,
     require_directions,
     require_square,
     require_square_stack,
+    residues,
+    scaled,
     total,
     total_in_order,
     zero_like,
@@ -108,8 +114,8 @@ def charpoly_all(A) -> CharPolyCoefficients:
 def dk_gr_columns(A, directions, k: int, r: int):
     """Column-replacement form, summed over principal restrictions."""
 
-    def term(AI, XI):
-        return _row_totals(replacement_values(AI, XI, det_batch))
+    def term(AI, XI, mod):
+        return _row_totals(replacement_values(AI, XI, det_batch, mod), mod)
 
     return _restriction_sum(A, directions, k, r, term, _slice_elements)
 
@@ -117,12 +123,14 @@ def dk_gr_columns(A, directions, k: int, r: int):
 def dk_gr_minors(A, directions, k: int, r: int):
     """Signed complementary-minor form inside every principal restriction."""
 
-    def term(AI, XI):  # (c, k!): one term per restriction and sigma
-        signed = signed_complement_minors(AI, k)  # (c, K, J): rows K and columns J deleted
+    def term(AI, XI, mod):  # (c, k!): one term per restriction and sigma
+        signed = signed_complement_minors(AI, k, mod)  # (c, K, J): rows K and columns J deleted
         plan = index_plan(k, r)
         combos = plan.combos
         return np.stack([
-            _row_totals(signed * map_blocks(XI, combos[:, None], combos[None, :], det_batch, sigma))
+            _row_totals(product(
+                signed, map_blocks(XI, combos[:, None], combos[None, :], det_batch, sigma, mod), mod
+            ), mod)
             for sigma in plan.perms
         ], axis=-1)
 
@@ -132,11 +140,12 @@ def dk_gr_minors(A, directions, k: int, r: int):
 def dk_gr_tensor(A, directions, k: int, r: int):
     """Tensor-trace form: k! sum_I tr(tilde-antisym(A_I) * X^1_I ^...^ X^k_I)."""
 
-    def term(AI, XI):
+    def term(AI, XI, mod):
         # tr(tilde * mixed) with tilde = signed^T sums the entries of signed * mixed
-        return _row_totals(signed_complement_minors(AI, k) * mixed_entries(XI, det_batch))
+        signed = signed_complement_minors(AI, k, mod)
+        return _row_totals(product(signed, mixed_entries(XI, det_batch, mod), mod), mod)
 
-    return math.factorial(k) * _restriction_sum(A, directions, k, r, term, _block_elements)
+    return _restriction_sum(A, directions, k, r, term, _block_elements, math.factorial(k))
 
 
 def dk_gr(A, directions, k: int, r: int, formula: str = "columns"):
@@ -146,12 +155,18 @@ def dk_gr(A, directions, k: int, r: int, formula: str = "columns"):
     return dispatch(forms, formula, A, directions, k, r)
 
 
-def _restriction_sum(A, directions, k, r, term, elements):
-    """Sum over I in Q_{r,n}, in lexicographic order, of the values term(A_I, X_I).
+def _restriction_sum(A, directions, k, r, term, elements, factor=None):
+    """Sum over I in Q_{r,n}, in lexicographic order, of the values term(A_I, X_I, mod).
 
     term maps a chunk, A_I (c, r, r) and X_I (c, k, r, r), to (c, ...) values,
     each reduced as for one restriction alone; elements(k, r) counts its
-    largest temporary for one restriction.
+    largest temporary for one restriction.  The sum is multiplied by the
+    integer factor, if any.  An exact sum runs once on the int64 images of the
+    operands mod primes (`permanent.modular_value`), with a leading image axis
+    on A_I, X_I and the values and mod the prime of each image; its budgets
+    hold per image.  D^k g_r is homogeneous of degree r, and
+    sum_I prod_{i in I} rho_i = e_r(rho) bounds it, rho_i being the sum of
+    |re| + |im| over row i of every operand.
     """
     A, directions = require_directions(A, directions)
     n = A.shape[0]
@@ -163,19 +178,40 @@ def _restriction_sum(A, directions, k, r, term, elements):
         raise ValueError("need k >= 1")
     if k > r:
         return zero_like(A)
+
+    def value(M, mod=None):  # M is (..., k + 1, n, n), with the image axis in front if any
+        values = map_restrictions(
+            M, r, lambda MI: term(MI[..., 0, :, :, :], np.moveaxis(MI[..., 1:, :, :, :], -4, -3), mod),
+            elements(k, r), axis=M.ndim - 3,
+        )
+        summed = total_in_order(values, mod)
+        return summed if factor is None else scaled(factor, summed, mod)
+
     M = np.stack((A, *directions))
-    values = map_restrictions(M, r, lambda MI: term(MI[0], np.moveaxis(MI[1:], 0, 1)), elements(k, r))
-    return total_in_order(values)
+    if is_exact(M):
+        return modular_value(M, r, lambda rows: _elementary(rows, r), value)
+    return value(M)
 
 
-def _row_totals(values) -> np.ndarray:
+def _elementary(values: list, r: int) -> int:
+    """The r-th elementary symmetric polynomial of Python ints, exactly."""
+    e = [1] + [0] * r
+    for x in values:
+        for j in range(r, 0, -1):
+            e[j] += e[j - 1] * x
+    return e[r]
+
+
+def _row_totals(values, mod=None) -> np.ndarray:
     """`total` of each values[i] alone, as a (c,) array: its entries summed in C order.
 
     The layout of a gathered stack follows numpy's indexing, not C order, so
-    the values are laid out in C order first.
+    the values are laid out in C order first.  Given mod, the totals of each
+    image, mod its prime: (2P, c).
     """
     values = np.ascontiguousarray(values)
-    return values.reshape(len(values), -1).sum(axis=-1)
+    lead = values.shape[:1 if mod is None else 2]
+    return residues(values.reshape(*lead, -1).sum(axis=-1), mod)
 
 
 def _slice_elements(k, r):

@@ -5,10 +5,17 @@ Each form takes (A, directions), the directions being the ordered tuple
 slot.  k = 0 gives per A and k > n gives 0.  `scalars.require_directions`
 checks the shapes and fixes one mode for the call: exact when any operand is
 an object array, with integer operands made exact and a floating one refused.
+
+Each form has one body, term(A, Xs, mod), written with the residue helpers
+of `scalars` and evaluators that take a modulus.  A floating form runs it on
+complex128 operands; an exact form runs it once on the int64 images of all
+its operands mod the primes that the bound on its value needs, and lifts
+that one value by the Chinese remainder theorem (`permanent.modular_value`).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import reduce
 from operator import add, mul
@@ -16,8 +23,17 @@ from operator import add, mul
 import numpy as np
 
 from .multiindex import index_plan
-from .permanent import each, map_blocks, padj, per, per_batch, replacement_stack, replacement_values
-from .scalars import ExactComplex, is_exact, require_directions, total, zero_like
+from .permanent import (
+    each,
+    map_blocks,
+    modular_value,
+    padj,
+    per,
+    per_batch,
+    replacement_stack,
+    replacement_values,
+)
+from .scalars import ExactComplex, is_exact, product, require_directions, scaled, total, zero_like
 from .tensor import block_trace, mixed_sym_projected, tilde_sym_block
 
 FORMULAS = ("columns", "minors", "tensor")
@@ -44,6 +60,8 @@ def dper(A, X):
         by_minors = reduce(add, map(mul, X.ravel(), minors.ravel()))
         # the rounding bound of the sum, which |value| is not when its terms cancel
         scale = 0.0 if is_exact(P) else float(np.abs(P * X).sum())
+        # an overflow, in the value or a route, leaves nothing to compare; the
+        # caller sees a non-finite value (the CLI reports it as an input error)
         assert _close(value, by_columns, scale) and _close(value, by_minors, scale), (
             "first-order forms disagree"
         )
@@ -55,20 +73,20 @@ def dkper_columns(A, directions):
 
     The k! C(n,k) permanents are evaluated in slices and summed at once, as for one stack.
     """
-    return _form(A, directions, lambda A, Xs: total(replacement_values(A, Xs, per_batch)))
+    return _form(A, directions, lambda A, Xs, mod: total(replacement_values(A, Xs, per_batch, mod), mod))
 
 
 def dkper_minors(A, directions):
     """Minor-expansion form: sum of per A(I|J) * per Y^sigma_[J] [I|J]."""
 
-    def term(A, Xs):
-        plan = index_plan(len(Xs), A.shape[0])
+    def term(A, Xs, mod):
+        plan = index_plan(Xs.shape[-3], A.shape[-1])
         comps, combos = plan.complements, plan.combos
-        per_comp = map_blocks(A, comps[:, None], comps[None, :], per_batch)  # (C, C) indexed (I, J)
+        per_comp = map_blocks(A, comps[:, None], comps[None, :], per_batch, mod=mod)  # (C, C) indexed (I, J)
         return total(sum(
-            per_comp * map_blocks(Xs, combos[:, None], combos[None, :], per_batch, sigma)
+            product(per_comp, map_blocks(Xs, combos[:, None], combos[None, :], per_batch, sigma, mod), mod)
             for sigma in plan.perms
-        ))
+        ), mod)
 
     return _form(A, directions, term)
 
@@ -76,9 +94,10 @@ def dkper_minors(A, directions):
 def dkper_tensor(A, directions):
     """Tensor-trace form: k! tr(tilde-block * mixed symmetric block)."""
 
-    def term(A, Xs):
-        k = len(Xs)
-        return math.factorial(k) * block_trace(tilde_sym_block(A, k), mixed_sym_projected(Xs))
+    def term(A, Xs, mod):
+        k = Xs.shape[-3]
+        trace = block_trace(tilde_sym_block(A, k, mod), mixed_sym_projected(Xs, mod), mod)
+        return scaled(math.factorial(k), trace, mod)
 
     return _form(A, directions, term)
 
@@ -91,18 +110,31 @@ def dkper(A, directions, formula: str = "columns"):
 
 
 def _form(A, directions, term):
-    """term(A, Xs) for k = len(directions) in 1..n, with Xs the (k, n, n) stack
-    of the directions; per A for k = 0 and 0 for k > n."""
+    """term(A, Xs, mod) for k = len(directions) in 1..n, with Xs the (k, n, n)
+    stack of the directions; per A for k = 0 and 0 for k > n.
+
+    An exact form runs term once on the images A (2P, n, n) and Xs
+    (2P, k, n, n), mod the prime of each.  D^k per is homogeneous of degree n,
+    and each of its terms takes one entry from each row of one operand, so
+    prod_i rho_i bounds it, rho_i being the sum of |re| + |im| over row i of
+    every operand.
+    """
     A, directions = require_directions(A, directions)
     k, n = len(directions), A.shape[0]
     if k == 0:
         return per(A)
     if k > n:
         return zero_like(A)
-    return term(A, np.stack(directions))
+    if is_exact(A):
+        return modular_value(
+            np.stack((A, *directions)), n, math.prod, lambda M, mod: term(M[:, 0], M[:, 1:], mod)
+        )
+    return term(A, np.stack(directions), None)
 
 
 def _close(a, b, scale, tol=1e-12):
     if isinstance(a, ExactComplex) or isinstance(b, ExactComplex):
         return a == b
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and math.isfinite(scale)):
+        return True
     return abs(a - b) <= tol * max(scale, 1.0)

@@ -10,9 +10,13 @@ straight into the kernel, so a scalar `per` costs about one matmul, one row
 product and one dot.  An exact stack runs that kernel on int64 images mod
 primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
 permanents are lifted back by the Chinese remainder theorem (the classic
-multimodular method).  That driver, `_modular_stack`, takes its residue
-kernel as an argument; exact determinants (`tensor.det_bareiss`) run through
-it with Bareiss's recurrence mod p in place of Ryser's formula.  The
+multimodular method).  That driver, `_multimodular`, takes the primes each
+group of values needs and its residue kernel as an argument: for exact
+stacks (`_modular_stack`) Ryser's formula, or Bareiss's recurrence mod p for
+exact determinants (`tensor.det_bareiss`); for an exact closed form
+(`modular_value`) the form itself, run once on the images of all its
+operands, so that one value is lifted per call.  `per_batch`, `map_blocks`
+and `each(per)` take a residue stack with its primes (`mod`) for that.  The
 formulas index through `multiindex.index_plan`, and `map_blocks` gathers and
 evaluates every block of submatrices in budgeted slices: `per` of each block
 (`each`) for `padj`, `laplace_per` and `tilde_sym_block`.
@@ -34,6 +38,7 @@ from .scalars import (
     ExactComplex,
     exact_from_parts,
     is_exact,
+    moduli,
     rational_parts,
     require_square,
     require_square_stack,
@@ -82,16 +87,18 @@ def per(A):
     return _ryser_stack(require_square(A)[None])[0]
 
 
-def per_batch(mats: np.ndarray) -> np.ndarray:
+def per_batch(mats: np.ndarray, mod=None) -> np.ndarray:
     """Permanents of a stack of k x k matrices, in the stack's mode.
 
     A floating stack returns complex128 and an exact (object) stack an object
     array of ExactComplex; both run the one blocked Ryser kernel, an exact
-    stack on its int64 images mod primes.
+    stack on its int64 images mod primes.  Given mod, the stack holds residues
+    (see `scalars.moduli`) and the values are residues.
     """
     mats = require_square_stack(mats)
     m, k = mats.shape[:-2], mats.shape[-1]
-    return _ryser_stack(mats.reshape(math.prod(m), k, k)).reshape(m)
+    flat = mats.reshape(math.prod(m), k, k)
+    return _ryser_stack(flat, None if mod is None else moduli(mod, m).reshape(-1)).reshape(m)
 
 
 def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
@@ -109,6 +116,8 @@ def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     m, n = mats.shape[0], mats.shape[-1]
     exact = mats.dtype == object
     if n == 0:
+        if mod is not None:
+            return np.ones(m, np.int64)
         return np.full(m, _one(mats), dtype=object if exact else complex)
     if mod is None and exact:
         return _modular_stack(mats, _ryser_stack)
@@ -215,15 +224,12 @@ def _modular_stack(mats: np.ndarray, kernel) -> np.ndarray:
     `tensor._bareiss_residues` for det.  The stack is walked in slices of
     `slice_length(n)`.  Each row is scaled by the lcm of its denominators
     (per and det are multilinear in the rows) and the result divided by the
-    product of the scales.  The parts of every value are bounded by
+    product of the scales.  The parts of each value are bounded by
     prod_i sum_j (|re_ij| + |im_ij|), which bounds per |A| and so |det A|
-    too, and primes are taken until their product M exceeds twice that
-    (Hadamard's row 2-norm bound holds for det, not per: per J_4 = 24 > 16 =
-    its bound).  As s^2 = -1 (mod p), the images re + s im and re - s im
-    (mod p) have values u = R + s I and v = R - s I; R = (u + v) / 2 and
-    I = (u - v) / 2s are combined over the primes by the Chinese remainder
-    theorem and lifted to (-M/2, M/2].  Matrices of order 0 give 1.  A
-    TypeError is raised when an entry is not a Gaussian rational.
+    too (Hadamard's row 2-norm bound holds for det, not per: per J_4 = 24 >
+    16 = its bound), and `_multimodular` takes the primes each matrix needs
+    and lifts its value.  Matrices of order 0 give 1.  A TypeError is raised
+    when an entry is not a Gaussian rational.
     """
     m, n = mats.shape[0], mats.shape[-1]
     if n == 0:
@@ -232,27 +238,113 @@ def _modular_stack(mats: np.ndarray, kernel) -> np.ndarray:
         return in_slices(lambda s: _modular_stack(mats[s], kernel), m, slice_length(n))
     re, im = rational_parts(mats.ravel().tolist())
     scales = _clear_rows(re, im, n) if {*map(type, re), *map(type, im)} - {int} else [1] * m
-    try:
-        cleared = np.array([re, im], dtype=np.int64)
-        mags = np.abs(cleared).view(np.uint64)  # exact, also |-2^63|
-    except OverflowError:  # parts beyond int64 stay Python ints until reduced mod p
-        cleared = np.array([re, im], dtype=object)
-        mags = np.abs(cleared)
-    rows = mags.reshape(2, m * n, n).sum(axis=(0, 2), dtype=object)  # in Python ints
-    bound = rows.reshape(m, n).prod(axis=1).max(initial=0)
-    p, signed_s, halves, weights, M = _crt_plan(_prime_count(2 * bound))
-    cleared = (cleared % p).astype(np.int64, copy=False)  # (P, 2, m n n)
-    images = (cleared[:, :1] + cleared[:, 1:] * signed_s) % p  # re + s im and re - s im
-    uv = kernel(images.reshape(-1, n, n), np.repeat(p.ravel(), 2 * m)).reshape(len(p), 2, m)
-    u, v = uv[:, :1], uv[:, 1:]
-    RI = np.concatenate([u + v, u - v], axis=1) * halves % p  # (u + v) / 2 and (u - v) / 2s
-    R, I = (
-        [_lift(sum(map(operator.mul, weights, residues)) % M, M) for residues in zip(*x)]
-        for x in RI.transpose(1, 0, 2).tolist()
-    )
+    parts, rows = _integer_parts(re, im, n)
+    R, I = _multimodular(parts.reshape(2, m, n, n), rows.reshape(m, n).prod(axis=1), kernel)
     if any(d != 1 for d in scales):
         R, I = ([Fraction(x, d) for x, d in zip(X, scales)] for X in (R, I))
     return exact_from_parts(R, I)
+
+
+def modular_value(M: np.ndarray, degree: int, bound, evaluate) -> ExactComplex:
+    """The exact value of a form of the operands M, from its values on int64 images.
+
+    M is an exact (d, n, n) stack of operands (A and the directions) and the
+    form a polynomial in their entries, homogeneous of `degree`, with integer
+    coefficients after at most divisions by integers prime to every modulus
+    (a closed form for D^k per or D^k g_r).  evaluate(images, mod) computes it
+    on a (2P, d, n, n) int64 stack of images and the prime of each, mod that
+    prime.  The rational operands are put over one common denominator D, and
+    the value of the integer operands is divided by D^degree.  bound(rows)
+    bounds the parts of that value from the row sums rows_i of |re| + |im|
+    over every operand (Python ints).  TypeError when an entry is not a
+    Gaussian rational.
+    """
+    n = M.shape[-1]
+    re, im = rational_parts(M.ravel().tolist())
+    scale = 1
+    if {*map(type, re), *map(type, im)} - {int}:
+        scale = math.lcm(*(x.denominator for x in re + im))
+        re, im = ([x.numerator * (scale // x.denominator) for x in X] for X in (re, im))
+    parts, rows = _integer_parts(re, im, n)
+    rows = rows.reshape(-1, n).sum(axis=0).tolist()  # row i summed over the operands
+    (R,), (I,) = _multimodular(parts.reshape(2, 1, *M.shape), [bound(rows)], evaluate)
+    if scale != 1:
+        R, I = Fraction(R, scale**degree), Fraction(I, scale**degree)
+    return ExactComplex(R, I)
+
+
+def _integer_parts(re: list, im: list, n: int):
+    """The int parts as a (2, N) array, int64 where they fit and object (Python
+    ints) beyond, and the sum of |re| + |im| over each row of n parts, in Python ints."""
+    try:
+        parts = np.array([re, im], dtype=np.int64)
+        mags = np.abs(parts).view(np.uint64)  # exact, also |-2^63|
+    except OverflowError:  # parts beyond int64 stay Python ints until reduced mod p
+        parts = np.array([re, im], dtype=object)
+        mags = np.abs(parts)
+    return parts, mags.reshape(2, -1, n).sum(axis=(0, 2), dtype=object)
+
+
+def _multimodular(parts: np.ndarray, bounds, kernel) -> tuple[list, list]:
+    """The integer values of m items, real and imaginary parts, from images mod primes.
+
+    parts is a (2, m, ...) array of the int parts (re and im) of each item's
+    operands, and bounds[i] bounds both parts of item i's value.  Item i
+    takes the fewest primes p = 1 (mod 4) whose product M exceeds twice its
+    bound; items that need the same count form a group, and the images of
+    every group go to one call kernel(images, mod), which maps a (c, ...)
+    int64 stack of residues and the prime of each to its values mod those
+    primes.  As s^2 = -1 (mod p), the images re + s im and re - s im (mod p)
+    have values u = R + s I and v = R - s I; R = (u + v) / 2 and
+    I = (u - v) / 2s are combined over the primes by the Chinese remainder
+    theorem and lifted to (-M/2, M/2].
+    """
+    m, shape = parts.shape[1], parts.shape[2:]
+    bounds = list(bounds)
+    count = _prime_count(2 * max(bounds))
+    groups = [(count, np.arange(m))]
+    if m > 1 and _prime_count(2 * min(bounds)) != count:
+        counts = np.array([_prime_count(2 * b) for b in bounds])
+        groups = [(c, np.flatnonzero(counts == c)) for c in np.unique(counts).tolist()]
+    images, mods = [], []
+    for count, at in groups:
+        p, signed_s = _crt_plan(count)[:2]
+        group = (parts if len(groups) == 1 else parts[:, at]).reshape(2, -1)
+        group = (group % p).astype(np.int64, copy=False)  # (P, 2, size)
+        images.append(((group[:, :1] + group[:, 1:] * signed_s) % p).reshape(-1, *shape))
+        mods.append(np.repeat(p.ravel(), 2 * len(at)))
+    values = kernel(*(x[0] if len(x) == 1 else np.concatenate(x) for x in (images, mods)))
+    RI, start = np.empty((2, m), dtype=object), 0
+    for count, at in groups:
+        p, _, halves = _crt_plan(count)[:3]
+        uv = values[start:start + 2 * count * len(at)].reshape(count, 2, len(at))
+        start += uv.size
+        u, v = uv[:, :1], uv[:, 1:]
+        residues = np.concatenate([u + v, u - v], axis=1) * halves % p  # (u + v) / 2 and (u - v) / 2s
+        RI[:, at] = _crt_lift(residues.reshape(count, -1), count).reshape(2, -1)
+    return RI.tolist()
+
+
+def _crt_lift(residues: np.ndarray, count: int) -> np.ndarray:
+    """The integers in (-M/2, M/2] with the given residues mod each of the first
+    `count` primes, M being their product: residues is (count, c) int64.
+
+    Garner's algorithm: the mixed-radix digits x = d_0 + p_0 (d_1 + p_1 (d_2 + ...))
+    with 0 <= d_j < p_j come from int64 products below 2^62, and x is assembled
+    in int64 for up to two primes (x < p_0 p_1 < 2^62) and in Python ints beyond.
+    """
+    primes, inverses, M = _crt_plan(count)[3:]
+    digits = []
+    for j, d in enumerate(residues):
+        for i, prior in enumerate(digits):  # (a_j - d_0 - p_0 d_1 - ...) / (p_0 ... p_{j-1}) mod p_j
+            d = (d - prior) * inverses[j][i] % primes[j]
+        digits.append(d)
+    if count > 2:
+        digits = [d.astype(object) for d in digits]
+    x = digits[-1]
+    for d, q in zip(digits[-2::-1], primes[-2::-1]):
+        x = x * q + d
+    return np.where(x > M // 2, x - M, x)
 
 
 def _clear_rows(re: list, im: list, n: int) -> list[int]:
@@ -269,11 +361,6 @@ def _clear_rows(re: list, im: list, n: int) -> list[int]:
     return [math.prod(scales[i:i + n]) for i in range(0, len(scales), n)]
 
 
-def _lift(x: int, M: int) -> int:
-    """The representative of x mod M in (-M/2, M/2]."""
-    return x - M if x > M // 2 else x
-
-
 def _prime_count(bound: int) -> int:
     """The fewest leading primes of the moduli (at least one) whose product exceeds bound."""
     count, product = 0, 1
@@ -285,17 +372,19 @@ def _prime_count(bound: int) -> int:
 
 @lru_cache(maxsize=None)
 def _crt_plan(count: int):
-    """The first `count` moduli as arrays: primes p (P, 1, 1), s and -s
-    (P, 2, 1), 1/2 and 1/2s mod p (P, 2, 1), the CRT weights (w = 1 mod p,
-    0 mod every other prime) and the product M of the primes."""
+    """The first `count` moduli: as arrays, the primes p (P, 1, 1), s and -s
+    (P, 2, 1) and 1/2 and 1/2s mod p (P, 2, 1); as Python ints, the primes,
+    Garner's inverses (inverses[j][i] = 1/p_i mod p_j for i < j) and the
+    product M of the primes."""
     moduli = [_modulus(i) for i in range(count)]
-    M = math.prod(q for q, _ in moduli)
-    p = np.array([q for q, _ in moduli], dtype=np.int64)[:, None, None]
+    primes = [q for q, _ in moduli]
+    p = np.array(primes, dtype=np.int64)[:, None, None]
     signed_s = np.array([[[t], [-t]] for _, t in moduli], dtype=np.int64)
     halves = np.array([[[(q + 1) // 2], [pow(2 * t, -1, q)]] for q, t in moduli], dtype=np.int64)
     for a in (p, signed_s, halves):
         a.flags.writeable = False  # shared by every caller
-    return p, signed_s, halves, [M // q * pow(M // q, -1, q) for q, _ in moduli], M
+    inverses = [[pow(primes[i], -1, q) for i in range(j)] for j, q in enumerate(primes)]
+    return p, signed_s, halves, primes, inverses, math.prod(primes)
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +427,7 @@ def minor_complement(A, I: MultiIndex, J: MultiIndex):
     return A[rows[:, None], cols]
 
 
-def map_blocks(M, rows, cols, evaluate, source=None) -> np.ndarray:
+def map_blocks(M, rows, cols, evaluate, source=None, mod=None) -> np.ndarray:
     """evaluate(M[r|c]) for every pair of an index row r of `rows` and c of `cols`.
 
     rows and cols are (..., i) and (..., j) zero-based index arrays whose leading
@@ -347,20 +436,26 @@ def map_blocks(M, rows, cols, evaluate, source=None) -> np.ndarray:
     column m of a block comes from direction source[m], source being a (..., j)
     index into that axis that broadcasts like cols.  evaluate (`per_batch`,
     `det_batch` or `each(per)`) maps a stack of blocks to their values; the result
-    has M's leading shape followed by the broadcast shape.  Blocks beyond one slice
-    of `slice_length(j)` are gathered into one buffer and evaluated slice by slice
-    in flat order, so a floating stack runs in the same kernel chunks, bit for bit,
-    as in one call.
+    has M's leading shape followed by the broadcast shape, and the evaluator's
+    dtype.  Given mod, M holds residues and evaluate(blocks, mod) is given the
+    prime of each block.  Blocks beyond one slice of `slice_length(j)` are gathered into
+    one buffer and evaluated slice by slice in flat order, so a floating stack
+    runs in the same kernel chunks, bit for bit, as in one call; a slice of
+    residue images holds as many blocks of each image.
     """
     M = np.asarray(M)
     picks = () if source is None else (source,)
     lead, step = M.shape[:M.ndim - 2 - len(picks)], slice_length(cols.shape[-1])
+    primes = () if mod is None else (mod,)
+    step *= 1 if mod is None else mod.size  # the same blocks of every image
     # the block count, or more where rows and cols share an axis
     if math.prod(lead) * math.prod(rows.shape[:-1]) * math.prod(cols.shape[:-1]) <= step:
         picked = (x[..., None, :] for x in picks)
-        return evaluate(M[(..., *picked, rows[..., :, None], cols[..., None, :])])
+        return evaluate(M[(..., *picked, rows[..., :, None], cols[..., None, :])], *primes)
     shape = lead + np.broadcast_shapes(rows.shape[:-1], cols.shape[:-1])
     count = math.prod(shape)
+    if mod is not None:
+        primes = (moduli(mod, shape).reshape(-1),)
     # flat offsets into M of each block's rows, with M's leading axes, and columns
     M = np.ascontiguousarray(M)
     strides = [s // M.itemsize for s in M.strides]
@@ -386,10 +481,13 @@ def map_blocks(M, rows, cols, evaluate, source=None) -> np.ndarray:
             np.take(M.reshape(-1), index[:hi - lo], out=blocks[lo:hi], mode="clip")
         return blocks[:stop - start]
 
-    out = np.empty(shape, object if M.dtype == object else complex)
+    out = None
     for start in range(0, count, step):
-        part = evaluate(gather(start, min(start + step, count)))
-        out.reshape(-1)[start:start + step] = part
+        stop = min(start + step, count)
+        part = evaluate(gather(start, stop), *(x[start:stop] for x in primes))
+        if out is None:
+            out = np.empty(shape, part.dtype)
+        out.reshape(-1)[start:stop] = part
     # numpy writes an operator's result into an operand that is a temporary
     # owning its data, which can round a complex product differently; so the
     # result owns its data just when the evaluator's results do
@@ -397,8 +495,13 @@ def map_blocks(M, rows, cols, evaluate, source=None) -> np.ndarray:
 
 
 def each(evaluate):
-    """The stack evaluator that calls the scalar `evaluate` (`per`) once for each matrix."""
-    def values(mats):
+    """The stack evaluator that calls the scalar `evaluate` (`per`) once for each matrix.
+
+    A residue stack, given with its primes, goes whole to `per_batch`.
+    """
+    def values(mats, mod=None):
+        if mod is not None:
+            return per_batch(mats, mod)
         flat = mats.reshape(math.prod(mats.shape[:-2]), *mats.shape[-2:])
         dtype = object if mats.dtype == object else complex
         return np.fromiter(map(evaluate, flat), dtype, len(flat)).reshape(mats.shape[:-2])
@@ -461,14 +564,17 @@ def replacement_stack(A, Xs, part=slice(None)):
     return flat.take(slots[:, None, :] * (n * n) + np.arange(n * n).reshape(n, n), axis=-1)
 
 
-def replacement_values(A, Xs, evaluate) -> np.ndarray:
+def replacement_values(A, Xs, evaluate, mod=None) -> np.ndarray:
     """evaluate (`per_batch` or `det_batch`) of `replacement_stack(A, Xs)`: (..., k! C(n,k)).
 
-    The stack is built and evaluated in `slice_length(n)` slices, so memory stays bounded.
+    The stack is built and evaluated in `slice_length(n)` slices, so memory
+    stays bounded.  Given mod, A and Xs hold residues, and a slice holds its
+    matrices of every image.
     """
     k, n = Xs.shape[-3], Xs.shape[-1]
+    primes = () if mod is None else (mod,)
     return in_slices(
-        lambda s: evaluate(replacement_stack(A, Xs, s)), math.perm(n, k), slice_length(n), axis=-1
+        lambda s: evaluate(replacement_stack(A, Xs, s), *primes), math.perm(n, k), slice_length(n), axis=-1
     )
 
 

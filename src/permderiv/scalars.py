@@ -4,15 +4,20 @@ Matrices come in two modes: floating (numpy complex128 arrays) and exact
 (numpy object arrays whose entries are ExactComplex).  Exact mode is used
 for Gaussian-integer cross-checks where formula agreement must be literal
 equality, not a tolerance.  Each part of an ExactComplex is a Python int
-while it is integral and a Fraction only when it is not, so the Gaussian-
-integer arithmetic of the closed forms never builds a Fraction.  Exact
-permanents and determinants of order >= 3 are not evaluated on
-ExactComplex but on int64 residues mod primes (`permanent._modular_stack`),
-whose results are built from their parts (`exact_from_parts`).
+while it is integral and a Fraction only when it is not.  Exact permanents,
+determinants of order >= 3 and the six closed forms are not evaluated on
+ExactComplex but on int64 residues mod primes (`permanent._modular_stack`
+and `permanent.modular_value`), and each result is built once from its
+parts.  The residue helpers at the end of this module (`residues`,
+`product`, `scaled`, `divided`, and `total` with a modulus) are the forms'
+arithmetic in both modes; without a modulus each is the plain numpy
+operation.  ExactComplex arithmetic is left to the API and JSON boundary,
+`dper` and the references (`per_naive`, the interpolation oracle).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from operator import attrgetter
@@ -258,24 +263,73 @@ def zero_like(matrix):
     return ExactComplex(0) if is_exact(matrix) else complex(0.0)
 
 
-def total(values):
-    """Sum of an array of evaluator results, as a scalar in its mode."""
+def total(values, mod=None):
+    """Sum of an array of evaluator results, as a scalar in its mode; with mod, of each image."""
     values = np.asarray(values)
+    if mod is not None:
+        return residues(residues(values, mod).reshape(*mod.shape, -1).sum(axis=-1), mod)
     if is_exact(values):
         return sum(values.ravel().tolist(), ExactComplex(0))
     return complex(values.sum())
 
 
-def total_in_order(values):
+def total_in_order(values, mod=None):
     """Sum of an array added left to right in flat order, as a scalar in its mode.
 
     A floating result is bit for bit that of the loop `acc = 0; acc = acc + v`
-    over the values (`total` sums pairwise instead).
+    over the values (`total` sums pairwise instead).  With mod, as `total`.
     """
+    if mod is not None:
+        return total(values, mod)
     values = np.asarray(values).ravel()
-    if is_exact(values):
-        return sum(values.tolist(), ExactComplex(0))
     return np.add.accumulate(np.concatenate([np.zeros(1, values.dtype), values]))[-1].item()
+
+
+# -- residue images -----------------------------------------------------------
+
+
+def moduli(mod, shape) -> np.ndarray:
+    """The prime of each entry of `shape`.
+
+    A stack of residues, int64 images below 2^31 of exact values mod primes,
+    comes with mod: the prime of each entry of its leading axes shape[:mod.ndim],
+    which holds along the rest.
+    """
+    return np.repeat(mod.ravel(), math.prod(shape[mod.ndim:])).reshape(shape)
+
+
+def residues(x, mod):
+    """x mod the prime of each of its leading entries, in [0, p); x itself without mod."""
+    return x if mod is None else x % _leading(mod, np.ndim(x))
+
+
+def _leading(a, ndim: int) -> np.ndarray:
+    """a with trailing axes of length 1 up to ndim, so that it broadcasts along them."""
+    return a.reshape(a.shape + (1,) * (ndim - a.ndim))
+
+
+def product(a, b, mod=None):
+    """a * b elementwise, reduced mod p.
+
+    np.multiply never writes into an operand that is a temporary, as the
+    operator may (numpy's temporary elision), which can round a complex
+    product differently; so a floating product depends on its inputs only.
+    Residues below 2^31 keep every product below 2^62.
+    """
+    return residues(np.multiply(a, b), mod)
+
+
+def scaled(q: int, x, mod=None):
+    """The integer q times x, reduced mod p."""
+    return residues(q * x, mod)
+
+
+def divided(x, q: int, mod=None):
+    """x / q for a nonzero integer q; with mod, x times the inverse of q mod p."""
+    if mod is None:
+        return x / q
+    inverse = np.array([pow(q, -1, p) for p in mod.ravel().tolist()]).reshape(mod.shape)
+    return residues(residues(x, mod) * _leading(inverse, np.ndim(x)), mod)
 
 
 def require_square(A):

@@ -12,7 +12,9 @@ overflows is taken by LU instead.  Orders >= 3 run LAPACK LU (floating) or
 `det_bareiss` (exact): Bareiss's fraction-free recurrence on int64 residues
 mod primes, through the multimodular driver of exact `per`
 (`permanent._modular_stack`), which lifts the values by the Chinese
-remainder theorem.
+remainder theorem.  Given the primes of a residue stack (`mod`), det_batch
+runs the same expansions and `_bareiss_residues` on it directly, as the
+exact closed forms need.
 """
 
 from __future__ import annotations
@@ -24,19 +26,29 @@ import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
 from .permanent import _modular_stack, budget_length, each, in_slices, map_blocks, per, per_batch
-from .scalars import exact_values, is_exact, require_square, require_square_stack, to_complex, total
+from .scalars import (
+    divided,
+    exact_values,
+    is_exact,
+    moduli,
+    product,
+    require_square,
+    require_square_stack,
+    to_complex,
+    total,
+)
 
 
 @dataclass(frozen=True)
 class TensorBlock:
-    """A matrix indexed by ordered multi-index bases."""
+    """A matrix indexed by ordered multi-index bases (a stack of them for residue images)."""
 
     row_basis: tuple[MultiIndex, ...]
     col_basis: tuple[MultiIndex, ...]
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.entries.shape != (len(self.row_basis), len(self.col_basis)):
+        if self.entries.shape[-2:] != (len(self.row_basis), len(self.col_basis)):
             raise ValueError("entry shape does not match the bases")
 
 
@@ -103,7 +115,7 @@ def _inverse_mod(x: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def det_batch(mats: np.ndarray) -> np.ndarray:
+def det_batch(mats: np.ndarray, mod=None) -> np.ndarray:
     """Determinants of a stack of k x k matrices, in the stack's mode.
 
     Orders 0, 1 and 2 are their Leibniz expansions 1, a and a d - b c,
@@ -113,17 +125,26 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     on, a floating stack runs LAPACK LU and an exact (object) stack
     `det_bareiss`, Bareiss's recurrence mod primes.  A floating stack returns
     complex128, an exact stack ExactComplex values, int parts while integral.
+    Given mod, the stack holds residues, and their values come from the same
+    expansions and `_bareiss_residues`.
     """
     mats = require_square_stack(mats)
     exact, k = is_exact(mats), mats.shape[-1]
-    if k > 2:
+    if mod is not None:
+        mod = moduli(mod, mats.shape[:-2])
+        if k > 2:
+            flat = mats.reshape(-1, k, k)
+            return _bareiss_residues(flat, mod.reshape(-1)).reshape(mats.shape[:-2])
+    elif k > 2:
         return det_bareiss(mats) if exact else np.linalg.det(mats.astype(complex))
-    if not exact:
+    elif not exact:
         mats = mats.astype(complex, copy=False)
     if k == 2:
         def leibniz():
             return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
 
+        if mod is not None:
+            return leibniz() % mod
         try:
             with np.errstate(over="raise", invalid="raise"):
                 dets = leibniz()
@@ -194,16 +215,17 @@ def antisym_power(A, k: int) -> TensorBlock:
     return TensorBlock(basis, basis, map_blocks(A, idx[:, None], idx[None, :], det_batch))
 
 
-def tilde_sym_block(A, k: int) -> TensorBlock:
+def tilde_sym_block(A, k: int, mod=None) -> TensorBlock:
     """Compressed complementary-permanent operator: (J, I) entry per A(I|J).
 
     At k = n the complement is empty and the single entry is per(empty) = 1.
+    Given mod, A is a (..., n, n) stack of residues and the entries (..., C, C).
     """
-    n = require_square(A).shape[0]
+    n = (require_square(A) if mod is None else require_square_stack(A)).shape[-1]
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}")
     basis, comps = enumerate_strict(k, n), index_plan(k, n).complements
-    return TensorBlock(basis, basis, map_blocks(A, comps[None, :], comps[:, None], each(per)))
+    return TensorBlock(basis, basis, map_blocks(A, comps[None, :], comps[:, None], each(per), mod=mod))
 
 
 def tilde_antisym_block(A, k: int) -> TensorBlock:
@@ -218,24 +240,26 @@ def tilde_antisym_block(A, k: int) -> TensorBlock:
     return TensorBlock(basis, basis, signed_complement_minors(A, k).T)
 
 
-def signed_complement_minors(A, k: int) -> np.ndarray:
+def signed_complement_minors(A, k: int, mod=None) -> np.ndarray:
     """(-1)^{|I|+|J|} det A(I|J) for I, J in Q_{k,n}, indexed (..., I, J).
 
-    A is (..., n, n); the result is (..., C, C), C = C(n, k).
+    A is (..., n, n); the result is (..., C, C), C = C(n, k).  Given mod, A
+    holds residues and the results lie in (-p, p).
     """
     plan = index_plan(k, np.shape(A)[-1])
-    minors = map_blocks(A, plan.complements[:, None], plan.complements[None, :], det_batch)
+    minors = map_blocks(A, plan.complements[:, None], plan.complements[None, :], det_batch, mod=mod)
     odd = plan.parity[:, None] ^ plan.parity[None, :]
     return np.where(odd, -minors, minors)
 
 
-def mixed_sym_projected(directions) -> TensorBlock:
+def mixed_sym_projected(directions, mod=None) -> TensorBlock:
     """Compressed symmetrized product X^1 v ... v X^k on Q_{k,n}.
 
     Entry (I, J) = (1/k!) sum_sigma per of the k x k matrix with (l, m)
-    entry X^{sigma(m)}_{i_l j_m}.
+    entry X^{sigma(m)}_{i_l j_m}.  Given mod, directions is a (..., k, n, n)
+    stack of residues.
     """
-    return _mixed_block(directions, symmetric=True)
+    return _mixed_block(directions, symmetric=True, mod=mod)
 
 
 def mixed_antisym_projected(directions) -> TensorBlock:
@@ -243,38 +267,42 @@ def mixed_antisym_projected(directions) -> TensorBlock:
     return _mixed_block(directions, symmetric=False)
 
 
-def _mixed_block(directions, symmetric: bool) -> TensorBlock:
-    directions = tuple(directions)
-    if not directions:
-        raise ValueError("need at least one direction")
-    k = len(directions)
-    n = require_square(directions[0]).shape[0]
-    for X in directions:
-        if np.asarray(X).shape != (n, n):
-            raise ValueError("all directions must be square of the same order")
-    if k > n:
-        raise ValueError(f"need k <= {n}")
-    basis = enumerate_strict(k, n)
+def _mixed_block(directions, symmetric: bool, mod=None) -> TensorBlock:
+    if mod is None:
+        directions = tuple(directions)
+        if not directions:
+            raise ValueError("need at least one direction")
+        n = require_square(directions[0]).shape[0]
+        for X in directions:
+            if np.asarray(X).shape != (n, n):
+                raise ValueError("all directions must be square of the same order")
+        if len(directions) > n:
+            raise ValueError(f"need k <= {n}")
+        directions = np.stack(directions)
+    basis = enumerate_strict(directions.shape[-3], directions.shape[-1])
     evaluate = per_batch if symmetric else det_batch
-    return TensorBlock(basis, basis, mixed_entries(np.stack(directions), evaluate))
+    return TensorBlock(basis, basis, mixed_entries(directions, evaluate, mod))
 
 
-def mixed_entries(Xs, evaluate) -> np.ndarray:
+def mixed_entries(Xs, evaluate, mod=None) -> np.ndarray:
     """(1/k!) sum_sigma evaluate(X^sigma[I|J]), I, J in Q_{k,n}: (..., C, C).
 
     Column m of X^sigma[I|J] is column j_m of X^{sigma(m)}.  Xs is a (..., k, n, n)
     stack; `evaluate` is `per_batch` for the symmetrized product, else `det_batch`.
+    Given mod, Xs holds residues and 1/k! is the inverse of k! mod p.
     """
     k, n = Xs.shape[-3], Xs.shape[-1]
     plan = index_plan(k, n)
     combos = plan.combos
-    acc = sum(map_blocks(Xs, combos[:, None], combos[None, :], evaluate, sigma) for sigma in plan.perms)
-    return acc / math.factorial(k)
+    acc = sum(
+        map_blocks(Xs, combos[:, None], combos[None, :], evaluate, sigma, mod) for sigma in plan.perms
+    )
+    return divided(acc, math.factorial(k), mod)
 
 
-def block_trace(B: TensorBlock, C: TensorBlock):
-    """tr(B.entries @ C.entries), mode-generic, in O(|C|^2)."""
+def block_trace(B: TensorBlock, C: TensorBlock, mod=None):
+    """tr(B.entries @ C.entries), mode-generic, in O(|C|^2); with mod, of each residue image."""
     BE, CE = B.entries, C.entries
-    if BE.shape[1] != CE.shape[0] or BE.shape[0] != CE.shape[1]:
+    if BE.shape[-1] != CE.shape[-2] or BE.shape[-2] != CE.shape[-1]:
         raise ValueError("incompatible block shapes for a trace product")
-    return total(BE * CE.T)
+    return total(product(BE, np.swapaxes(CE, -1, -2), mod), mod)

@@ -175,6 +175,20 @@ def test_non_finite_result_rejected():
     _input_error(run_cli(["per"], "[[1e308,1e308],[1e308,1e308]]"))
 
 
+def test_dper_whose_value_overflows_is_an_input_error():
+    # finite entries whose first derivative overflows: the same JSON error,
+    # and no AssertionError from dper's cross-check, with and without -O
+    payload = '{"A": [[-0.83, 1.21], [-1, 1e308]], "X": [[-18446744073709551616, -2], [1e200, -3]]}'
+    expected = {"error": "input", "detail": "Out of range float values are not JSON compliant"}
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "permderiv.cli", "dper"],
+            input=payload, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout) == expected
+
+
 def test_directions_must_be_a_list():
     payload = json.dumps({"A": [[1, 0], [0, 1]], "directions": 5})
     _input_error(run_cli(["dkper", "--k", "1"], payload))

@@ -496,6 +496,30 @@ def test_residue_determinants_equal_leibniz(rng, n):
         assert _parts(single) == _parts(reference)
 
 
+def test_each_group_of_matrices_takes_only_the_primes_it_needs(rng, monkeypatch):
+    # 2 of every 15 matrices have 200-digit parts and need dozens of primes;
+    # the other 13 run only the one or two primes their bound needs
+    cases = [random_gaussian_integer(rng, 3) for _ in range(13)]
+    cases += [random_gaussian_integer(rng, 3) * 10**200 + random_gaussian_integer(rng, 3) for _ in range(2)]
+    references = [_leibniz(M) for M in cases]
+
+    def primes(M):  # the row 1-norm product bounds |det M|
+        rows = [sum(abs(z.re) + abs(z.im) for z in row) for row in M]
+        return permanent._prime_count(2 * math.prod(rows))
+
+    count = 150
+    needed = [primes(cases[i % 15]) for i in range(count)]
+    assert max(needed) > 40 and min(needed) <= 2
+    kernel, images = tensor._bareiss_residues, []
+    monkeypatch.setattr(tensor, "_bareiss_residues", lambda *a: images.append(len(a[0])) or kernel(*a))
+    dets = det_bareiss(np.stack([cases[i % 15] for i in range(count)]))
+    assert images == [2 * sum(needed)]  # one kernel call, re + s im and re - s im per prime
+    assert 5 * images[0] < 2 * max(needed) * count  # one count for the whole slice takes 5x more
+    for i, value in enumerate(dets):
+        reference = references[i % 15]
+        assert value == reference and _parts(value) == _parts(reference)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_residue_determinants_of_a_stack_longer_than_a_slice(rng, n, monkeypatch):
     cases = _residue_cases(rng, n)[:-2]  # 200-digit parts take dozens of primes per slice
