@@ -16,7 +16,7 @@ per chunk, stacked term and slice.  Each restriction's terms are reduced as
 one restriction alone would be, and the restriction values are added in
 lexicographic I order, so a result does not depend on the chunking.  As for
 the `D^k per` forms, an exact sum runs once on the int64 images of the
-operands mod primes and is lifted once (`permanent.modular_value`).
+operands mod primes and is lifted once (`permanent.modular_values`).
 
 Sign weights |J| in the signed-minor form are computed after relabelling
 the restriction's rows/columns to 1..r.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, index_plan
-from .permanent import map_blocks, modular_value, replacement_values, slice_length
+from .permanent import map_blocks, modular_values, replacement_values, slice_length
 from .derivatives import dispatch
 from .scalars import (
     is_exact,
@@ -162,7 +162,7 @@ def _restriction_sum(A, directions, k, r, term, elements, factor=None):
     each reduced as for one restriction alone; elements(k, r) counts its
     largest temporary for one restriction.  The sum is multiplied by the
     integer factor, if any.  An exact sum runs once on the int64 images of the
-    operands mod primes (`permanent.modular_value`), with a leading image axis
+    operands mod primes (`permanent.modular_values`), with a leading image axis
     on A_I, X_I and the values and mod the prime of each image; its budgets
     hold per image.  D^k g_r is homogeneous of degree r, and
     sum_I prod_{i in I} rho_i = e_r(rho) bounds it, rho_i being the sum of
@@ -189,7 +189,7 @@ def _restriction_sum(A, directions, k, r, term, elements, factor=None):
 
     M = np.stack((A, *directions))
     if is_exact(M):
-        return modular_value(M, r, lambda rows: _elementary(rows, r), value)
+        return modular_values(M[None], r, lambda rows: _elementary(rows, r), value)[0]
     return value(M)
 
 

@@ -10,7 +10,7 @@ Each form has one body, term(A, Xs, mod), written with the residue helpers
 of `scalars` and evaluators that take a modulus.  A floating form runs it on
 complex128 operands; an exact form runs it once on the int64 images of all
 its operands mod the primes that the bound on its value needs, and lifts
-that one value by the Chinese remainder theorem (`permanent.modular_value`).
+that one value by the Chinese remainder theorem (`permanent.modular_values`).
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ from .multiindex import index_plan
 from .permanent import (
     each,
     map_blocks,
-    modular_value,
+    modular_values,
     padj,
     per,
     per_batch,
     replacement_stack,
     replacement_values,
 )
-from .scalars import ExactComplex, is_exact, product, require_directions, scaled, total, zero_like
+from .scalars import is_exact, product, require_directions, scaled, total, zero_like
 from .tensor import block_trace, mixed_sym_projected, tilde_sym_block
 
 FORMULAS = ("columns", "minors", "tensor")
@@ -55,16 +55,14 @@ def dper(A, X):
     value = reduce(add, (P[i, j] * X[i, j] for i in range(A.shape[0]) for j in range(A.shape[1])))
     if __debug__:
         by_columns = reduce(add, (per(M) for M in replacement_stack(A, X[None])))
+        # sum_ij X_ij per A^T(j|i): the same minors, but by Ryser's formula
+        # over their columns rather than their rows, so that they round apart
         comps = index_plan(1, A.shape[0]).complements
-        minors = map_blocks(A, comps[:, None], comps[None, :], each(per))
-        by_minors = reduce(add, map(mul, X.ravel(), minors.ravel()))
-        # the rounding bound of the sum, which |value| is not when its terms cancel
-        scale = 0.0 if is_exact(P) else float(np.abs(P * X).sum())
+        minors = map_blocks(A.T, comps[:, None], comps[None, :], each(per))
+        by_minors = reduce(add, map(mul, X.T.ravel(), minors.ravel()))
         # an overflow, in the value or a route, leaves nothing to compare; the
         # caller sees a non-finite value (the CLI reports it as an input error)
-        assert _close(value, by_columns, scale) and _close(value, by_minors, scale), (
-            "first-order forms disagree"
-        )
+        assert _agree(value, (by_columns, by_minors), A, X, P), "first-order forms disagree"
     return value
 
 
@@ -126,15 +124,30 @@ def _form(A, directions, term):
     if k > n:
         return zero_like(A)
     if is_exact(A):
-        return modular_value(
-            np.stack((A, *directions)), n, math.prod, lambda M, mod: term(M[:, 0], M[:, 1:], mod)
-        )
+        M = np.stack((A, *directions))[None]
+        return modular_values(M, n, math.prod, lambda M, mod: term(M[:, 0], M[:, 1:], mod))[0]
     return term(A, np.stack(directions), None)
 
 
-def _close(a, b, scale, tol=1e-12):
-    if isinstance(a, ExactComplex) or isinstance(b, ExactComplex):
-        return a == b
-    if not (cmath.isfinite(a) and cmath.isfinite(b) and math.isfinite(scale)):
+def _agree(value, routes, A, X, P) -> bool:
+    """Whether dper's routes equal its value, or lie within its rounding when floating.
+
+    Ryser's formula on an m x m matrix B rounds by at most about
+    m^2 2^m eps prod_i sum_l |b_il| (2^m products of m row sums), which
+    |per B| does not bound when its terms cancel.  Weighted by |X| and
+    summed, the minors of A round within that bound for the A(j; X), column
+    j of A replaced by that of X, and the minors of A^T within it for the
+    A^T(i; X^T), so both follow from the row and column sums of |A| and |X|;
+    1e-12 max(sum |P X|, 1), P = padj A, bounds the rounding of the trace.
+    """
+    if is_exact(P):
+        return all(route == value for route in routes)
+    n, a, x = A.shape[0], np.abs(A), np.abs(X)
+    with np.errstate(over="ignore"):  # an infinite bound leaves nothing to compare
+        by_rows = (a.sum(axis=1)[:, None] - a + x).prod(axis=0).sum()
+        by_columns = (a.sum(axis=0) - a + x).prod(axis=1).sum()
+        ryser = n * n * 2.0**n * np.finfo(float).eps * (by_rows + by_columns)
+        slack = ryser + 1e-12 * max(np.abs(P * X).sum(), 1.0)
+    if not (cmath.isfinite(value) and math.isfinite(slack)):
         return True
-    return abs(a - b) <= tol * max(scale, 1.0)
+    return all(not cmath.isfinite(route) or abs(value - route) <= slack for route in routes)

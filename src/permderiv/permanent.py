@@ -10,16 +10,16 @@ straight into the kernel, so a scalar `per` costs about one matmul, one row
 product and one dot.  An exact stack runs that kernel on int64 images mod
 primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
 permanents are lifted back by the Chinese remainder theorem (the classic
-multimodular method).  That driver, `_multimodular`, takes the primes each
-group of values needs and its residue kernel as an argument: for exact
-stacks (`_modular_stack`) Ryser's formula, or Bareiss's recurrence mod p for
-exact determinants (`tensor.det_bareiss`); for an exact closed form
-(`modular_value`) the form itself, run once on the images of all its
-operands, so that one value is lifted per call.  `per_batch`, `map_blocks`
-and `each(per)` take a residue stack with its primes (`mod`) for that.  The
-formulas index through `multiindex.index_plan`, and `map_blocks` gathers and
-evaluates every block of submatrices in budgeted slices: `per` of each block
-(`each`) for `padj`, `laplace_per` and `tilde_sym_block`.
+multimodular method).  Every exact value takes that one lift,
+`modular_values`, with its residue kernel as an argument: Ryser's formula
+for exact stacks, Bareiss's recurrence mod p for exact determinants
+(`tensor.det_bareiss`), or a closed form itself, run once on the images of
+all its operands, so that one value is lifted per call.  `per_batch`,
+`map_blocks` and `each(per)` take a residue stack with its primes (`mod`)
+for that.  The formulas index through `multiindex.index_plan`, and
+`map_blocks` gathers and evaluates every block of submatrices in budgeted
+slices: `per` of each block (`each`) for `padj`, `laplace_per` and
+`tilde_sym_block`.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def per_naive(A):
     if n > NAIVE_MAX_N:
         raise ValueError(f"per_naive limited to n <= {NAIVE_MAX_N}, got {n}")
     if n == 0:
-        return _one(A)
+        return ExactComplex(1) if is_exact(A) else complex(1.0)
     terms = (
         reduce(operator.mul, (A[i, j] for i, j in enumerate(sigma)))
         for sigma in itertools.permutations(range(n))
@@ -82,7 +82,7 @@ def per_naive(A):
 def per(A):
     """Permanent of a square matrix, by the blocked Ryser kernel in A's mode.
 
-    An exact matrix runs as int64 images mod primes (see `_modular_stack`).
+    An exact matrix runs as int64 images mod primes (see `modular_values`).
     """
     return _ryser_stack(require_square(A)[None])[0]
 
@@ -107,20 +107,17 @@ def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     A floating stack is cast to complex128.  An object stack is evaluated
     slice by slice (`slice_length`) as int64 images mod primes, by this
     function as the kernel, and lifted back to ExactComplex
-    (`_modular_stack`), so its temporaries grow with the number of primes P
+    (`modular_values`), so its temporaries grow with the number of primes P
     (2P images per matrix) but not with m.  With mod,
     the stack holds those int64 images and mod the modulus of each.  The
     stack is walked in chunks of whole matrices, so no kernel temporary holds
     more than _STACK_BUDGET elements whatever n or m.
     """
     m, n = mats.shape[0], mats.shape[-1]
-    exact = mats.dtype == object
+    if mats.dtype == object:
+        return modular_values(mats, n, math.prod, _ryser_stack)
     if n == 0:
-        if mod is not None:
-            return np.ones(m, np.int64)
-        return np.full(m, _one(mats), dtype=object if exact else complex)
-    if mod is None and exact:
-        return _modular_stack(mats, _ryser_stack)
+        return np.ones(m, complex if mod is None else np.int64)
     if mod is None:
         mats = mats.astype(complex, copy=False)
     b, bits, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET, mats.dtype)
@@ -216,73 +213,51 @@ def _ryser_block(block, b, bits, signs, mod=None):
     return acc
 
 
-def _modular_stack(mats: np.ndarray, kernel) -> np.ndarray:
-    """The values of an exact (m, n, n) stack from int64 images mod primes.
+def modular_values(M: np.ndarray, degree: int, bound, kernel) -> np.ndarray:
+    """The exact values of an (m, ..., n, n) stack of items, from int64 images mod primes.
 
-    kernel(images, mod) maps an int64 stack of residues, and the prime of
-    each matrix, to its values mod those primes: `_ryser_stack` for per and
-    `tensor._bareiss_residues` for det.  The stack is walked in slices of
-    `slice_length(n)`.  Each row is scaled by the lcm of its denominators
-    (per and det are multilinear in the rows) and the result divided by the
-    product of the scales.  The parts of each value are bounded by
-    prod_i sum_j (|re_ij| + |im_ij|), which bounds per |A| and so |det A|
-    too (Hadamard's row 2-norm bound holds for det, not per: per J_4 = 24 >
-    16 = its bound), and `_multimodular` takes the primes each matrix needs
-    and lifts its value.  Matrices of order 0 give 1.  A TypeError is raised
-    when an entry is not a Gaussian rational.
+    An item is one matrix (for per and det) or the operands of a closed form
+    (A and the directions), and its value a polynomial in the item's entries,
+    homogeneous of `degree`, with integer coefficients after at most
+    divisions by integers prime to every modulus.  kernel(images, mod) maps
+    a (c, ..., n, n) int64 stack of residues, and the prime of each image, to
+    its values mod those primes: `_ryser_stack` for per,
+    `tensor._bareiss_residues` for det, or a closed form.  Each item's entries
+    are put over one common denominator d and its value divided by d^degree.
+    bound(rows) bounds both parts of the value of the integer item from the
+    row sums rows_i of |re| + |im| over all of its matrices (n Python ints):
+    `math.prod` bounds per and so |det| too (Hadamard's row 2-norm bound holds
+    for det, not per: per J_4 = 24 > 16 = its bound), and `_multimodular`
+    takes the primes each item needs and lifts its value.  A stack is walked
+    in slices of `slice_length(n)` items, and an item without entries (order
+    0) has the value 1.  TypeError when an entry is not a Gaussian rational.
     """
-    m, n = mats.shape[0], mats.shape[-1]
-    if n == 0:
+    m, n = M.shape[0], M.shape[-1]
+    if not M.size:
         return np.full(m, ExactComplex(1), dtype=object)
     if m > slice_length(n):
-        return in_slices(lambda s: _modular_stack(mats[s], kernel), m, slice_length(n))
-    re, im = rational_parts(mats.ravel().tolist())
-    scales = _clear_rows(re, im, n) if {*map(type, re), *map(type, im)} - {int} else [1] * m
-    parts, rows = _integer_parts(re, im, n)
-    R, I = _multimodular(parts.reshape(2, m, n, n), rows.reshape(m, n).prod(axis=1), kernel)
-    if any(d != 1 for d in scales):
-        R, I = ([Fraction(x, d) for x, d in zip(X, scales)] for X in (R, I))
-    return exact_from_parts(R, I)
-
-
-def modular_value(M: np.ndarray, degree: int, bound, evaluate) -> ExactComplex:
-    """The exact value of a form of the operands M, from its values on int64 images.
-
-    M is an exact (d, n, n) stack of operands (A and the directions) and the
-    form a polynomial in their entries, homogeneous of `degree`, with integer
-    coefficients after at most divisions by integers prime to every modulus
-    (a closed form for D^k per or D^k g_r).  evaluate(images, mod) computes it
-    on a (2P, d, n, n) int64 stack of images and the prime of each, mod that
-    prime.  The rational operands are put over one common denominator D, and
-    the value of the integer operands is divided by D^degree.  bound(rows)
-    bounds the parts of that value from the row sums rows_i of |re| + |im|
-    over every operand (Python ints).  TypeError when an entry is not a
-    Gaussian rational.
-    """
-    n = M.shape[-1]
+        return in_slices(lambda s: modular_values(M[s], degree, bound, kernel), m, slice_length(n))
     re, im = rational_parts(M.ravel().tolist())
-    scale = 1
+    scales, size = [1] * m, len(re) // m
     if {*map(type, re), *map(type, im)} - {int}:
-        scale = math.lcm(*(x.denominator for x in re + im))
-        re, im = ([x.numerator * (scale // x.denominator) for x in X] for X in (re, im))
-    parts, rows = _integer_parts(re, im, n)
-    rows = rows.reshape(-1, n).sum(axis=0).tolist()  # row i summed over the operands
-    (R,), (I,) = _multimodular(parts.reshape(2, 1, *M.shape), [bound(rows)], evaluate)
-    if scale != 1:
-        R, I = Fraction(R, scale**degree), Fraction(I, scale**degree)
-    return ExactComplex(R, I)
-
-
-def _integer_parts(re: list, im: list, n: int):
-    """The int parts as a (2, N) array, int64 where they fit and object (Python
-    ints) beyond, and the sum of |re| + |im| over each row of n parts, in Python ints."""
+        for i in range(m):
+            item = slice(i * size, (i + 1) * size)
+            d = math.lcm(*(x.denominator for x in re[item] + im[item]))
+            for parts in (re, im):
+                parts[item] = [x.numerator * (d // x.denominator) for x in parts[item]]
+            scales[i] = d**degree
     try:
         parts = np.array([re, im], dtype=np.int64)
         mags = np.abs(parts).view(np.uint64)  # exact, also |-2^63|
     except OverflowError:  # parts beyond int64 stay Python ints until reduced mod p
         parts = np.array([re, im], dtype=object)
         mags = np.abs(parts)
-    return parts, mags.reshape(2, -1, n).sum(axis=(0, 2), dtype=object)
+    # row i of each item, summed over its matrices, in Python ints
+    rows = mags.reshape(2, m, -1, n, n).sum(axis=(0, 2, 4), dtype=object).tolist()
+    R, I = _multimodular(parts.reshape(2, *M.shape), map(bound, rows), kernel)
+    if any(d != 1 for d in scales):
+        R, I = ([Fraction(x, d) for x, d in zip(X, scales)] for X in (R, I))
+    return exact_from_parts(R, I)
 
 
 def _multimodular(parts: np.ndarray, bounds, kernel) -> tuple[list, list]:
@@ -345,20 +320,6 @@ def _crt_lift(residues: np.ndarray, count: int) -> np.ndarray:
     for d, q in zip(digits[-2::-1], primes[-2::-1]):
         x = x * q + d
     return np.where(x > M // 2, x - M, x)
-
-
-def _clear_rows(re: list, im: list, n: int) -> list[int]:
-    """Scale each row of n parts, in place, by the lcm of its denominators.
-
-    The parts become ints; returns each matrix's product of row scales.
-    """
-    scales = []
-    for r in range(0, len(re), n):
-        scale = math.lcm(*(x.denominator for x in re[r:r + n] + im[r:r + n]))
-        for parts in (re, im):
-            parts[r:r + n] = [x.numerator * (scale // x.denominator) for x in parts[r:r + n]]
-        scales.append(scale)
-    return [math.prod(scales[i:i + n]) for i in range(0, len(scales), n)]
 
 
 def _prime_count(bound: int) -> int:
@@ -595,7 +556,3 @@ def sigma_columns(spec: ReplacementSpec, sigma: tuple[int, ...], n: int | None =
         Y[:, jp] = X[:, jp]
     return Y
 
-
-def _one(A):
-    """Multiplicative identity in A's mode (per of the empty matrix)."""
-    return ExactComplex(1) if is_exact(A) else complex(1.0)

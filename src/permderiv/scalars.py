@@ -5,14 +5,14 @@ Matrices come in two modes: floating (numpy complex128 arrays) and exact
 for Gaussian-integer cross-checks where formula agreement must be literal
 equality, not a tolerance.  Each part of an ExactComplex is a Python int
 while it is integral and a Fraction only when it is not.  Exact permanents,
-determinants of order >= 3 and the six closed forms are not evaluated on
-ExactComplex but on int64 residues mod primes (`permanent._modular_stack`
-and `permanent.modular_value`), and each result is built once from its
-parts.  The residue helpers at the end of this module (`residues`,
-`product`, `scaled`, `divided`, and `total` with a modulus) are the forms'
-arithmetic in both modes; without a modulus each is the plain numpy
-operation.  ExactComplex arithmetic is left to the API and JSON boundary,
-`dper` and the references (`per_naive`, the interpolation oracle).
+determinants and the six closed forms are not evaluated on ExactComplex but
+on int64 residues mod primes (`permanent.modular_values`), and each result
+is built once from its parts.  The residue helpers at the end of this
+module (`residues`, `product`, `scaled`, `divided`, and `total` with a
+modulus) are the forms' arithmetic in both modes; without a modulus each is
+the plain numpy operation.  ExactComplex arithmetic is left to the API and
+JSON boundary, `dper` and the references (`per_naive`, the interpolation
+oracle).
 """
 
 from __future__ import annotations
@@ -182,21 +182,6 @@ def rational_parts(values):
                 raise TypeError(f"not a Gaussian rational: {z!r}")
         values = coerced
     return list(map(_RE, values)), list(map(_IM, values))
-
-
-def exact_values(values):
-    """values as an object array of ExactComplex; a 0-d input gives one ExactComplex.
-
-    int, Fraction and ExactComplex entries (and integral Python complex ones)
-    are accepted, with parts int while integral, as ExactComplex arithmetic
-    keeps them; an array that already holds only ExactComplex is returned as
-    is.  TypeError when an entry is not a Gaussian rational.
-    """
-    values = np.asarray(values, dtype=object)
-    flat = values.ravel().tolist()
-    if set(map(type, flat)) - {ExactComplex}:
-        values = exact_from_parts(*rational_parts(flat)).reshape(values.shape)
-    return values[()]
 
 
 def exact_from_parts(re, im) -> np.ndarray:

@@ -4,14 +4,14 @@ Every block is built on the lexicographically ordered multi-index basis by
 `permanent.map_blocks`, in budgeted slices.  Only the strict-index blocks of
 the tilde operators and mixed powers are built; the formulas need no others.
 
-`det_batch` is the determinant evaluator of both modes.  Stacks of order 0,
-1 and 2 are their Leibniz expansions 1, a and a d - b c, one expression on
-the stack's dtype, so the minors of order k and r - k that the `D^k g_r`
-forms mostly evaluate need no LU or elimination; a floating a d - b c that
-overflows is taken by LU instead.  Orders >= 3 run LAPACK LU (floating) or
-`det_bareiss` (exact): Bareiss's fraction-free recurrence on int64 residues
-mod primes, through the multimodular driver of exact `per`
-(`permanent._modular_stack`), which lifts the values by the Chinese
+`det_batch` is the determinant evaluator of both modes.  A floating stack
+of order 0, 1 or 2 is its Leibniz expansion 1, a or a d - b c, one
+expression on complex128, so the minors of order k and r - k that the
+`D^k g_r` forms mostly evaluate need no LU; a floating a d - b c that
+overflows is taken by LU instead, and orders >= 3 run LAPACK LU.  An exact
+stack of every order runs `det_bareiss`: Bareiss's fraction-free recurrence
+on int64 residues mod primes, through the one multimodular lift of exact
+values (`permanent.modular_values`), which recovers them by the Chinese
 remainder theorem.  Given the primes of a residue stack (`mod`), det_batch
 runs the same expansions and `_bareiss_residues` on it directly, as the
 exact closed forms need.
@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
-from .permanent import _modular_stack, budget_length, each, in_slices, map_blocks, per, per_batch
+from .permanent import budget_length, each, in_slices, map_blocks, modular_values, per, per_batch
 from .scalars import (
     divided,
-    exact_values,
     is_exact,
     moduli,
     product,
@@ -61,14 +60,15 @@ def det(A):
 def det_bareiss(A):
     """Determinants of an (..., n, n) exact stack by Bareiss's recurrence mod primes.
 
-    The stack runs through the multimodular driver of exact `per`
-    (`permanent._modular_stack`) with `_bareiss_residues` as its kernel, so
+    The stack runs through the multimodular lift of exact values
+    (`permanent.modular_values`) with `_bareiss_residues` as its kernel, so
     the values are exact, `Fraction` entries included, and keep int parts
     while integral.  A single matrix gives a scalar.
     """
     A = np.asarray(A)
     shape, n = A.shape[:-2], A.shape[-1]
-    return _modular_stack(A.reshape(math.prod(shape), n, n), _bareiss_residues).reshape(shape)[()]
+    flat = A.reshape(math.prod(shape), n, n)
+    return modular_values(flat, n, math.prod, _bareiss_residues).reshape(shape)[()]
 
 
 def _bareiss_residues(mats: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -118,44 +118,45 @@ def _inverse_mod(x: np.ndarray, mod: np.ndarray) -> np.ndarray:
 def det_batch(mats: np.ndarray, mod=None) -> np.ndarray:
     """Determinants of a stack of k x k matrices, in the stack's mode.
 
-    Orders 0, 1 and 2 are their Leibniz expansions 1, a and a d - b c,
-    evaluated as one expression on the stack's own dtype in both modes (no
-    pivot and no division); the floating a d - b c that come out non-finite
-    (a d or b c overflowed, above about 1e154) are taken by LU.  From order 3
-    on, a floating stack runs LAPACK LU and an exact (object) stack
-    `det_bareiss`, Bareiss's recurrence mod primes.  A floating stack returns
-    complex128, an exact stack ExactComplex values, int parts while integral.
-    Given mod, the stack holds residues, and their values come from the same
-    expansions and `_bareiss_residues`.
+    An exact (object) stack of every order runs `det_bareiss`, Bareiss's
+    recurrence mod primes, and returns ExactComplex values, int parts while
+    integral.  A floating stack returns complex128: orders 0, 1 and 2 are
+    their Leibniz expansions 1, a and a d - b c, one expression on the stack
+    (no pivot and no division), and the a d - b c that come out non-finite
+    (a d or b c overflowed, above about 1e154) are taken by LU; from order 3
+    on it runs LAPACK LU.  Given mod, the stack holds residues, and their
+    values come from the same expansions and `_bareiss_residues`.
     """
     mats = require_square_stack(mats)
-    exact, k = is_exact(mats), mats.shape[-1]
+    k = mats.shape[-1]
     if mod is not None:
         mod = moduli(mod, mats.shape[:-2])
         if k > 2:
             flat = mats.reshape(-1, k, k)
             return _bareiss_residues(flat, mod.reshape(-1)).reshape(mats.shape[:-2])
+    elif is_exact(mats):
+        return det_bareiss(mats)
     elif k > 2:
-        return det_bareiss(mats) if exact else np.linalg.det(mats.astype(complex))
-    elif not exact:
-        mats = mats.astype(complex, copy=False)
-    if k == 2:
-        def leibniz():
-            return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-
-        if mod is not None:
-            return leibniz() % mod
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                dets = leibniz()
-        except FloatingPointError:  # a d or b c overflowed: the non-finite results by LU
-            with np.errstate(over="ignore", invalid="ignore"):
-                dets = np.array(leibniz())
-                bad = ~np.isfinite(dets)
-                dets[bad] = np.linalg.det(mats[bad])
+        return np.linalg.det(mats.astype(complex))
     else:
-        dets = mats[..., 0, 0].copy() if k else np.ones(mats.shape[:-2], dtype=mats.dtype)
-    return exact_values(dets) if exact else dets
+        mats = mats.astype(complex, copy=False)
+    if k < 2:
+        return mats[..., 0, 0].copy() if k else np.ones(mats.shape[:-2], dtype=mats.dtype)
+
+    def leibniz():
+        return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+
+    if mod is not None:
+        return leibniz() % mod
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return leibniz()
+    except FloatingPointError:  # a d or b c overflowed: the non-finite results by LU
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets = np.array(leibniz())
+            bad = ~np.isfinite(dets)
+            dets[bad] = np.linalg.det(mats[bad])
+    return dets
 
 
 def principal_blocks(M, rows) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
+from test_tensor import _leibniz
 from permderiv import charpoly, permanent, tensor
 from permderiv.charpoly import (
     charpoly_all,
@@ -248,17 +249,17 @@ def test_one_restriction_per_chunk_gives_the_same_value(form, exact, n, k, r, rn
     assert len(calls) == math.comb(n, r) * terms
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_exact_restrictions_reach_bareiss_from_order_three(r, rng, monkeypatch):
-    # det_batch expands orders <= 2 by Leibniz; the exact 3 x 3 restrictions
-    # still run the stacked Bareiss elimination
+@pytest.mark.parametrize("r", range(1, 6))
+def test_exact_restrictions_of_every_order_reach_bareiss(r, rng, monkeypatch):
+    # an exact det_batch of every order runs the stacked Bareiss recurrence
+    # once for all the restrictions, orders 1 and 2 included
     A = random_gaussian_integer(rng, 5)
-    reference = sum((tensor.det_bareiss(P.value) for P in principal_restrictions(A, r)), ExactComplex(0))
+    reference = sum((_leibniz(P.value) for P in principal_restrictions(A, r)), ExactComplex(0))
     calls = []
     det_bareiss = tensor.det_bareiss
     monkeypatch.setattr(tensor, "det_bareiss", lambda m: calls.append(m.shape) or det_bareiss(m))
     assert g_r(A, r) == reference
-    assert calls == ([(math.comb(5, r), r, r)] if r == 3 else [])
+    assert calls == [(math.comb(5, r), r, r)]
 
 
 @pytest.mark.parametrize("chunked", [False, True])

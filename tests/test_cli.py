@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from test_derivatives import _dominant_a
+
 
 def run_cli(args, payload=None):
     cmd = [sys.executable, "-m", "permderiv.cli", *args]
@@ -187,6 +189,15 @@ def test_dper_whose_value_overflows_is_an_input_error():
         )
         assert proc.returncode == 1 and proc.stderr == ""
         assert json.loads(proc.stdout) == expected
+
+
+def test_dper_of_an_a_that_dwarfs_x():
+    # dper's cross-check allows the rounding of Ryser's formula and ends in JSON
+    pairs = ([[[z.real, z.imag] for z in row] for row in M] for M in _dominant_a(3))
+    proc = run_cli(["dper"], json.dumps(dict(zip("AX", pairs))))
+    assert proc.returncode == 0 and proc.stderr == ""
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["command"] == "dper"
 
 
 def test_directions_must_be_a_list():

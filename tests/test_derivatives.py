@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,6 +131,40 @@ def test_shape_mismatch():
         dkper(A, (np.eye(2, dtype=complex),))
     with pytest.raises(ValueError):
         dper(A, np.eye(2, dtype=complex))
+
+
+def _dominant_a(n, seed=3):
+    """Gaussian-integer A times 2^40 + 1 and a standard normal complex X."""
+    rng = np.random.default_rng(seed)
+    A = (2**40 + 1) * (rng.integers(-4, 5, (n, n)) + 1j * rng.integers(-4, 5, (n, n)))
+    return A, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dper_accepts_an_a_that_dwarfs_x(n):
+    # the routes differ by far more than 1e-12 sum |P X| but stay within the
+    # rounding bound of Ryser's formula on the A(j; X)
+    A, X = _dominant_a(n)
+    exact = [np.array([[ExactComplex(Fraction(z.real), Fraction(z.imag)) for z in row] for row in M])
+             for M in (A, X)]
+    reference = complex(dper(*exact))  # the floats' own value, exactly
+    assert abs(dper(A, X) - reference) <= 1e-12 * abs(reference)
+
+
+@pytest.mark.parametrize("route", ["padj", "replacement_stack", "map_blocks"])
+def test_dper_cross_check_catches_a_wrong_route(route, rng, monkeypatch):
+    # a relative error of 1e-4 in one entry of any route fails the check
+    wrong = getattr(derivatives, route)
+
+    def perturbed(*args, **kwargs):
+        values = np.array(wrong(*args, **kwargs))
+        values.reshape(-1)[1] *= 1 + 1e-4
+        return values
+
+    monkeypatch.setattr(derivatives, route, perturbed)
+    for n in range(3, 8):
+        with pytest.raises(AssertionError, match="first-order forms disagree"):
+            dper(random_complex(rng, n), random_complex(rng, n))
 
 
 def test_dper_accepts_cancelling_terms():

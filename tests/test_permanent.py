@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
+from test_tensor import _leibniz
 from permderiv import permanent
 from permderiv.multiindex import MultiIndex, enumerate_strict
 from permderiv.permanent import (
@@ -437,6 +438,13 @@ def exact_stacks(draw):
     mats = np.empty((m, n, n), dtype=object)
     for idx in np.ndindex(mats.shape):
         mats[idx] = draw(entry)
+    if m > 1 and draw(st.booleans()):
+        # one item over denominators near 2^40 and one integral: they need
+        # different prime counts and each is lifted over its own
+        large = st.integers(2**39, 2**40)
+        for idx in np.ndindex(n, n):
+            mats[(0, *idx)] = ExactComplex(Fraction(draw(part), draw(large)), draw(part))
+            mats[(1, *idx)] = draw(st.integers(-4, 4))
     zeros = draw(st.sampled_from(["none", "row", "all"]))
     if zeros == "row" and n:
         mats[:, draw(st.integers(0, n - 1))] = 0
@@ -464,6 +472,51 @@ def test_exact_per_and_per_batch_equal_the_permutation_sum(mats):
         assert single == expected and _is_exact_result(single)
 
 
+@settings(max_examples=60, deadline=None)
+@given(exact_stacks())
+def test_exact_det_batch_equals_the_signed_permutation_sum(mats):
+    values = det_batch(mats)
+    assert values.shape == (len(mats),) and values.dtype == object
+    for M, value in zip(mats, values):
+        expected = _leibniz(M)
+        assert value == expected and _is_exact_result(value)
+        single = det(M)
+        assert single == expected and _is_exact_result(single)
+
+
+def _primes_of_item(M):
+    """The primes M needs: the row 1-norm product over its common denominator."""
+    d = math.lcm(*(Fraction(x).denominator for z in M.ravel() for x in (z.re, z.im)))
+    rows = [sum(abs(z.re) + abs(z.im) for z in row) * d for row in M]
+    return permanent._prime_count(2 * int(math.prod(rows)))
+
+
+def test_each_item_is_lifted_over_its_own_denominator(rng, monkeypatch):
+    # nine denominators near 2^20 put one matrix over a common denominator
+    # of about 2^170, and the integral matrix stacked with it takes one prime
+    big = random_gaussian_integer(rng, 3)
+    for i, j in np.ndindex(3, 3):
+        big[i, j] = big[i, j] / (2**20 + 7 * (3 * i + j)) + 1
+    small = random_gaussian_integer(rng, 3)
+    counts = [_primes_of_item(small), _primes_of_item(big)]
+    assert counts[0] == 1 and counts[1] >= 10
+    kernel, images = permanent._ryser_stack, []
+
+    def counted(mats, mod=None):
+        if mod is not None:
+            images.append(len(mats))
+        return kernel(mats, mod)
+
+    monkeypatch.setattr(permanent, "_ryser_stack", counted)
+    values = per_batch(np.stack([small, big]))
+    assert images == [2 * sum(counts)]  # re + s im and re - s im per prime
+    for M, value in zip((small, big), values):
+        assert value == per_naive(M) and _is_exact_result(value)
+    dets = det_batch(np.stack([small, big, small]))
+    assert dets.tolist() == [_leibniz(small), _leibniz(big), _leibniz(small)]
+    assert all(_is_exact_result(value) for value in dets)
+
+
 def test_parts_beyond_int64_are_reduced_mod_each_prime(rng, monkeypatch):
     A = random_gaussian_integer(rng, 4)
     A[1, 2] = ExactComplex(3, 2**63)
@@ -485,6 +538,16 @@ def test_parts_beyond_int64_are_reduced_mod_each_prime(rng, monkeypatch):
     mats = np.stack([random_gaussian_integer(rng, 4) for _ in range(4)] + [A, B])
     values = per_batch(mats)
     assert all(v == per_naive(M) and _is_exact_result(v) for M, v in zip(mats, values))
+
+
+def test_row_sums_of_int64_parts_do_not_wrap():
+    # every part fits int64, but each row's |re| + |im| sums to 2^64 or more,
+    # beyond uint64, so the bound must be summed in Python ints
+    M = np.full((2, 2), ExactComplex(2**62, -(2**62)), dtype=object)
+    N = np.array([[ExactComplex(2**63 - 1, 2**63 - 1), 3], [1, ExactComplex(-(2**63), 5)]], dtype=object)
+    for A in (M, N):
+        assert per(A) == per_naive(A) and _is_exact_result(per(A))
+        assert det(A) == _leibniz(A) and _is_exact_result(det(A))
 
 
 def test_exact_per_batch_memory_does_not_grow_with_the_stack(rng, monkeypatch):
