@@ -39,7 +39,6 @@ from .scalars import (
     require_square,
     require_square_stack,
     residues,
-    scaled,
     total,
     total_in_order,
     zero_like,
@@ -185,7 +184,7 @@ def _restriction_sum(A, directions, k, r, term, elements, factor=None):
             elements(k, r), axis=M.ndim - 3,
         )
         summed = total_in_order(values, mod)
-        return summed if factor is None else scaled(factor, summed, mod)
+        return summed if factor is None else residues(factor * summed, mod)
 
     M = np.stack((A, *directions))
     if is_exact(M):

@@ -33,7 +33,7 @@ from .permanent import (
     replacement_stack,
     replacement_values,
 )
-from .scalars import is_exact, product, require_directions, scaled, total, zero_like
+from .scalars import is_exact, product, require_directions, residues, total, zero_like
 from .tensor import block_trace, mixed_sym_projected, tilde_sym_block
 
 FORMULAS = ("columns", "minors", "tensor")
@@ -52,9 +52,9 @@ def dper(A, X):
     """First derivative of per at A in direction X: tr(padj(A)^T X)."""
     A, (X,) = require_directions(A, (X,))
     P = padj(A)
-    value = reduce(add, (P[i, j] * X[i, j] for i in range(A.shape[0]) for j in range(A.shape[1])))
+    value = reduce(add, map(mul, P.ravel(), X.ravel()))
     if __debug__:
-        by_columns = reduce(add, (per(M) for M in replacement_stack(A, X[None])))
+        by_columns = reduce(add, each(per)(replacement_stack(A, X[None])))
         # sum_ij X_ij per A^T(j|i): the same minors, but by Ryser's formula
         # over their columns rather than their rows, so that they round apart
         comps = index_plan(1, A.shape[0]).complements
@@ -95,7 +95,7 @@ def dkper_tensor(A, directions):
     def term(A, Xs, mod):
         k = Xs.shape[-3]
         trace = block_trace(tilde_sym_block(A, k, mod), mixed_sym_projected(Xs, mod), mod)
-        return scaled(math.factorial(k), trace, mod)
+        return residues(math.factorial(k) * trace, mod)
 
     return _form(A, directions, term)
 

@@ -18,8 +18,9 @@ all its operands, so that one value is lifted per call.  `per_batch`,
 `map_blocks` and `each(per)` take a residue stack with its primes (`mod`)
 for that.  The formulas index through `multiindex.index_plan`, and
 `map_blocks` gathers and evaluates every block of submatrices in budgeted
-slices: `per` of each block (`each`) for `padj`, `laplace_per` and
-`tilde_sym_block`.
+slices for `padj`, `laplace_per` and `tilde_sym_block` with `each(per)`:
+scalar `per` of each floating block, and one `per_batch` lift of an exact
+gather.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .scalars import (
     rational_parts,
     require_square,
     require_square_stack,
-    zeros_like_mode,
+    zero_like,
 )
 
 NAIVE_MAX_N = 10
@@ -456,16 +457,16 @@ def map_blocks(M, rows, cols, evaluate, source=None, mod=None) -> np.ndarray:
 
 
 def each(evaluate):
-    """The stack evaluator that calls the scalar `evaluate` (`per`) once for each matrix.
+    """The stack evaluator that calls the scalar `evaluate` (`per`) once per floating matrix.
 
-    A residue stack, given with its primes, goes whole to `per_batch`.
+    An exact stack, or a residue stack given with its primes, goes whole to
+    `per_batch`, so that an exact gather is one lift.
     """
     def values(mats, mod=None):
-        if mod is not None:
+        if mod is not None or mats.dtype == object:
             return per_batch(mats, mod)
         flat = mats.reshape(math.prod(mats.shape[:-2]), *mats.shape[-2:])
-        dtype = object if mats.dtype == object else complex
-        return np.fromiter(map(evaluate, flat), dtype, len(flat)).reshape(mats.shape[:-2])
+        return np.fromiter(map(evaluate, flat), complex, len(flat)).reshape(mats.shape[:-2])
     return values
 
 
@@ -541,14 +542,14 @@ def replacement_values(A, Xs, evaluate, mod=None) -> np.ndarray:
 
 def sigma_columns(spec: ReplacementSpec, sigma: tuple[int, ...], n: int | None = None):
     """Y^sigma_[J]: column j_p from X^{sigma(p)}, all other columns zero."""
-    if not spec.directions:
-        if n is None:
-            raise ValueError("need the matrix order for an empty replacement")
-        ref = None
-    else:
+    if spec.directions:
         ref = np.asarray(spec.directions[0])
-        n = ref.shape[0]
-    Y = zeros_like_mode(ref if ref is not None else np.zeros((n, n), dtype=complex), (n, n))
+        n, zero = ref.shape[0], zero_like(ref)
+    elif n is None:
+        raise ValueError("need the matrix order for an empty replacement")
+    else:
+        zero = 0j
+    Y = np.full((n, n), zero)
     for p, jp in enumerate(spec.J.zero_based()):
         X = np.asarray(spec.directions[sigma[p]])
         if X.shape != (n, n):

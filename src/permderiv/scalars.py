@@ -4,13 +4,15 @@ Matrices come in two modes: floating (numpy complex128 arrays) and exact
 (numpy object arrays whose entries are ExactComplex).  Exact mode is used
 for Gaussian-integer cross-checks where formula agreement must be literal
 equality, not a tolerance.  Each part of an ExactComplex is a Python int
-while it is integral and a Fraction only when it is not.  Exact permanents,
+while it is integral and a Fraction only when it is not.  `exact_matrix` is
+the one checked conversion of exact input: every part is a numbers.Rational,
+taken exactly, or an integral real, and nothing else.  Exact permanents,
 determinants and the six closed forms are not evaluated on ExactComplex but
 on int64 residues mod primes (`permanent.modular_values`), and each result
 is built once from its parts.  The residue helpers at the end of this
-module (`residues`, `product`, `scaled`, `divided`, and `total` with a
-modulus) are the forms' arithmetic in both modes; without a modulus each is
-the plain numpy operation.  ExactComplex arithmetic is left to the API and
+module (`residues`, `product`, `divided`, and `total` with a modulus) are
+the forms' arithmetic in both modes; without a modulus each is the plain
+numpy operation.  ExactComplex arithmetic is left to the API and
 JSON boundary, `dper` and the references (`per_naive`, the interpolation
 oracle).
 """
@@ -18,13 +20,13 @@ oracle).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from operator import attrgetter
 
 import numpy as np
 
-_RATIONAL = (int, Fraction)
 _HASH_BITS = sys.hash_info.width
 _HASH_MASK = (1 << _HASH_BITS) - 1
 _RE, _IM = attrgetter("re"), attrgetter("im")
@@ -157,15 +159,14 @@ class ExactComplex:
 
 
 def _coerce(value):
+    """value as an ExactComplex: a numbers.Rational (numpy integers too) exactly,
+    a complex with integer parts; NotImplemented for anything else, floats too."""
     if isinstance(value, ExactComplex):
         return value
-    if isinstance(value, _RATIONAL):
+    if isinstance(value, numbers.Rational):
         return ExactComplex(value)
-    if isinstance(value, complex):
-        re, im = value.real, value.imag
-        if re == int(re) and im == int(im):
-            return _new(int(re), int(im))
-        return NotImplemented
+    if isinstance(value, complex) and value.real.is_integer() and value.imag.is_integer():
+        return _new(int(value.real), int(value.imag))
     return NotImplemented
 
 
@@ -195,52 +196,45 @@ def is_exact(matrix) -> bool:
 
 
 def exact_matrix(rows):
-    """Build an exact-mode matrix from nested ints / (re, im) pairs / complex."""
-    data = []
-    for row in rows:
-        out = []
-        for entry in row:
-            if isinstance(entry, ExactComplex):
-                out.append(entry)
-            elif isinstance(entry, (list, tuple)):
-                re, im = entry
-                out.append(ExactComplex(_as_rational(re), _as_rational(im)))
-            elif isinstance(entry, complex):
-                out.append(ExactComplex(_as_rational(entry.real), _as_rational(entry.imag)))
-            else:
-                out.append(ExactComplex(_as_rational(entry)))
-        data.append(out)
-    mat = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
-    for i, row in enumerate(data):
-        for j, entry in enumerate(row):
-            mat[i, j] = entry
+    """An exact-mode matrix from rows of ExactComplex, [re, im] pairs, complex or real numbers.
+
+    A part is a numbers.Rational (numpy integers too), taken exactly, or a real
+    that is an integer (3.0, 1e200); any other part, or ragged rows, raise ValueError.
+    """
+    rows = [list(row) for row in rows]
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise ValueError(f"exact matrix rows must all have the same length, got lengths {sorted(widths)}")
+    mat = np.empty((len(rows), widths.pop() if widths else 0), dtype=object)
+    mat[...] = [[_exact_entry(entry) for entry in row] for row in rows]
     return mat
 
 
-def _as_rational(x):
-    if isinstance(x, _RATIONAL):
+def _exact_entry(entry):
+    """One checked entry of `exact_matrix` as an ExactComplex."""
+    if isinstance(entry, ExactComplex):
+        return entry
+    if isinstance(entry, (list, tuple, np.ndarray)):
+        re, im = entry
+    elif isinstance(entry, numbers.Complex):
+        re, im = entry.real, entry.imag
+    else:
+        re, im = entry, 0
+    return _new(_exact_part(re), _exact_part(im))
+
+
+def _exact_part(x):
+    """x as a rational part: a numbers.Rational as it is, an integral real as an int."""
+    if isinstance(x, numbers.Rational):
         return x
-    f = float(x)
-    if f != int(f):
-        raise ValueError(f"exact mode requires integer (Gaussian-integer) entries, got {x!r}")
-    return int(f)
+    if isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x):
+        return int(x)
+    raise ValueError(f"exact mode requires integer (Gaussian-integer) entries, got {x!r}")
 
 
 def to_complex(matrix) -> np.ndarray:
     """Convert either mode to a complex128 array."""
     return np.asarray(matrix).astype(complex)
-
-
-def exact_zeros(shape):
-    """Object array of exact zeros."""
-    return np.full(shape, ExactComplex(0), dtype=object)
-
-
-def zeros_like_mode(matrix, shape):
-    """Zero matrix of the given shape, in the same mode as `matrix`."""
-    if is_exact(matrix):
-        return exact_zeros(shape)
-    return np.zeros(shape, dtype=complex)
 
 
 def zero_like(matrix):
@@ -302,11 +296,6 @@ def product(a, b, mod=None):
     Residues below 2^31 keep every product below 2^62.
     """
     return residues(np.multiply(a, b), mod)
-
-
-def scaled(q: int, x, mod=None):
-    """The integer q times x, reduced mod p."""
-    return residues(q * x, mod)
 
 
 def divided(x, q: int, mod=None):

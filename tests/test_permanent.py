@@ -1,4 +1,5 @@
 import math
+import operator
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
 from test_tensor import _leibniz
-from permderiv import permanent
+from permderiv import derivatives, permanent, tensor
 from permderiv.multiindex import MultiIndex, enumerate_strict
 from permderiv.permanent import (
     ReplacementSpec,
@@ -25,7 +26,7 @@ from permderiv.permanent import (
     submatrix,
 )
 from permderiv.scalars import ExactComplex, to_complex
-from permderiv.tensor import det, det_batch
+from permderiv.tensor import det, det_batch, tilde_sym_block
 
 
 def test_per_naive_2x2():
@@ -577,6 +578,90 @@ def test_entries_that_are_not_gaussian_rationals_raise_type_error():
             per(A)
         with pytest.raises(TypeError):
             per_batch(np.stack([A, A]))
+
+
+def test_object_stacks_of_numpy_integers_lift_exactly(rng):
+    ints = rng.integers(-(2**40), 2**40, (3, 4, 4))
+    ints[0, 0, 0], ints[1, 2, 3] = 2**62, -(2**63)  # beyond the float and the per bound
+    python = ints.astype(object)
+    numpy = np.empty(ints.shape, dtype=object)
+    for index, x in np.ndenumerate(ints):
+        numpy[index] = np.int32(x % 2**31) if sum(index) % 3 == 1 else np.int64(x)
+        python[index] = int(numpy[index])
+    assert type(python[0, 0, 0]) is int and python[0, 0, 0] == 2**62 and python[1, 2, 3] == -(2**63)
+    assert type(numpy[0, 0, 0]) is np.int64 and type(numpy[0, 0, 1]) is np.int32
+    assert _typed([per(M) for M in numpy]) == _typed([per(M) for M in python])
+    assert _typed(per_batch(numpy)) == _typed(per_batch(python))
+    assert _typed(det_batch(numpy)) == _typed(det_batch(python))
+    assert per_batch(numpy).tolist() == [per_naive(M) for M in python]
+
+
+def _typed(values):
+    """Each exact value with the types of its parts, so that == also compares them."""
+    return [(z.re, type(z.re), z.im, type(z.im)) for z in np.ravel(np.asarray(values, dtype=object))]
+
+
+def _counted(monkeypatch, name, modules):
+    """Record (stack, result) of each call of `name` through any of the modules."""
+    calls, original = [], getattr(permanent, name)
+
+    def counted(mats, *args):
+        result = original(mats, *args)
+        calls.append((mats, result))
+        return result
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _mixed_exact(rng, n):
+    """A Gaussian-integer matrix with a part beyond int64 and a Fraction part."""
+    A = random_gaussian_integer(rng, n)
+    A[0, -1] = ExactComplex(2**61 + 1, -3)
+    A[-1, 0] = ExactComplex(Fraction(1, 2), 2)
+    return A
+
+
+def test_exact_gathers_are_one_lift_each(rng, monkeypatch):
+    n = 5
+    A, X = _mixed_exact(rng, n), _mixed_exact(rng, n)
+    singles, pairs = enumerate_strict(1, n), enumerate_strict(2, n)
+    padj_ref = [per(minor_complement(A, I, J)) for I in singles for J in singles]
+    tilde_ref = [per(minor_complement(A, I, J)) for J in pairs for I in pairs]
+    laplace_ref = sum(
+        (per(submatrix(A, pairs[0], J)) * per(minor_complement(A, pairs[0], J)) for J in pairs), ExactComplex(0)
+    )
+    columns_ref = [per(column_replace(A, ReplacementSpec(J, (X,)))) for J in singles]
+    minors_ref = [per(minor_complement(A.T, I, J)) for I in singles for J in singles]
+    scalar = _counted(monkeypatch, "per", (permanent, derivatives, tensor))
+    batches = _counted(monkeypatch, "per_batch", (permanent,))
+
+    assert _typed(padj(A)) == _typed(padj_ref) and len(batches) == 1
+    assert _typed(tilde_sym_block(A, 2).entries) == _typed(tilde_ref) and len(batches) == 2
+    assert _typed(laplace_per(A, pairs[0])) == _typed(laplace_ref) and len(batches) == 4
+    del batches[:]
+    value = derivatives.dper(A, X)
+    # padj, then the column route on the replaced matrices, then the minors of A^T
+    assert [mats.shape for mats, _ in batches] == [(n, n, n - 1, n - 1), (n, n, n), (n, n, n - 1, n - 1)]
+    assert _typed(batches[0][1]) == _typed(padj_ref)
+    assert _typed(batches[1][1]) == _typed(columns_ref)
+    assert _typed(batches[2][1]) == _typed(minors_ref)
+    assert value == sum(map(operator.mul, X.ravel(), padj_ref), ExactComplex(0))
+    assert not scalar
+
+
+def test_floating_gathers_call_per_once_per_block(rng, monkeypatch):
+    n, A, X = 5, random_complex(rng, 5), random_complex(rng, 5)
+    scalar = _counted(monkeypatch, "per", (permanent, derivatives, tensor))
+    batches = _counted(monkeypatch, "per_batch", (permanent,))
+    padj(A)
+    assert len(scalar) == n * n
+    derivatives.dper(A, X)  # padj, the n replaced matrices and the minors of A^T
+    assert len(scalar) == n * n + (n * n + n + n * n)
+    tilde_sym_block(A, 2)
+    assert len(scalar) == 3 * n * n + n + math.comb(n, 2) ** 2
+    assert not batches
 
 
 def test_cached_moduli_are_primes_one_mod_four_with_a_root_of_minus_one():

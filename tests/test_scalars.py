@@ -13,7 +13,7 @@ from permderiv.charpoly import dk_gr
 from permderiv.derivatives import FORMULAS, dkper
 from permderiv.oracle import mixed_partial_interp
 from permderiv.permanent import per, per_batch
-from permderiv.scalars import ExactComplex
+from permderiv.scalars import ExactComplex, exact_matrix
 from permderiv.tensor import det_bareiss, det_batch
 
 
@@ -48,6 +48,51 @@ def test_integral_parts_are_ints():
     half = ExactComplex(Fraction(1, 2), Fraction(-1, 2))
     assert _int_parts(half + half)
     assert _int_parts(half * 2)
+
+
+def test_exact_matrix_keeps_numpy_integers_exact():
+    big = 2**60 + 1  # 2^60 as a float
+    M = exact_matrix(np.array([[big, -3]]))
+    assert M.tolist() == [[big, -3]] and all(map(_int_parts, M.ravel()))
+    M = exact_matrix(np.array([[[big, -big], [7, 2**62]]]))
+    assert M.tolist() == [[ExactComplex(big, -big), ExactComplex(7, 2**62)]]
+    assert all(map(_int_parts, M.ravel()))
+    M = exact_matrix([[np.int64(big), (np.int32(2), np.uint64(2**63))], [Fraction(1, 2), 3 - 4j]])
+    assert M.tolist() == [[big, ExactComplex(2, 2**63)], [Fraction(1, 2), ExactComplex(3, -4)]]
+    assert type(M[1, 0].re) is Fraction and _int_parts(M[1, 1])
+
+
+def test_exact_matrix_takes_integral_reals_as_ints():
+    M = exact_matrix([[np.float64(3.0), 1e200, (2.0, -0.0)]])
+    assert M.tolist() == [[3, int(1e200), 2]] and all(map(_int_parts, M.ravel()))
+    assert exact_matrix([]).shape == (0, 0) and exact_matrix([[]]).shape == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 2], [3]], "same length"),
+        ([[1], [2, 3]], "same length"),
+        ([["7"]], "got '7'"),
+        ([[None]], "got None"),
+        ([[1.5]], "got 1.5"),
+        ([[(1, 0.5)]], "got 0.5"),
+        ([[1 + 0.5j]], "got 0.5"),
+        ([[float("inf")]], "got inf"),
+        ([[float("nan")]], "got nan"),
+        ([[(1, "2")]], "got '2'"),
+    ],
+)
+def test_exact_matrix_refuses_what_is_not_a_gaussian_integer(rows, message):
+    with pytest.raises(ValueError, match=message):
+        exact_matrix(rows)
+
+
+def test_numpy_integers_coerce_exactly_and_non_finite_complexes_compare_unequal():
+    z = ExactComplex(3) + np.int64(2**60 + 1)
+    assert _int_parts(z) and z == 2**60 + 4 and z == np.int64(2**60 + 4)
+    for other in (complex("inf"), complex("nan"), complex(1, float("inf")), 1.0, np.float64(1.0)):
+        assert not ExactComplex(1) == other
 
 
 def test_division_gives_fraction_parts_only_when_inexact():
