@@ -5,8 +5,8 @@ independent oracle.  `per` and `per_batch` share one blocked Ryser kernel
 in both modes, O(2^n * n) per matrix: the row sums over all subsets of up
 to ten columns are formed at once (a product with a cached 0/1 subset
 table), and only the subsets of the remaining columns are looped over in
-Python.  A stack within one chunk, as a single matrix always is, goes
-straight into the kernel, so a scalar `per` costs about one matmul, one row
+Python.  A floating matrix of up to ten columns skips the stack and runs
+the kernel's calls on itself, so a scalar `per` is one matmul, one row
 product and one dot.  An exact stack runs that kernel on int64 images mod
 primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
 permanents are lifted back by the Chinese remainder theorem (the classic
@@ -83,9 +83,17 @@ def per_naive(A):
 def per(A):
     """Permanent of a square matrix, by the blocked Ryser kernel in A's mode.
 
-    An exact matrix runs as int64 images mod primes (see `modular_values`).
+    A floating matrix whose columns all fit the subset table (n <= 10 at the
+    default budget) runs the kernel's three calls on itself, bit for bit as in
+    `per_batch`; other orders take a stack of one.  An exact matrix runs as
+    int64 images mod primes (see `modular_values`).
     """
-    return _ryser_stack(require_square(A)[None])[0]
+    A = require_square(A)
+    if len(A) and A.dtype != object:
+        b, bits, signs = _ryser_plan(len(A), _LOW_COLUMNS, _STACK_BUDGET)[:3]
+        if b == len(A):
+            return np.multiply.reduce(A.astype(complex, copy=False).dot(bits), axis=0).dot(signs)
+    return _ryser_stack(A[None])[0]
 
 
 def per_batch(mats: np.ndarray, mod=None) -> np.ndarray:
@@ -122,8 +130,6 @@ def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     if mod is None:
         mats = mats.astype(complex, copy=False)
     b, bits, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET, mats.dtype)
-    if m <= chunk:  # one chunk, as for a single matrix: no slice and no closure
-        return _ryser_block(mats, b, bits, signs, mod)
     return in_slices(
         lambda s: _ryser_block(mats[s], b, bits, signs, None if mod is None else mod[s]), m, chunk
     )
@@ -185,7 +191,7 @@ def _ryser_block(block, b, bits, signs, mod=None):
     after every T.
     """
     c, n = block.shape[0], block.shape[-1]
-    low = (block[:, :, :b].reshape(c * n, b) @ bits).reshape(c, n, 1 << b)
+    low = block[:, :, :b].reshape(c * n, b).dot(bits).reshape(c, n, 1 << b)
     if mod is not None:
         p, rows_p = mod[:, None], mod[:, None, None]
         low %= rows_p
@@ -200,7 +206,7 @@ def _ryser_block(block, b, bits, signs, mod=None):
             if mod is not None:
                 rows %= rows_p
         if mod is None:
-            prods = rows.prod(axis=1)  # row by row, left to right, as a loop of *=
+            prods = np.multiply.reduce(rows, axis=1)  # row by row, left to right, as a loop of *=
         else:
             prods = rows[:, 0]
             for i in range(1, n):

@@ -198,7 +198,7 @@ def is_exact(matrix) -> bool:
 def exact_matrix(rows):
     """An exact-mode matrix from rows of ExactComplex, [re, im] pairs, complex or real numbers.
 
-    A part is a numbers.Rational (numpy integers too), taken exactly, or a real
+    A part is a numbers.Rational (numpy integers too) or a bool, taken exactly, or a real
     that is an integer (3.0, 1e200); any other part, or ragged rows, raise ValueError.
     """
     rows = [list(row) for row in rows]
@@ -224,7 +224,9 @@ def _exact_entry(entry):
 
 
 def _exact_part(x):
-    """x as a rational part: a numbers.Rational as it is, an integral real as an int."""
+    """x as a rational part: a numbers.Rational as it is, an integral real or np.bool_ as an int."""
+    if isinstance(x, np.bool_):  # 0 or 1, as a Python bool is
+        return int(x)
     if isinstance(x, numbers.Rational):
         return x
     if isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x):

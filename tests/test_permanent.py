@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
 from test_tensor import _leibniz
@@ -25,7 +25,7 @@ from permderiv.permanent import (
     sigma_columns,
     submatrix,
 )
-from permderiv.scalars import ExactComplex, to_complex
+from permderiv.scalars import ExactComplex, exact_matrix, to_complex
 from permderiv.tensor import det, det_batch, tilde_sym_block
 
 
@@ -294,6 +294,54 @@ def test_float_per_matches_exact_per(rng):
         assert abs(per(to_complex(A)) - exact) <= 1e-12 * max(abs(exact), 1.0)
 
 
+_DYADIC = st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-60, 20))
+
+
+@st.composite
+def dyadic_matrices(draw):
+    """The (2, n, n) real and imaginary parts, n <= 6, of a matrix of dyadic rationals."""
+    n = draw(st.integers(0, 6))
+    parts = draw(st.lists(_DYADIC, min_size=2 * n * n, max_size=2 * n * n))
+    return np.array(parts).reshape(2, n, n)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(dyadic_matrices())
+def test_float_per_is_within_a_ryser_rounding_bound_of_exact_per(parts):
+    """|fl(per A) - per A| <= 2 2^n (n^2 + 3n + 2^n) u prod_i rho_i, u = 2^-53.
+
+    Every float is a dyadic rational, so the exact engine gives per A of the
+    very entries the floating kernel sees.  Write |z|_1 = |re z| + |im z|,
+    which bounds |z| and is submultiplicative, rho_i = sum_j |a_ij|_1, and
+    gamma_k = k u / (1 - k u), so that (1 + gamma_j)(1 + gamma_k) <=
+    1 + gamma_{j+k} and gamma_k <= 2 k u while k u <= 1/2.  For n <= 6 every
+    column is in the subset table, and fl(per A) is one product with the 0/1
+    table, one row product and one dot with the +-1 signs, whose
+    multiplications are exact, so only their additions and the row
+    product round:
+    - a row sum r_i(S) = sum_{j in S} a_ij takes at most n - 1 additions per
+      part, so |fl(r_i) - r_i|_1 <= gamma_{n-1} rho_i and |fl(r_i)|_1 <=
+      (1 + gamma_{n-1}) rho_i;
+    - a complex product rounds each part of ac - bd and ad + bc within
+      gamma_2 (|ac| + |bd|), with or without FMA, so |fl(xy) - xy|_1 <=
+      gamma_2 |x|_1 |y|_1; the n - 1 products of p_S = prod_i r_i(S), on
+      the rounded row sums, give |fl(p_S) - p_S|_1 <= gamma_k prod_i rho_i
+      with k = n(n - 1) + 2(n - 1);
+    - the dot adds the 2^n signed fl(p_S), each within (1 + gamma_k)
+      prod_i rho_i, with at most 2^n - 1 additions per part.
+    So |fl(per A) - per A|_1 <= 2^n gamma_{n^2 + n + 2^n - 3} prod_i rho_i,
+    which the bound above covers with 2n + 3 roundings to spare.
+    """
+    n = parts.shape[-1]
+    value = per(parts[0] + 1j * parts[1])
+    entries = [[(Fraction(x), Fraction(y)) for x, y in zip(re, im)] for re, im in zip(*parts)]
+    exact = per(exact_matrix(entries))
+    error = abs(Fraction(value.real) - exact.re) + abs(Fraction(value.imag) - exact.im)
+    rho = math.prod(sum(abs(x) + abs(y) for x, y in row) for row in entries)
+    assert error <= 2 * 2**n * (n * n + 3 * n + 2**n) * Fraction(1, 2**53) * rho
+
+
 def test_per_batch_keeps_the_stack_shape(rng):
     for k in (1, 3, 5):
         mats = rng.standard_normal((2, 3, k, k)) + 1j * rng.standard_normal((2, 3, k, k))
@@ -371,6 +419,37 @@ def test_kernel_is_bit_identical_to_the_explicit_row_loop(rng):
             assert permanent._ryser_stack(M[None]).tobytes() == alone.tobytes()
             for value in (per(M), per_batch(M[None])[0]):
                 assert type(value) is np.complex128 and value.tobytes() == alone.tobytes()
+
+
+def _layouts(rng, n, dtype):
+    """An n x n matrix of dtype, contiguous, transposed and strided."""
+    re, im = rng.standard_normal((2, 2 * n, 2 * n)) * 10.0 ** rng.integers(-3, 4)
+    parts = {bool: re > 0, np.int64: np.round(4 * re), float: re}
+    B = parts.get(dtype, re + 1j * im).astype(dtype)
+    M = np.ascontiguousarray(B[:n, :n])
+    return M, M.T, B[::2, ::2]
+
+
+@pytest.mark.parametrize("budget", [permanent._STACK_BUDGET, 64])
+def test_scalar_per_has_the_bits_of_a_stack_of_one(budget, rng, monkeypatch):
+    # a matrix whose columns all fit the subset table skips the stack; at a
+    # budget of 64 the table holds fewer columns from n = 5 on, and the
+    # matrix goes through the stack as a stack of one
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", budget)
+    stacks = []
+    stack = permanent._ryser_stack
+    monkeypatch.setattr(permanent, "_ryser_stack", lambda *a: stacks.append(a) or stack(*a))
+    for n in range(13):
+        direct = 0 < n == _kernel_plan(n)[0]
+        for dtype in (complex, np.complex64, float, np.int64, bool):
+            for M in _layouts(rng, n, dtype):
+                del stacks[:]
+                value = per(M)
+                assert len(stacks) == (not direct)
+                assert type(value) is np.complex128
+                assert value.tobytes() == per_batch(M[None])[0].tobytes(), (n, dtype)
+    A = random_gaussian_integer(rng, 6)
+    assert _is_exact_result(per(A)) and per(A) == per_naive(A)
 
 
 def test_exact_single_matrices_equal_their_stacks(rng):

@@ -13,7 +13,7 @@ from permderiv.charpoly import dk_gr
 from permderiv.derivatives import FORMULAS, dkper
 from permderiv.oracle import mixed_partial_interp
 from permderiv.permanent import per, per_batch
-from permderiv.scalars import ExactComplex, exact_matrix
+from permderiv.scalars import ExactComplex, exact_matrix, require_directions
 from permderiv.tensor import det_bareiss, det_batch
 
 
@@ -66,6 +66,22 @@ def test_exact_matrix_takes_integral_reals_as_ints():
     M = exact_matrix([[np.float64(3.0), 1e200, (2.0, -0.0)]])
     assert M.tolist() == [[3, int(1e200), 2]] and all(map(_int_parts, M.ravel()))
     assert exact_matrix([]).shape == (0, 0) and exact_matrix([[]]).shape == (1, 0)
+
+
+def test_boolean_entries_are_zero_or_one_at_every_entry_point():
+    # numpy booleans, Python booleans and a bool operand made exact by
+    # require_directions are the same 0/1 matrix, with int parts
+    eye = np.array([[True, False], [False, True]])
+    X = exact_matrix([[1, 2], [3, 4]])
+    matrices = [
+        exact_matrix(eye),
+        exact_matrix([[True, False], [0, 1]]),
+        require_directions(eye, (X,))[0],
+        exact_matrix([[(np.True_, np.False_), 0], [0, np.True_]]),
+    ]
+    for M in matrices:
+        assert M.tolist() == [[1, 0], [0, 1]] and all(map(_int_parts, M.ravel()))
+    assert dkper(exact_matrix(np.eye(2, dtype=bool)), (X,)) == 1 + 4
 
 
 @pytest.mark.parametrize(
