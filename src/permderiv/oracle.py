@@ -6,7 +6,9 @@ integer grid {0..d}^k, which equals the k-th mixed partial at 0.  It shares
 the permanent/determinant evaluators with the library but none of the
 closed-form derivative formulas.  The node matrices A + sum_p t_p X^p are
 built as stacks and each stack is evaluated by one call: `per_batch` for
-"per" and `charpoly.g_r` for "gr".
+"per" and `charpoly.g_r` for "gr".  Exact values are added with int
+weights, the Lagrange weights times the lcm L of their denominators, and
+the sum divided once by L^k; floats keep the Fraction weights.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ def _linear_coeff_weights(d: int) -> list[Fraction]:
     return [-harmonic] + [Fraction((-1) ** (j + 1) * math.comb(d, j), j) for j in range(1, d + 1)]
 
 
+def _int_weights(d: int) -> tuple[list[int], int]:
+    """The weights of `_linear_coeff_weights(d)` times L, the lcm of their denominators, and L."""
+    weights = _linear_coeff_weights(d)
+    scale = math.lcm(*(w.denominator for w in weights))
+    return [int(w * scale) for w in weights], scale
+
+
 def _functional(phi, r):
     if callable(phi):
         return phi
@@ -52,7 +61,7 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
     node matrices are built as stacks of `budget_length(n * n)` nodes; "per"
     evaluates each stack by one `per_batch` call and "gr" by one `g_r` call,
     and a callable is called once per node.  The weighted values are added
-    in grid order.
+    in grid order; exact values with int weights, divided once at the end.
     """
     A, directions = require_directions(A, directions)
     n = A.shape[0]
@@ -64,8 +73,11 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
     func = _functional(phi, r)
     evaluate = per_batch if phi == "per" else func
     degree = r if phi == "gr" else n
-    weights = _linear_coeff_weights(degree)
-    weighted = ((math.prod((weights[t] for t in nodes), start=Fraction(1)), nodes)
+    if is_exact(A):  # int weights, so no Fraction arithmetic until the one division
+        weights, scale = _int_weights(degree)
+    else:  # Fraction weights, and no division that could move a float's bits
+        weights, scale = _linear_coeff_weights(degree), 1
+    weighted = ((math.prod(weights[t] for t in nodes), nodes)
                 for nodes in product(range(degree + 1), repeat=k))
     grid = ((w, nodes) for w, nodes in weighted if w)
     total = zero_like(A)
@@ -75,7 +87,7 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
         values = map(phi, M) if callable(phi) else evaluate(M).tolist()
         for w, value in zip(ws, values):
             total = total + w * value
-    return total
+    return total / scale**k if scale > 1 else total
 
 
 def _node_stack(A, directions, nodes):

@@ -12,15 +12,15 @@ primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
 permanents are lifted back by the Chinese remainder theorem (the classic
 multimodular method).  Every exact value takes that one lift,
 `modular_values`, with its residue kernel as an argument: Ryser's formula
-for exact stacks, Bareiss's recurrence mod p for exact determinants
-(`tensor.det_bareiss`), or a closed form itself, run once on the images of
-all its operands, so that one value is lifted per call.  `per_batch`,
-`map_blocks` and `each(per)` take a residue stack with its primes (`mod`)
-for that.  The formulas index through `multiindex.index_plan`, and
-`map_blocks` gathers and evaluates every block of submatrices in budgeted
-slices for `padj`, `laplace_per` and `tilde_sym_block` with `each(per)`:
-scalar `per` of each floating block, and one `per_batch` lift of an exact
-gather.
+for exact stacks, the residue branch of `tensor.det_batch` for exact
+determinants (`tensor.det_bareiss`), or a closed form itself, run once on
+the images of all its operands, so that one value is lifted per call.
+`per_batch`, `map_blocks` and `each(per)` take a residue stack with its
+primes (`mod`) for that.  The formulas index through
+`multiindex.index_plan`, and `map_blocks` gathers and evaluates every block
+of submatrices in budgeted slices for `padj`, `laplace_per` and
+`tilde_sym_block` with `each(per)`: scalar `per` of each floating block, and
+one `per_batch` lift of an exact gather.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def modular_values(M: np.ndarray, degree: int, bound, kernel) -> np.ndarray:
     divisions by integers prime to every modulus.  kernel(images, mod) maps
     a (c, ..., n, n) int64 stack of residues, and the prime of each image, to
     its values mod those primes: `_ryser_stack` for per,
-    `tensor._bareiss_residues` for det, or a closed form.  Each item's entries
+    `tensor.det_batch` for det, or a closed form.  Each item's entries
     are put over one common denominator d and its value divided by d^degree.
     bound(rows) bounds both parts of the value of the integer item from the
     row sums rows_i of |re| + |im| over all of its matrices (n Python ints):

@@ -160,11 +160,14 @@ class ExactComplex:
 
 def _coerce(value):
     """value as an ExactComplex: a numbers.Rational (numpy integers too) exactly,
-    a complex with integer parts; NotImplemented for anything else, floats too."""
+    an np.bool_ as 0 or 1 (as a bool is), a complex with integer parts;
+    NotImplemented for anything else, floats too."""
     if isinstance(value, ExactComplex):
         return value
     if isinstance(value, numbers.Rational):
         return ExactComplex(value)
+    if isinstance(value, np.bool_):
+        return _new(int(value), 0)
     if isinstance(value, complex) and value.real.is_integer() and value.imag.is_integer():
         return _new(int(value.real), int(value.imag))
     return NotImplemented

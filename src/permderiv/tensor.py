@@ -9,12 +9,14 @@ of order 0, 1 or 2 is its Leibniz expansion 1, a or a d - b c, one
 expression on complex128, so the minors of order k and r - k that the
 `D^k g_r` forms mostly evaluate need no LU; a floating a d - b c that
 overflows is taken by LU instead, and orders >= 3 run LAPACK LU.  An exact
-stack of every order runs `det_bareiss`: Bareiss's fraction-free recurrence
-on int64 residues mod primes, through the one multimodular lift of exact
-values (`permanent.modular_values`), which recovers them by the Chinese
-remainder theorem.  Given the primes of a residue stack (`mod`), det_batch
-runs the same expansions and `_bareiss_residues` on it directly, as the
-exact closed forms need.
+stack of every order runs `det_bareiss`: det_batch itself on int64
+residues mod primes, through the one multimodular lift of exact values
+(`permanent.modular_values`), which recovers them by the Chinese remainder
+theorem.  Given the primes of a residue stack (`mod`), as there and in the
+exact closed forms, det_batch runs the same expansions to order 2, the
+cofactor expansion along the first row at order 3, which needs no modular
+inverse, and from order 4 Bareiss's recurrence (`_bareiss_residues`), which
+inverts a pivot at each inner step.
 """
 
 from __future__ import annotations
@@ -58,17 +60,17 @@ def det(A):
 
 
 def det_bareiss(A):
-    """Determinants of an (..., n, n) exact stack by Bareiss's recurrence mod primes.
+    """Determinants of an (..., n, n) exact stack, from their values mod primes.
 
     The stack runs through the multimodular lift of exact values
-    (`permanent.modular_values`) with `_bareiss_residues` as its kernel, so
-    the values are exact, `Fraction` entries included, and keep int parts
-    while integral.  A single matrix gives a scalar.
+    (`permanent.modular_values`) with the residue branch of `det_batch` as
+    its kernel, so the values are exact, `Fraction` entries included, and
+    keep int parts while integral.  A single matrix gives a scalar.
     """
     A = np.asarray(A)
     shape, n = A.shape[:-2], A.shape[-1]
     flat = A.reshape(math.prod(shape), n, n)
-    return modular_values(flat, n, math.prod, _bareiss_residues).reshape(shape)[()]
+    return modular_values(flat, n, math.prod, det_batch).reshape(shape)[()]
 
 
 def _bareiss_residues(mats: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -80,6 +82,7 @@ def _bareiss_residues(mats: np.ndarray, mod: np.ndarray) -> np.ndarray:
     below the diagonal with a nonzero residue.  Where there is none, the
     column is 0 below the diagonal, so every later entry and the value come
     out 0.  Residues stay below 2^31, so every product stays below 2^62.
+    `det_batch` sends it orders >= 4 only; it computes every order.
     """
     M, n = mats.copy(), mats.shape[-1]
     p, stack, flip = mod[:, None, None], np.arange(len(M)), np.zeros(len(M), dtype=bool)
@@ -118,21 +121,24 @@ def _inverse_mod(x: np.ndarray, mod: np.ndarray) -> np.ndarray:
 def det_batch(mats: np.ndarray, mod=None) -> np.ndarray:
     """Determinants of a stack of k x k matrices, in the stack's mode.
 
-    An exact (object) stack of every order runs `det_bareiss`, Bareiss's
-    recurrence mod primes, and returns ExactComplex values, int parts while
-    integral.  A floating stack returns complex128: orders 0, 1 and 2 are
-    their Leibniz expansions 1, a and a d - b c, one expression on the stack
-    (no pivot and no division), and the a d - b c that come out non-finite
-    (a d or b c overflowed, above about 1e154) are taken by LU; from order 3
-    on it runs LAPACK LU.  Given mod, the stack holds residues, and their
-    values come from the same expansions and `_bareiss_residues`; sending
-    orders <= 2 to `_bareiss_residues` too cost exact-oracle 3-5 % of its throughput.
+    An exact (object) stack of every order runs `det_bareiss`, which lifts
+    its values mod primes from the residue branch below, and returns
+    ExactComplex values, int parts while integral.  A floating stack returns
+    complex128: orders 0, 1 and 2 are their Leibniz expansions 1, a and
+    a d - b c, one expression on the stack (no pivot and no division), and
+    the a d - b c that come out non-finite (a d or b c overflowed, above
+    about 1e154) are taken by LU; from order 3 on it runs LAPACK LU.  Given
+    mod, the stack holds residues in [0, p), p < 2^31, and so do its values:
+    orders <= 2 come from the same expansions, order 3 from its cofactor
+    expansion along the first row (minors a d - b c, every product reduced
+    mod p, no modular inverse), and orders >= 4 from `_bareiss_residues`.
+    Sending orders <= 2 to `_bareiss_residues` too cost exact-oracle 3-5 %.
     """
     mats = require_square_stack(mats)
     k = mats.shape[-1]
     if mod is not None:
         mod = moduli(mod, mats.shape[:-2])
-        if k > 2:
+        if k > 3:
             flat = mats.reshape(-1, k, k)
             return _bareiss_residues(flat, mod.reshape(-1)).reshape(mats.shape[:-2])
     elif is_exact(mats):
@@ -143,21 +149,29 @@ def det_batch(mats: np.ndarray, mod=None) -> np.ndarray:
         mats = mats.astype(complex, copy=False)
     if k < 2:
         return mats[..., 0, 0].copy() if k else np.ones(mats.shape[:-2], dtype=mats.dtype)
-
-    def leibniz():
-        return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-
     if mod is not None:
-        return leibniz() % mod
+        if k == 2:
+            return _leibniz(mats) % mod
+        # order 3: each entry of row 0 times its reduced minor stays below 2^62
+        row, below = mats[..., 0, :], mats[..., 1:, :]
+        a = row[..., 0] * (_leibniz(below[..., 1:]) % mod) % mod
+        b = row[..., 1] * (_leibniz(below[..., ::2]) % mod) % mod
+        c = row[..., 2] * (_leibniz(below[..., :2]) % mod) % mod
+        return (a - b + c) % mod
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return leibniz()
+            return _leibniz(mats)
     except FloatingPointError:  # a d or b c overflowed: the non-finite results by LU
         with np.errstate(over="ignore", invalid="ignore"):
-            dets = np.array(leibniz())
+            dets = np.array(_leibniz(mats))
             bad = ~np.isfinite(dets)
             dets[bad] = np.linalg.det(mats[bad])
     return dets
+
+
+def _leibniz(M: np.ndarray) -> np.ndarray:
+    """a d - b c of each 2 x 2 matrix of a stack."""
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
 def principal_blocks(M, rows) -> np.ndarray:

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from permderiv import oracle, permanent, tensor
 from permderiv.charpoly import charpoly_all, g_r
 from permderiv.derivatives import dkper, dper
 from permderiv.oracle import (
+    _int_weights,
     _linear_coeff_weights,
     faddeev_leverrier,
     finite_diff,
@@ -132,6 +135,59 @@ def test_linear_coeff_weights_extract_the_linear_coefficient():
         assert len(weights) == d + 1
         for p in range(d + 1):
             assert sum(w * j**p for j, w in enumerate(weights)) == (1 if p == 1 else 0)
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_int_weights_over_scale_to_the_k_are_the_fraction_weights(d):
+    weights, scale = _int_weights(d)
+    fractions = _linear_coeff_weights(d)
+    assert all(type(w) is int for w in weights) and type(scale) is int
+    assert scale == math.lcm(*(w.denominator for w in fractions))
+    for k in range(4):
+        for nodes in itertools.product(range(d + 1), repeat=k):
+            expected = math.prod((fractions[t] for t in nodes), start=Fraction(1))
+            assert Fraction(math.prod(weights[t] for t in nodes), scale**k) == expected
+
+
+def _recording(evaluate, values):
+    def recorded(*args):
+        result = evaluate(*args)
+        values.extend(np.ravel(result).tolist())
+        return result
+
+    return recorded
+
+
+def _bits(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_floating_oracle_is_the_fraction_weighted_sum_in_grid_order(rng, n, monkeypatch):
+    # every float keeps the bits of sum_nodes w * value with Fraction weights w,
+    # added in grid order from complex(0.0), for the values the evaluator gave
+    values = []
+    monkeypatch.setattr(oracle, "per_batch", _recording(oracle.per_batch, values))
+    monkeypatch.setattr(oracle, "g_r", _recording(oracle.g_r, values))
+    A, Xs = random_complex(rng, n), [random_complex(rng, n) for _ in range(3)]
+    if n == 2:  # values that overflow: an infinite part beside a nan one
+        A = np.full((2, 2), 1e308 + 0j)  # g_1 = tr A = inf
+    infinite = False
+    for k in range(4):
+        for phi, r in [("per", None)] + [("gr", r) for r in range(1, n + 1)]:
+            values.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = mixed_partial_interp(phi, A, Xs[:k], r=r)
+            fractions = _linear_coeff_weights(n if r is None else r)
+            weights = [math.prod((fractions[t] for t in nodes), start=Fraction(1))
+                       for nodes in itertools.product(range(len(fractions)), repeat=k)]
+            weights = [w for w in weights if w]
+            expected = complex(0.0)
+            for w, v in zip(weights, values, strict=True):
+                expected = expected + w * v
+            assert type(value) is complex and _bits(value) == _bits(expected)
+            infinite |= math.isinf(value.real) or math.isinf(value.imag)
+    assert infinite == (n == 2)
 
 
 def _fraction_matrix(rng, n):

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import random_complex, random_gaussian_integer
 from permderiv import permanent, tensor
+from permderiv.charpoly import charpoly_all, g_r
 from permderiv.derivatives import dkper_minors
 from permderiv.multiindex import MultiIndex, enumerate_strict, index_plan
-from permderiv.permanent import laplace_per, minor_complement, padj, per, per_batch, submatrix
+from permderiv.permanent import laplace_per, minor_complement, padj, per, per_batch, per_naive, submatrix
 from permderiv.scalars import ExactComplex, to_complex, total
 from permderiv.tensor import (
     antisym_power,
@@ -19,6 +20,7 @@ from permderiv.tensor import (
     det_batch,
     mixed_antisym_projected,
     mixed_sym_projected,
+    principal_blocks,
     sym_power,
     sym_power_projected,
     tilde_antisym_block,
@@ -510,8 +512,8 @@ def test_each_group_of_matrices_takes_only_the_primes_it_needs(rng, monkeypatch)
     count = 150
     needed = [primes(cases[i % 15]) for i in range(count)]
     assert max(needed) > 40 and min(needed) <= 2
-    kernel, images = tensor._bareiss_residues, []
-    monkeypatch.setattr(tensor, "_bareiss_residues", lambda *a: images.append(len(a[0])) or kernel(*a))
+    kernel, images = tensor.det_batch, []  # det_bareiss' residue evaluator
+    monkeypatch.setattr(tensor, "det_batch", lambda *a: images.append(len(a[0])) or kernel(*a))
     dets = det_bareiss(np.stack([cases[i % 15] for i in range(count)]))
     assert images == [2 * sum(needed)]  # one kernel call, re + s im and re - s im per prime
     assert 5 * images[0] < 2 * max(needed) * count  # one count for the whole slice takes 5x more
@@ -526,13 +528,92 @@ def test_residue_determinants_of_a_stack_longer_than_a_slice(rng, n, monkeypatch
     references = [_leibniz(M) for M in cases]
     count = permanent.slice_length(n) + 1
     stack = np.stack([cases[i % len(cases)] for i in range(count)]).reshape(count, 1, n, n)
-    kernel, calls = tensor._bareiss_residues, []
-    monkeypatch.setattr(tensor, "_bareiss_residues", lambda *a: calls.append(a) or kernel(*a))
+    kernel, calls = tensor.det_batch, []  # det_bareiss' residue evaluator
+    monkeypatch.setattr(tensor, "det_batch", lambda *a: calls.append(a) or kernel(*a))
     dets = det_bareiss(stack)
     assert dets.shape == (count, 1) and len(calls) == 2  # one kernel call per slice
     for i, value in enumerate(dets[:, 0]):
         reference = references[i % len(cases)]
         assert value == reference and _parts(value) == _parts(reference)
+
+
+def _order3_images(rng):
+    """(m, 3, 3) int64 residues and the prime of each: random images, residues
+    p - 1 everywhere (the largest products), zero rows and matrices singular mod p."""
+    primes = [permanent._modulus(i)[0] for i in range(4)]
+    mats, mod = [], []
+    for p in primes:
+        random = rng.integers(0, p, (6, 3, 3))
+        top = np.full((3, 3, 3), p - 1)
+        top[1, 1, 1] = 0  # p - 1 around one zero
+        top[2, :, 0] = 1  # and beside a column of ones
+        zero = rng.integers(0, p, (3, 3, 3))
+        zero[np.arange(3), np.arange(3)] = 0  # row i of matrix i is 0
+        singular = rng.integers(0, p, (3, 3, 3))
+        singular[:, 2] = (singular[:, 0] + 5 * singular[:, 1]) % p  # rows dependent mod p only
+        singular[2, 1] = singular[2, 0]  # and a repeated row
+        group = np.concatenate([random, top, zero, singular, np.zeros((1, 3, 3), dtype=np.int64)])
+        mats.append(group)
+        mod += [p] * len(group)
+    return np.concatenate(mats).astype(np.int64), np.array(mod, dtype=np.int64)
+
+
+def test_order_three_residue_dets_equal_bareiss(rng):
+    mats, mod = _order3_images(rng)
+    dets = det_batch(mats, mod)
+    assert dets.dtype == np.int64 and np.all((0 <= dets) & (dets < mod))
+    assert dets.tolist() == tensor._bareiss_residues(mats, mod).tolist()
+    for M, p, value in zip(mats.tolist(), mod.tolist(), dets.tolist()):  # Python ints, unbounded
+        sarrus = sum(
+            math.prod(M[i][(i + j) % 3] for i in range(3)) - math.prod(M[i][(j - i) % 3] for i in range(3))
+            for j in range(3)
+        )
+        assert value == sarrus % p
+    assert np.any(dets == 0) and np.any(dets != 0)
+    # a (4, m/4) stack with one prime per leading entry, as the closed forms pass it
+    stacked = mats.reshape(4, -1, 3, 3)
+    assert det_batch(stacked, mod.reshape(4, -1)[:, 0]).tolist() == dets.reshape(4, -1).tolist()
+
+
+def _order3_exact_cases(rng, n):
+    """Gaussian-integer n x n matrices with Fraction parts and parts beyond int64."""
+    fractions = random_gaussian_integer(rng, n)
+    fractions[0] = fractions[0] / 3
+    fractions[:, -1] = fractions[:, -1] * ExactComplex(Fraction(1, 2), Fraction(-5, 7))
+    big = random_gaussian_integer(rng, n) * 10**30 + random_gaussian_integer(rng, n)
+    mixed = random_gaussian_integer(rng, n) * 2**70
+    mixed[1] = mixed[1] / 11
+    return [fractions, big, mixed, fractions * ExactComplex(0, 1) + big]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_order_three_dets_and_charpoly_equal_leibniz(rng, n):
+    for M in _order3_exact_cases(rng, n):
+        sums = [ExactComplex(0)] * (n + 1)
+        for r in range(1, n + 1):
+            for I in itertools.combinations(range(n), r):
+                sums[r] = sums[r] + _leibniz(M[np.ix_(I, I)])
+        values = [g_r(M, r) for r in range(1, n + 1)]
+        coefficients = list(charpoly_all(M))
+        for r in range(1, n + 1):
+            assert values[r - 1] == coefficients[r - 1] == sums[r]
+            assert _parts(values[r - 1]) == _parts(coefficients[r - 1]) == _parts(sums[r])
+        if n == 3:
+            value = det(M)
+            assert value == sums[3] and _parts(value) == _parts(sums[3])
+        minors = det_batch(principal_blocks(M, index_plan(3, n).combos))
+        for I, value in zip(itertools.combinations(range(n), 3), minors):
+            reference = _leibniz(M[np.ix_(I, I)])
+            assert value == reference and _parts(value) == _parts(reference)
+
+
+def test_numpy_booleans_are_exact_zero_and_one(rng):
+    M = random_gaussian_integer(rng, 3)
+    M[0, 1], M[1, 2], M[2, 0] = np.True_, np.False_, np.True_
+    reference = per_naive(M)
+    assert per(M) == reference and per_batch(np.stack([M, M])).tolist() == [reference] * 2
+    assert det(M) == _leibniz(M) and det_batch(np.stack([M, M])).tolist() == [_leibniz(M)] * 2
+    assert _parts(per(M)) == _parts(reference) and _parts(det(M)) == _parts(_leibniz(M))
 
 
 @pytest.mark.parametrize("n", range(3))
