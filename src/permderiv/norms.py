@@ -2,9 +2,11 @@
 
 Singular values come from LAPACK (`numpy.linalg.svd`), wrapped so that the
 factors read A = U diag(s) V.  The g_r norm and bound take the singular
-values of the C(n, r) principal restrictions from one batched SVD per chunk
-of restrictions (`tensor.map_restrictions`), so memory stays bounded, and
-run the elementary symmetric polynomials across the restrictions at once.
+values alone, with no singular vectors, of the C(n, r) principal
+restrictions from one batched SVD per chunk of restrictions
+(`tensor.map_restrictions`), so memory stays bounded, and run the elementary
+symmetric polynomials across the restrictions at once; the bound takes every
+order it needs from one Newton triangle pass.
 """
 
 from __future__ import annotations
@@ -80,6 +82,15 @@ def elementary_symmetric(k: int, values):
     Taken over the last axis of `values`: a float for a sequence of r values,
     an array of shape (...) for an array of shape (..., r).
     """
+    return _elementary_orders(k, values)[k][()]
+
+
+def _elementary_orders(k: int, values) -> list:
+    """[e_0, ..., e_k] of `values` over its last axis, from one Newton triangle pass.
+
+    Each e_j takes the same updates in the same order whatever k is, so it has
+    the bits of `elementary_symmetric(j, values)`.
+    """
     values = np.asarray(values)
     r = values.shape[-1]
     if not 0 <= k <= r:
@@ -89,7 +100,7 @@ def elementary_symmetric(k: int, values):
         x = values[..., i]
         for j in range(k, 0, -1):
             e[j] = e[j] + x * e[j - 1]
-    return e[k][()]
+    return e
 
 
 def dkper_norm_bound(A, k: int) -> BoundReport:
@@ -142,9 +153,9 @@ def gr_perturb_bound(A, X, r: int) -> BoundReport:
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
     nx = operator_norm(X)
-    s = _restriction_singular_values(A, r)
+    e = _elementary_orders(r - 1, _restriction_singular_values(A, r))
     # (restriction, k) terms, added restriction by restriction
-    terms = np.stack([elementary_symmetric(r - k, s) * nx**k for k in range(1, r + 1)], axis=-1)
+    terms = np.stack([e[r - k] * nx**k for k in range(1, r + 1)], axis=-1)
     return BoundReport(total_in_order(terms), "upper")
 
 
@@ -179,6 +190,7 @@ def _operands(A, X):
 def _restriction_singular_values(A, r: int) -> np.ndarray:
     """(C(n, r), r): the singular values of every r x r principal restriction of A.
 
-    A full SVD of each chunk of restrictions, as `svd` computes it for each matrix alone.
+    One SVD of each chunk of restrictions, values only, as
+    `np.linalg.svd(., compute_uv=False)` computes them for each matrix alone.
     """
-    return map_restrictions(to_complex(A), r, lambda AI: np.linalg.svd(AI)[1])
+    return map_restrictions(to_complex(A), r, lambda AI: np.linalg.svd(AI, compute_uv=False))

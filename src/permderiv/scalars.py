@@ -10,9 +10,9 @@ taken exactly, or an integral real, and nothing else.  Exact permanents,
 determinants and the six closed forms are not evaluated on ExactComplex but
 on int64 residues mod primes (`permanent.modular_values`), and each result
 is built once from its parts.  The residue helpers at the end of this
-module (`residues`, `product`, `divided`, and `total` with a modulus) are
-the forms' arithmetic in both modes; without a modulus each is the plain
-numpy operation.  ExactComplex arithmetic is left to the API and
+module (`residues`, `product`, `matmul`, `divided`, and `total` with a
+modulus) are the forms' arithmetic in both modes; without a modulus each is
+the plain numpy operation.  ExactComplex arithmetic is left to the API and
 JSON boundary, `dper` and the references (`per_naive`, the interpolation
 oracle).
 """
@@ -301,6 +301,19 @@ def product(a, b, mod=None):
     Residues below 2^31 keep every product below 2^62.
     """
     return residues(np.multiply(a, b), mod)
+
+
+def matmul(a, b, mod=None):
+    """a @ b, reduced mod p.
+
+    With mod, b is split into its high and low 16 bits, so that each product
+    with a residue below 2^31 stays below 2^47 and a sum of fewer than 2^15
+    of them below 2^63.
+    """
+    if mod is None:
+        return np.matmul(a, b)
+    high = residues(np.matmul(a, b >> 16), mod)
+    return residues((high << 16) + np.matmul(a, b & 0xFFFF), mod)
 
 
 def divided(x, q: int, mod=None):

@@ -115,12 +115,16 @@ def run_verify(n: int = 4, kmax: int = 3, seed: int = 7, tolerance: float = 1e-1
                 dev = _worst(dev, rel_dev([form(A, dirs, k, r) for form in forms]))
     record("dkgr_three_formulas", dev, tolerance)
 
-    # characteristic polynomial: principal minors vs Faddeev-LeVerrier
-    dev = 0.0
+    # characteristic polynomial: Berkowitz vs Faddeev-LeVerrier and vs the
+    # principal-minor sums, on the same matrices
+    dev = minors_dev = 0.0
     for _ in range(TRIALS):
         A = random_complex(rng, n)
-        dev = _worst(dev, _rel_dev_seq(charpoly_all(A).g, faddeev_leverrier(A)))
+        g = charpoly_all(A).g
+        dev = _worst(dev, _rel_dev_seq(g, faddeev_leverrier(A)))
+        minors_dev = _worst(minors_dev, _rel_dev_seq(g, [g_r(A, r) for r in range(1, n + 1)]))
     record("charpoly_vs_faddeev_leverrier", dev, 1e-9)
+    record("charpoly_vs_principal_minors", minors_dev, 1e-9)
 
     # SVD reconstruction and the operator/trace norm sandwich
     dev = 0.0

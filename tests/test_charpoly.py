@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
-from test_tensor import _leibniz
+from test_tensor import _leibniz, _order3_exact_cases, _parts
 from permderiv import charpoly, permanent, tensor
 from permderiv.charpoly import (
     charpoly_all,
@@ -21,7 +22,7 @@ from permderiv.norms import dk_gr_norm_exact, gr_perturb_bound
 from permderiv.oracle import finite_diff, mixed_partial_interp
 from permderiv.multiindex import enumerate_strict, index_plan
 from permderiv.permanent import replacement_stack, submatrix
-from permderiv.scalars import ExactComplex, to_complex, total
+from permderiv.scalars import ExactComplex, exact_matrix, to_complex, total
 from permderiv.tensor import (
     block_trace,
     det_batch,
@@ -65,6 +66,53 @@ def test_charpoly_matches_numpy_roots(rng):
         eigs = np.linalg.eigvals(A)
         ref = np.poly(eigs)
         assert np.allclose(coeffs, ref, rtol=1e-8, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exact_berkowitz_equals_the_principal_minor_sums(rng, n):
+    # Gaussian integers, Fraction parts and parts beyond int64, part types included
+    cases = _order3_exact_cases(rng, n) if n > 1 else [exact_matrix([[(Fraction(2, 3), -(2**70))]])]
+    for M in [random_gaussian_integer(rng, n), *cases]:
+        coefficients = charpoly_all(M)
+        assert len(coefficients) == n
+        for r, value in enumerate(coefficients, 1):
+            minors = g_r(M, r)
+            assert isinstance(value, ExactComplex)
+            assert value == minors and _parts(value) == _parts(minors)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_floating_berkowitz_agrees_with_the_principal_minor_sums(rng, n):
+    for _ in range(3):
+        A = random_complex(rng, n)
+        g = charpoly_all(A).g
+        minors = [g_r(A, r) for r in range(1, n + 1)]
+        assert len(g) == n and all(type(value) is complex for value in g)
+        scale = max([1.0, *map(abs, minors)])
+        assert max([0.0, *(abs(a - b) for a, b in zip(g, minors))]) <= 1e-12 * scale
+
+
+def test_floating_charpoly_makes_no_determinant_call_at_n16(rng, monkeypatch):
+    calls = []
+    for module in (charpoly, tensor):
+        evaluate = module.det_batch
+        monkeypatch.setattr(module, "det_batch", lambda *a, evaluate=evaluate: calls.append(1) or evaluate(*a))
+    A = random_complex(rng, 16)
+    g = charpoly_all(A).g
+    assert calls == []
+    assert rel_dev([g[0], np.trace(A)]) < 1e-12 and rel_dev([g[-1], np.linalg.det(A)]) < 1e-10
+
+
+def test_charpoly_takes_the_minor_sums_where_only_the_recurrence_overflows(monkeypatch):
+    # g = (0, -1e200, 0), but A_2 c_2 = (0, 1e400) overflows inside the recurrence
+    A = np.array([[0, 0, 1e200], [1e200, 0, 0], [1, 0, 0]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(charpoly._berkowitz(A)).all()
+    calls = []
+    minor_sums = charpoly.g_r
+    monkeypatch.setattr(charpoly, "g_r", lambda *a: calls.append(a[1]) or minor_sums(*a))
+    assert charpoly_all(A).g == (0, -1e200, 0)
+    assert calls == [1, 2, 3]
 
 
 def test_r_out_of_range(rng):

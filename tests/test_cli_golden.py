@@ -7,12 +7,14 @@ change of output, rewrite that file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and review its diff.
+which prints, for each entry that changed, the largest relative change
+among its numbers and whether it is an exact-mode entry, and review its diff.
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -124,6 +126,45 @@ def test_verbs_match_readme():
     assert tuple(re.findall(r"`([a-z-]+)`", listing)) == tuple(cli.VERBS)
 
 
+def _numbers(value) -> list:
+    """The numbers of a parsed JSON value, in document order (keys sorted)."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return []
+    if isinstance(value, (int, float)):
+        return [value]
+    if isinstance(value, dict):
+        return [x for key in sorted(value) for x in _numbers(value[key])]
+    return [x for item in value for x in _numbers(item)]
+
+
+def _change(old: dict, new: dict) -> str:
+    """The largest |new - old| / |old| over the numbers of two records' stdout, as text.
+
+    inf when a zero moved; no number when the stdouts do not pair up number for number.
+    """
+    try:
+        a, b = (_numbers(json.loads(record["stdout"])) for record in (old, new))
+    except json.JSONDecodeError:
+        return "its stdout is not JSON"
+    if len(a) != len(b):
+        return "its numbers do not pair up"
+    changes = [abs(y - x) / abs(x) if x else (0.0 if y == x else math.inf) for x, y in zip(a, b)]
+    return f"largest relative change {max(changes, default=0.0):.3g}"
+
+
+def _is_exact(argv) -> bool:
+    return "--mode" in argv and argv[argv.index("--mode") + 1] == "exact"
+
+
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     records = {name: _run(*case) for name, case in CASES.items()}
+    for name, record in records.items():
+        if name not in previous:
+            print(f"{name}: new entry")
+        elif record != previous[name]:
+            exact = "  (exact-mode entry)" if _is_exact(CASES[name][0]) else ""
+            print(f"{name}: {_change(previous[name], record)}{exact}")
+    for name in sorted(set(previous) - set(records)):
+        print(f"{name}: removed")
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")

@@ -116,7 +116,7 @@ def test_restriction_norms_equal_the_loop_over_restrictions(rng):
         A, X = random_complex(rng, n), random_complex(rng, n)
         nx = operator_norm(X)
         for r in range(1, n + 1):
-            spectra = [singular_values(rest.value) for rest in principal_restrictions(A, r)]
+            spectra = [np.linalg.svd(rest.value, compute_uv=False) for rest in principal_restrictions(A, r)]
             for k in range(1, r + 1):
                 total = 0.0
                 for s in spectra:

@@ -13,7 +13,7 @@ from permderiv.charpoly import dk_gr
 from permderiv.derivatives import FORMULAS, dkper
 from permderiv.oracle import mixed_partial_interp
 from permderiv.permanent import per, per_batch
-from permderiv.scalars import ExactComplex, exact_matrix, require_directions
+from permderiv.scalars import ExactComplex, exact_matrix, matmul, require_directions
 from permderiv.tensor import det_bareiss, det_batch
 
 
@@ -202,3 +202,17 @@ def test_arithmetic_matches_fraction_pairs(x, y, op, kind, reflected):
     assert (got == ExactComplex(*want)) and got == op(left, right)
     assert (z == other) == (x == y)
     assert hash(got) == hash(ExactComplex(*want))
+
+
+def test_residue_matmul_equals_the_python_int_product(rng):
+    # residues up to p - 1 < 2^31, as many as 1000 per sum, against Python ints
+    mod = np.array([2**31 - 1, 2147483629, 65537])
+    for m, k, n in [(3, 4, 2), (5, 1000, 3)]:
+        a = rng.integers(0, mod[:, None, None], (3, m, k))
+        b = rng.integers(0, mod[:, None, None], (3, k, n))
+        a[0], b[0] = mod[0] - 1, mod[0] - 1
+        got = matmul(a, b, mod)
+        assert got.dtype == np.int64
+        expected = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % int(q) for col in B.T] for row in A]
+                    for A, B, q in zip(a, b, mod)]
+        assert got.tolist() == expected
