@@ -4,11 +4,12 @@ g_r(A) is the sum of r x r principal minors; det(xI - A) =
 x^n - g_1 x^{n-1} + ... + (-1)^n g_n.  `charpoly_all` takes every g_r at once
 by Berkowitz's division-free recurrence in O(n^4) ring operations, one body
 on complex128 and on int64 residues; `g_r` and the derivative forms walk the
-principal restrictions.  The derivative formulas are the determinant
-analogues of the permanent ones, applied inside every principal restriction
-A_I and summed over I in Q_{r,n}.  Like the `D^k per` forms, each takes
-(A, directions), here followed by k and r, and `scalars.require_directions`
-fixes one mode for the call.
+principal restrictions.  An exact `g_r` lifts one value per matrix, the sum
+of its restriction determinants, through `tensor.det_bareiss`.  The
+derivative formulas are the determinant analogues of the permanent ones,
+applied inside every principal restriction A_I and summed over I in Q_{r,n}.
+Like the `D^k per` forms, each takes (A, directions), here followed by k
+and r, and `scalars.require_directions` fixes one mode for the call.
 
 g_r and the forms walk the restrictions in chunks of whole restrictions
 (`tensor.map_restrictions`), gathered through the index plan of Q_{r,n}, so
@@ -27,6 +28,7 @@ the restriction's rows/columns to 1..r.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +37,7 @@ import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, index_plan
 from .permanent import map_blocks, modular_values, replacement_values, slice_length
+from . import tensor
 from .derivatives import dispatch
 from .scalars import (
     is_exact,
@@ -95,14 +98,21 @@ def principal_restrictions(A, r: int) -> tuple[PrincipalRestriction, ...]:
 def g_r(A, r: int):
     """Sum of the r x r principal minors of A, or of each matrix of an (..., n, n) stack.
 
-    Each matrix's restriction determinants are summed over a contiguous last
-    axis, so a matrix of a stack gives bit for bit its g_r alone.  A single
-    matrix gives a scalar.
+    A floating matrix's restriction determinants are summed over a
+    contiguous last axis, so a matrix of a stack gives bit for bit its g_r
+    alone.  An exact stack lifts one value per matrix and restriction chunk,
+    the sum of the chunk's determinants (`tensor.det_bareiss` with summed),
+    and adds a matrix's chunks.  A single matrix gives a scalar.
     """
     A = require_square_stack(A)
     n = A.shape[-1]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
+    if is_exact(A):  # (m, chunks): one lifted partial sum per matrix and chunk
+        sums = map_restrictions(
+            A.reshape(-1, n, n), r, lambda AI: tensor.det_bareiss(AI, summed=True)[:, None], axis=1
+        )
+        return sums.sum(axis=1).reshape(A.shape[:-2])[()]
     dets = map_restrictions(A, r, det_batch, axis=-1)  # (..., C(n, r))
     if A.ndim == 2:
         return total(dets)
@@ -115,20 +125,58 @@ def charpoly_all(A) -> CharPolyCoefficients:
     An exact matrix runs the recurrence on int64 residues, and each g_r is
     lifted once (`permanent.modular_values`): it is homogeneous of degree r
     and, as a sum of principal minors, bounded by e_r(rho), rho_i the sum of
-    |re| + |im| over row i.  A floating matrix runs it on complex128; where a
-    coefficient comes out non-finite (an intermediate overflowed), the
-    principal-minor sums `g_r` are returned instead, as `det_batch` falls
-    back to LU.
+    |re| + |im| over row i.  A floating matrix runs it on complex128.
+
+    Where a floating coefficient comes out non-finite (an intermediate
+    overflowed), the recurrence is run again on 2^-e A, e the binary exponent
+    of the largest |part| of A, and each g_r is scaled back by 2^(e r) with
+    `np.ldexp` on each part (`_rescaled_berkowitz`).  A scaling by a power of
+    two is exact barring underflow, and so is that run unless one of its
+    operations underflows: then it is not used, and every coefficient is the
+    principal-minor sum `g_r`, as `det_batch` falls back to LU.  A matrix
+    whose entries span too many binary orders underflows so, as a 1e200
+    block beside an O(1) block does, and still costs the 2^n - 1 minors.
+    Otherwise the minor sum replaces only a coefficient that is still
+    non-finite once scaled back.
     """
     A = require_square(A)
     n = A.shape[0]
     if is_exact(A):
         return CharPolyCoefficients(tuple(_lifted_coefficient(A, r) for r in range(1, n + 1)))
+    A = to_complex(A)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _berkowitz(to_complex(A))[1:]
+        g = _berkowitz(A)[1:]
     if not np.isfinite(g).all():
-        return CharPolyCoefficients(tuple(g_r(A, r) for r in range(1, n + 1)))
-    return CharPolyCoefficients(tuple(g.tolist()))
+        try:
+            g = _rescaled_berkowitz(A)
+        except FloatingPointError:  # an underflow: the scaling was not exact, so no value is kept
+            g = np.full(n, np.nan, dtype=complex)
+    return CharPolyCoefficients(tuple(
+        value if cmath.isfinite(value) else g_r(A, r) for r, value in enumerate(g.tolist(), 1)
+    ))
+
+
+def _rescaled_berkowitz(A: np.ndarray) -> np.ndarray:
+    """g_1, ..., g_n of a complex matrix from `_berkowitz` on 2^-e A, times 2^(e r).
+
+    e is the binary exponent of the largest |part| of A, so the parts of
+    2^-e A lie below 1 in magnitude.  FloatingPointError when an operation of
+    the scaled run underflows; a coefficient that overflows once scaled back
+    comes out non-finite.
+    """
+    e = int(np.frexp(max(np.abs(A.real).max(), np.abs(A.imag).max()))[1])
+    with np.errstate(over="ignore", invalid="ignore", under="raise"):
+        g = _berkowitz(_ldexp(A, -e))[1:]
+    with np.errstate(over="ignore"):
+        return _ldexp(g, e * np.arange(1, len(g) + 1))
+
+
+def _ldexp(z: np.ndarray, e) -> np.ndarray:
+    """z * 2^e for a complex array, by `np.ldexp` on each part, so exactly
+    barring overflow and underflow, and with the sign of every zero part."""
+    out = np.empty_like(z)
+    out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
+    return out
 
 
 def _lifted_coefficient(A, r: int):

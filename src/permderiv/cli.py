@@ -8,7 +8,8 @@ serializer, `_out`, turns those results into JSON data: complex scalars
 become [re, im] pairs, norms stay plain reals, and in exact mode each part
 is a JSON integer, or a "p/q" string when it is not integral.  Exit codes:
 0 success, 1 input error, 2 verification failure.  Output is strict JSON:
-non-finite input entries and non-finite results are input errors.
+non-finite input entries are input errors, and so is a floating result
+that overflows, with a detail that says so.
 """
 
 from __future__ import annotations
@@ -250,7 +251,12 @@ def main(argv=None) -> int:
         # numpy's overflow warnings would only add noise on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             report, code = run(args)
-        text = json.dumps(report, sort_keys=True, allow_nan=False)
+        try:
+            text = json.dumps(report, sort_keys=True, allow_nan=False)
+        except ValueError:  # the input is finite, so a non-finite float overflowed
+            raise InputError(
+                "a result overflowed the floating range; --mode exact computes integer entries exactly"
+            ) from None
     except (ValueError, IndexError, OSError, OverflowError) as exc:
         print(json.dumps({"error": "input", "detail": str(exc)}, sort_keys=True))
         return 1

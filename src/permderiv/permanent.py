@@ -13,8 +13,10 @@ permanents are lifted back by the Chinese remainder theorem (the classic
 multimodular method).  Every exact value takes that one lift,
 `modular_values`, with its residue kernel as an argument: Ryser's formula
 for exact stacks, the residue branch of `tensor.det_batch` for exact
-determinants (`tensor.det_bareiss`), or a closed form itself, run once on
-the images of all its operands, so that one value is lifted per call.
+determinants (`tensor.det_bareiss`, which also lifts the sum of an item's
+determinants as one value, one per matrix for exact `charpoly.g_r`), or a
+closed form itself, run once on the images of all its operands, so that one
+value is lifted per call.
 `per_batch`, `map_blocks` and `each(per)` take a residue stack with its
 primes (`mod`) for that.  The formulas index through
 `multiindex.index_plan`, and `map_blocks` gathers and evaluates every block
@@ -256,11 +258,14 @@ def modular_values(M: np.ndarray, degree: int, bound, kernel) -> np.ndarray:
     try:
         parts = np.array([re, im], dtype=np.int64)
         mags = np.abs(parts).view(np.uint64)  # exact, also |-2^63|
+        # a row sum adds both parts of n entries of each of the item's matrices
+        if int(mags.max()) * (2 * size // n) >= 1 << 64:
+            mags = mags.astype(object)
     except OverflowError:  # parts beyond int64 stay Python ints until reduced mod p
         parts = np.array([re, im], dtype=object)
         mags = np.abs(parts)
-    # row i of each item, summed over its matrices, in Python ints
-    rows = mags.reshape(2, m, -1, n, n).sum(axis=(0, 2, 4), dtype=object).tolist()
+    # row i of each item, summed over its matrices, as Python ints
+    rows = mags.reshape(2, m, -1, n, n).sum(axis=(0, 2, 4)).tolist()
     R, I = _multimodular(parts.reshape(2, *M.shape), map(bound, rows), kernel)
     if any(d != 1 for d in scales):
         R, I = ([Fraction(x, d) for x, d in zip(X, scales)] for X in (R, I))
@@ -290,43 +295,42 @@ def _multimodular(parts: np.ndarray, bounds, kernel) -> tuple[list, list]:
         groups = [(c, np.flatnonzero(counts == c)) for c in np.unique(counts).tolist()]
     images, mods = [], []
     for count, at in groups:
-        p, signed_s = _crt_plan(count)[:2]
+        p, signed_s, _, pairs = _crt_plan(count)[:4]
         group = (parts if len(groups) == 1 else parts[:, at]).reshape(2, -1)
-        group = (group % p).astype(np.int64, copy=False)  # (P, 2, size)
+        if group.dtype == object:  # one Python % per part and pair of primes, whose product fits int64
+            group = (group % pairs).astype(np.int64)[np.arange(count) // 2]
+        group = group % p  # (P, 2, size)
         images.append(((group[:, :1] + group[:, 1:] * signed_s) % p).reshape(-1, *shape))
         mods.append(np.repeat(p.ravel(), 2 * len(at)))
     values = kernel(*(x[0] if len(x) == 1 else np.concatenate(x) for x in (images, mods)))
-    RI, start = np.empty((2, m), dtype=object), 0
+    lifted, start = [], 0
     for count, at in groups:
         p, _, halves = _crt_plan(count)[:3]
         uv = values[start:start + 2 * count * len(at)].reshape(count, 2, len(at))
         start += uv.size
         u, v = uv[:, :1], uv[:, 1:]
         residues = np.concatenate([u + v, u - v], axis=1) * halves % p  # (u + v) / 2 and (u - v) / 2s
-        RI[:, at] = _crt_lift(residues.reshape(count, -1), count).reshape(2, -1)
+        lifted.append(_crt_lift(residues.reshape(count, -1), count))
+    if len(groups) == 1:
+        return [lifted[0][:m], lifted[0][m:]]
+    RI = np.empty((2, m), dtype=object)
+    for (_, at), x in zip(groups, lifted):
+        RI[:, at] = np.array(x, dtype=object).reshape(2, -1)
     return RI.tolist()
 
 
-def _crt_lift(residues: np.ndarray, count: int) -> np.ndarray:
+def _crt_lift(residues: np.ndarray, count: int) -> list:
     """The integers in (-M/2, M/2] with the given residues mod each of the first
     `count` primes, M being their product: residues is (count, c) int64.
 
-    Garner's algorithm: the mixed-radix digits x = d_0 + p_0 (d_1 + p_1 (d_2 + ...))
-    with 0 <= d_j < p_j come from int64 products below 2^62, and x is assembled
-    in int64 for up to two primes (x < p_0 p_1 < 2^62) and in Python ints beyond.
+    On Python ints, x = sum_j a_j c_j mod M with c_j = (M/p_j) ((M/p_j)^-1 mod p_j),
+    one product per value and prime; a residue mod one prime is its own x.
     """
-    primes, inverses, M = _crt_plan(count)[3:]
-    digits = []
-    for j, d in enumerate(residues):
-        for i, prior in enumerate(digits):  # (a_j - d_0 - p_0 d_1 - ...) / (p_0 ... p_{j-1}) mod p_j
-            d = (d - prior) * inverses[j][i] % primes[j]
-        digits.append(d)
-    if count > 2:
-        digits = [d.astype(object) for d in digits]
-    x = digits[-1]
-    for d, q in zip(digits[-2::-1], primes[-2::-1]):
-        x = x * q + d
-    return np.where(x > M // 2, x - M, x)
+    coefficients, M = _crt_plan(count)[4:]
+    lifted = residues[0].tolist()
+    if count > 1:
+        lifted = [sum(map(operator.mul, a, coefficients)) % M for a in zip(*residues.tolist())]
+    return [x - M if x > M // 2 else x for x in lifted]
 
 
 def _prime_count(bound: int) -> int:
@@ -341,18 +345,20 @@ def _prime_count(bound: int) -> int:
 @lru_cache(maxsize=None)
 def _crt_plan(count: int):
     """The first `count` moduli: as arrays, the primes p (P, 1, 1), s and -s
-    (P, 2, 1) and 1/2 and 1/2s mod p (P, 2, 1); as Python ints, the primes,
-    Garner's inverses (inverses[j][i] = 1/p_i mod p_j for i < j) and the
-    product M of the primes."""
+    (P, 2, 1), 1/2 and 1/2s mod p (P, 2, 1), and the products of the primes
+    two by two (an object array (ceil(P/2), 1, 1), each below 2^62); as Python
+    ints, the coefficients c_j = (M/p_j) ((M/p_j)^-1 mod p_j) of the Chinese
+    remainder theorem and the product M of the primes."""
     moduli = [_modulus(i) for i in range(count)]
     primes = [q for q, _ in moduli]
     p = np.array(primes, dtype=np.int64)[:, None, None]
     signed_s = np.array([[[t], [-t]] for _, t in moduli], dtype=np.int64)
     halves = np.array([[[(q + 1) // 2], [pow(2 * t, -1, q)]] for q, t in moduli], dtype=np.int64)
-    for a in (p, signed_s, halves):
+    pairs = np.array([math.prod(primes[i:i + 2]) for i in range(0, count, 2)], dtype=object)[:, None, None]
+    for a in (p, signed_s, halves, pairs):
         a.flags.writeable = False  # shared by every caller
-    inverses = [[pow(primes[i], -1, q) for i in range(j)] for j, q in enumerate(primes)]
-    return p, signed_s, halves, primes, inverses, math.prod(primes)
+    M = math.prod(primes)
+    return p, signed_s, halves, pairs, [M // q * pow(M // q, -1, q) for q in primes], M
 
 
 @lru_cache(maxsize=None)

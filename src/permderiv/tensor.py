@@ -16,7 +16,10 @@ theorem.  Given the primes of a residue stack (`mod`), as there and in the
 exact closed forms, det_batch runs the same expansions to order 2, the
 cofactor expansion along the first row at order 3, which needs no modular
 inverse, and from order 4 Bareiss's recurrence (`_bareiss_residues`), which
-inverts a pivot at each inner step.
+inverts a pivot at each inner step.  `det_bareiss` with summed lifts the
+sum of each item's determinants as one value, added mod p in the residue
+kernel; exact `charpoly.g_r` sends its restrictions through it, so it
+lifts one value per matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
 from .permanent import budget_length, each, in_slices, map_blocks, modular_values, per, per_batch
 from .scalars import (
+    ExactComplex,
     divided,
     is_exact,
     moduli,
@@ -59,18 +63,34 @@ def det(A):
     return value if is_exact(A) else complex(value)
 
 
-def det_bareiss(A):
+def det_bareiss(A, summed: bool = False):
     """Determinants of an (..., n, n) exact stack, from their values mod primes.
 
     The stack runs through the multimodular lift of exact values
     (`permanent.modular_values`) with the residue branch of `det_batch` as
     its kernel, so the values are exact, `Fraction` entries included, and
     keep int parts while integral.  A single matrix gives a scalar.
+
+    Given summed, A is an (..., c, n, n) stack, and each item of c matrices
+    gives the sum of their determinants, lifted as one value: the kernel
+    adds the c residue determinants mod p.  Its bound is still the product
+    of the item's row sums rho_j = sum_I rho_Ij over its matrices I, since
+    for rho >= 0 the product prod_j sum_I rho_Ij expands into every term of
+    sum_I prod_j rho_Ij and more, none negative, and prod_j rho_Ij bounds
+    |det A_I|.  c matrices of order 0 sum to c.
     """
     A = np.asarray(A)
-    shape, n = A.shape[:-2], A.shape[-1]
-    flat = A.reshape(math.prod(shape), n, n)
-    return modular_values(flat, n, math.prod, det_batch).reshape(shape)[()]
+    lead, n = A.shape[:A.ndim - 2 - summed], A.shape[-1]
+    if summed and not A.size:
+        return np.full(lead, ExactComplex(A.shape[-3]), dtype=object)[()]
+    items = A.reshape(math.prod(lead), *A.shape[len(lead):])
+    kernel = _summed_residues if summed else det_batch
+    return modular_values(items, n, math.prod, kernel).reshape(lead)[()]
+
+
+def _summed_residues(images: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """The sum of the c determinants of each (c, n, n) item of a residue stack, mod its prime."""
+    return det_batch(images, mod).sum(axis=-1) % mod
 
 
 def _bareiss_residues(mats: np.ndarray, mod: np.ndarray) -> np.ndarray:

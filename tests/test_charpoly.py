@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_complex, random_gaussian_integer, rel_dev
 from test_tensor import _leibniz, _order3_exact_cases, _parts
-from permderiv import charpoly, permanent, tensor
+from permderiv import charpoly, oracle, permanent, tensor
 from permderiv.charpoly import (
     charpoly_all,
     dk_gr,
@@ -103,16 +103,55 @@ def test_floating_charpoly_makes_no_determinant_call_at_n16(rng, monkeypatch):
     assert rel_dev([g[0], np.trace(A)]) < 1e-12 and rel_dev([g[-1], np.linalg.det(A)]) < 1e-10
 
 
-def test_charpoly_takes_the_minor_sums_where_only_the_recurrence_overflows(monkeypatch):
-    # g = (0, -1e200, 0), but A_2 c_2 = (0, 1e400) overflows inside the recurrence
-    A = np.array([[0, 0, 1e200], [1e200, 0, 0], [1, 0, 0]], dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(charpoly._berkowitz(A)).all()
+def _counted_minor_sums(monkeypatch):
+    """The r of every `g_r` call that `charpoly_all` makes, as they come."""
     calls = []
     minor_sums = charpoly.g_r
     monkeypatch.setattr(charpoly, "g_r", lambda *a: calls.append(a[1]) or minor_sums(*a))
+    return calls
+
+
+def test_charpoly_takes_the_minor_sums_where_only_the_recurrence_overflows(monkeypatch):
+    # g = (0, -1e200, 0), but A_2 c_2 = (0, 1e400) overflows inside the
+    # recurrence; its rerun on 2^-e A is exact, so no minor sum runs
+    A = np.array([[0, 0, 1e200], [1e200, 0, 0], [1, 0, 0]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(charpoly._berkowitz(A)).all()
+    calls = _counted_minor_sums(monkeypatch)
     assert charpoly_all(A).g == (0, -1e200, 0)
-    assert calls == [1, 2, 3]
+    assert calls == []
+
+
+def test_charpoly_of_an_overflowing_block_matrix_at_n18_runs_no_minor_sum(rng, monkeypatch):
+    # a 1e200 2 x 2 block beside a strictly upper triangular block of the
+    # same scale: g = (2e200, 0, ..., 0), and the recurrence overflows; the
+    # 2^18 - 1 minor sums took about 0.9 s
+    n = 18
+    A = np.zeros((n, n), dtype=complex)
+    A[:2, :2] = 1e200
+    A[2:, 2:] = 1e200 * np.triu(random_complex(rng, n - 2), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(charpoly._berkowitz(A)).all()
+    calls = _counted_minor_sums(monkeypatch)
+    assert charpoly_all(A).g == (2e200, *[0] * (n - 1))
+    assert calls == []
+
+
+def test_charpoly_takes_the_minor_sums_where_the_rescaled_recurrence_underflows(rng, monkeypatch):
+    # a 1e200 2 x 2 block beside an O(1) block B: on 2^-e A the products of
+    # B's entries underflow, and that run's g_r for r >= 3 would be 0; as its
+    # trace is 2e200 and its determinant 0, g_r(A) = g_r(B) + 2e200 g_{r-1}(B)
+    n = 8
+    A = np.zeros((n, n), dtype=complex)
+    A[:2, :2] = 1e200
+    A[2:, 2:] = B = random_complex(rng, n - 2)
+    calls = _counted_minor_sums(monkeypatch)
+    g = charpoly_all(A).g
+    assert calls == list(range(1, n + 1))
+    h = (1, *charpoly_all(B).g, 0, 0)
+    for r, value in enumerate(g, 1):
+        expected = h[r] + 2e200 * h[r - 1]
+        assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
 def test_r_out_of_range(rng):
@@ -299,15 +338,45 @@ def test_one_restriction_per_chunk_gives_the_same_value(form, exact, n, k, r, rn
 
 @pytest.mark.parametrize("r", range(1, 6))
 def test_exact_restrictions_of_every_order_reach_bareiss(r, rng, monkeypatch):
-    # an exact det_batch of every order runs the stacked Bareiss recurrence
-    # once for all the restrictions, orders 1 and 2 included
+    # an exact g_r of every order sends all its restrictions to one summed
+    # det_bareiss call, orders 1 and 2 included
     A = random_gaussian_integer(rng, 5)
     reference = sum((_leibniz(P.value) for P in principal_restrictions(A, r)), ExactComplex(0))
     calls = []
     det_bareiss = tensor.det_bareiss
-    monkeypatch.setattr(tensor, "det_bareiss", lambda m: calls.append(m.shape) or det_bareiss(m))
+
+    def counted(m, summed=False):
+        calls.append((m.shape, summed))
+        return det_bareiss(m, summed)
+
+    monkeypatch.setattr(tensor, "det_bareiss", counted)
     assert g_r(A, r) == reference
-    assert calls == [(math.comb(5, r), r, r)]
+    assert calls == [((1, math.comb(5, r), r, r), True)]
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+def test_exact_g_r_of_a_node_stack_lifts_one_value_per_matrix_and_chunk(rng, monkeypatch, budget):
+    # the interpolation oracle's 16 "gr" nodes of order 5 at r = 3, of 10
+    # restrictions each: one lift of 16 sums, or 16 per chunk of 2 restrictions
+    A, X, Y = (random_gaussian_integer(rng, 5) for _ in range(3))
+    nodes = oracle._node_stack(A, (X, Y), np.array([(s, t) for s in range(4) for t in range(4)]))
+    references = [
+        sum((_leibniz(P.value) for P in principal_restrictions(M, 3)), ExactComplex(0)) for M in nodes
+    ]
+    if budget:
+        monkeypatch.setattr(tensor, "budget_length", lambda elements: budget)
+    lift, built = tensor.modular_values, []
+
+    def counted(*args):
+        values = lift(*args)
+        built.append(len(values))
+        return values
+
+    monkeypatch.setattr(tensor, "modular_values", counted)
+    values = g_r(nodes, 3)
+    assert built == [16] * (5 if budget else 1)
+    for value, reference in zip(values, references, strict=True):
+        assert value == reference and _parts(value) == _parts(reference)
 
 
 @pytest.mark.parametrize("chunked", [False, True])

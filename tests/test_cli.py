@@ -181,7 +181,10 @@ def test_dper_whose_value_overflows_is_an_input_error():
     # finite entries whose first derivative overflows: the same JSON error,
     # and no AssertionError from dper's cross-check, with and without -O
     payload = '{"A": [[-0.83, 1.21], [-1, 1e308]], "X": [[-18446744073709551616, -2], [1e200, -3]]}'
-    expected = {"error": "input", "detail": "Out of range float values are not JSON compliant"}
+    expected = {
+        "error": "input",
+        "detail": "a result overflowed the floating range; --mode exact computes integer entries exactly",
+    }
     for flags in ((), ("-O",)):
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "permderiv.cli", "dper"],

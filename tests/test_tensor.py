@@ -459,6 +459,32 @@ def test_det_bareiss_fraction_entries():
     assert det_bareiss(np.stack([M, M[::-1]])).tolist() == [_leibniz(M), -_leibniz(M)]
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_summed_det_bareiss_equals_the_sum_of_its_determinants(rng, n):
+    # Gaussian integers, Fraction parts and parts beyond int64, in items of
+    # 5 matrices each; orders >= 4 take _bareiss_residues
+    cases = _bareiss_cases(rng, n)
+    for stack in (cases, [M / 3 for M in cases], [M * 2**70 + random_gaussian_integer(rng, n) for M in cases]):
+        stack = np.stack(stack).reshape(2, 5, n, n)
+        sums = det_bareiss(stack, summed=True)
+        assert sums.shape == (2,) and sums.dtype == object
+        for value, dets in zip(sums, det_bareiss(stack)):
+            reference = sum(dets.tolist(), ExactComplex(0))
+            assert value == reference and _parts(value) == _parts(reference)
+        single = det_bareiss(stack[1], summed=True)  # one item gives a scalar
+        assert isinstance(single, ExactComplex) and single == sums[1]
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 3, 3), (0, 3, 2, 2), (2, 3, 0, 0)])
+def test_summed_det_bareiss_of_empty_stacks(shape):
+    # no matrices sum to 0, and matrices of order 0, each of determinant 1, to their count
+    stack = np.empty(shape, dtype=object)
+    sums = det_bareiss(stack, summed=True)
+    assert sums.shape == shape[:1]
+    assert sums.tolist() == [sum(dets.tolist(), ExactComplex(0)) for dets in det_bareiss(stack)]
+    assert sums.tolist() == [shape[1]] * shape[0]
+
+
 def _parts(z):
     return type(z), type(z.re), type(z.im)
 
