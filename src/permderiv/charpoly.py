@@ -136,8 +136,10 @@ def charpoly_all(A) -> CharPolyCoefficients:
     principal-minor sum `g_r`, as `det_batch` falls back to LU.  A matrix
     whose entries span too many binary orders underflows so, as a 1e200
     block beside an O(1) block does, and still costs the 2^n - 1 minors.
-    Otherwise the minor sum replaces only a coefficient that is still
-    non-finite once scaled back.
+    Otherwise the minor sum replaces only a coefficient whose scaled run is
+    non-finite: one that is finite there and overflows only once scaled back
+    lies beyond the floating range, and stays non-finite.  Minor sums run
+    with numpy's overflow and invalid warnings off; their values show it.
     """
     A = require_square(A)
     n = A.shape[0]
@@ -146,18 +148,21 @@ def charpoly_all(A) -> CharPolyCoefficients:
     A = to_complex(A)
     with np.errstate(over="ignore", invalid="ignore"):
         g = _berkowitz(A)[1:]
-    if not np.isfinite(g).all():
+    kept = np.isfinite(g)
+    if not kept.all():
         try:
-            g = _rescaled_berkowitz(A)
+            g, kept = _rescaled_berkowitz(A)
         except FloatingPointError:  # an underflow: the scaling was not exact, so no value is kept
-            g = np.full(n, np.nan, dtype=complex)
-    return CharPolyCoefficients(tuple(
-        value if cmath.isfinite(value) else g_r(A, r) for r, value in enumerate(g.tolist(), 1)
-    ))
+            kept[:] = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CharPolyCoefficients(tuple(
+            value if keep else g_r(A, r) for r, (value, keep) in enumerate(zip(g.tolist(), kept), 1)
+        ))
 
 
-def _rescaled_berkowitz(A: np.ndarray) -> np.ndarray:
-    """g_1, ..., g_n of a complex matrix from `_berkowitz` on 2^-e A, times 2^(e r).
+def _rescaled_berkowitz(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g_1, ..., g_n of a complex matrix from `_berkowitz` on 2^-e A, times 2^(e r),
+    and whether each was finite in that run.
 
     e is the binary exponent of the largest |part| of A, so the parts of
     2^-e A lie below 1 in magnitude.  FloatingPointError when an operation of
@@ -168,7 +173,7 @@ def _rescaled_berkowitz(A: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", under="raise"):
         g = _berkowitz(_ldexp(A, -e))[1:]
     with np.errstate(over="ignore"):
-        return _ldexp(g, e * np.arange(1, len(g) + 1))
+        return _ldexp(g, e * np.arange(1, len(g) + 1)), np.isfinite(g)
 
 
 def _ldexp(z: np.ndarray, e) -> np.ndarray:

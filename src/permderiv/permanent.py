@@ -17,12 +17,14 @@ determinants (`tensor.det_bareiss`, which also lifts the sum of an item's
 determinants as one value, one per matrix for exact `charpoly.g_r`), or a
 closed form itself, run once on the images of all its operands, so that one
 value is lifted per call.
-`per_batch`, `map_blocks` and `each(per)` take a residue stack with its
-primes (`mod`) for that.  The formulas index through
+`per_batch`, `map_blocks`, `each(per)` and `complement_permanents` take a
+residue stack with its primes (`mod`) for that.  `complement_permanents`
+gives per A(I|J) for every pair of k-sets from one Ryser pass over the
+column sets of A, for `tensor.tilde_sym_block`.  The formulas index through
 `multiindex.index_plan`, and `map_blocks` gathers and evaluates every block
-of submatrices in budgeted slices for `padj`, `laplace_per` and
-`tilde_sym_block` with `each(per)`: scalar `per` of each floating block, and
-one `per_batch` lift of an exact gather.
+of submatrices in budgeted slices; only `padj`, `laplace_per` and `dper`
+still evaluate theirs with `each(per)`: scalar `per` of each floating block,
+and one `per_batch` lift of an exact gather.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .scalars import (
     rational_parts,
     require_square,
     require_square_stack,
+    residues,
     zero_like,
 )
 
@@ -222,24 +225,144 @@ def _ryser_block(block, b, bits, signs, mod=None):
     return acc
 
 
+def complement_permanents(A, k: int, mod=None) -> np.ndarray:
+    """per A(I|J) for every I, J in Q_{k,n}, indexed (..., I, J), by one Ryser pass.
+
+    With m = n - k and the row sums r_i(T) = sum_{j in T} a_ij, Ryser's
+    formula on the m x m complement A(I|J) reads
+
+        per A(I|J) = (-1)^m sum_{T subset of [n] - J} (-1)^|T| prod_{i not in I} r_i(T),
+
+    so one table of row sums over the column sets T of A serves every
+    (I, J) (H. J. Ryser, Combinatorial Mathematics, 1963).  The row sums
+    are built by doubling, r(T + {j}) = r(T) + a_.j (a product with a 0/1
+    table would turn 0 * inf into NaN); for each I, the products of its m
+    rows are signed and summed over the subsets of every U by the subset-sum
+    transform G(U) = sum_{T subset U}, one in-place add per column bit; the
+    entry is G([n] - J).
+
+    Memory is bounded as in `_ryser_block`: the table covers the b low
+    columns of `_ryser_plan`, each set H of the other columns is looped over
+    in Python and adds its columns to the row sums, and its term G_H goes to
+    the J that avoid H.  Rows I are taken in budgeted chunks.  The floating
+    bits depend on neither: H's columns are added one at a time in column
+    order, as doubling adds them, and the G_H of each J are summed in the
+    tree that the transform's passes over the high bits build (a binary
+    counter over H in increasing order), so every budget gives the bits of
+    the unsplit pass.
+
+    A floating A is cast to complex128.  Given mod, A is a (..., n, n)
+    stack of residues and the values are residues.  An exact A is lifted
+    once (`modular_values`) with this function as its kernel: each value is
+    homogeneous of degree m, and prod_i max(rho_i, 1) bounds it, since the
+    complement drops k rows whose rho_i may be 0.
+    """
+    A = require_square_stack(A)
+    lead, n = A.shape[:-2], A.shape[-1]
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= {n}")
+    exact, C = mod is None and A.dtype == object, math.comb(n, k)
+    if k == n or not A.size:
+        one = ExactComplex(1) if exact else 1
+        return np.full((*lead, C, C), one, object if exact else complex if mod is None else np.int64)
+    flat = A.reshape(-1, n, n)
+    if exact:
+        values = modular_values(
+            flat, n - k, lambda rows: math.prod(max(rho, 1) for rho in rows),
+            lambda M, p: complement_permanents(M, k, p),
+        )
+        return values.reshape(*lead, C, C)
+    if mod is None:
+        flat = flat.astype(complex, copy=False)
+    else:
+        mod = moduli(mod, lead).reshape(-1)
+    b, _, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)
+    odd = (signs.real < 0) ^ bool(k % 2)  # (-1)^(m + |L|) for the low column sets L
+    return in_slices(
+        lambda s: _complement_block(flat[s], k, b, odd, None if mod is None else mod[s]), len(flat), chunk
+    ).reshape(*lead, C, C)
+
+
+def _complement_block(mats, k, b, odd, mod):
+    """`complement_permanents` of an (s, n, n) floating or residue stack: (s, C, C).
+
+    The subset table covers the b low columns; the sets H of the q = n - b
+    others are looped over.  odd marks the low sets L whose sign is -1.
+    """
+    s, n = mats.shape[0], mats.shape[-1]
+    plan, q = index_plan(k, n), n - b
+    kept, C = plan.complements, len(plan.combos)
+    U = (1 << n) - 1 - (1 << plan.combos).sum(axis=1)  # the column set [n] - J of each J
+    low = U & ((1 << b) - 1)
+    sums = np.zeros((s, n, 1 << b), mats.dtype)  # r_i(L) of the low column sets L, by doubling
+    for j in range(b):
+        np.add(sums[..., :1 << j], mats[:, :, j, None], out=sums[..., 1 << j:2 << j])
+    sums = residues(sums, mod)  # n residues add up to less than 2^36
+    # a chunk's products and the row they take in, or its counter slots, fit the budget
+    step = budget_length(2 * s * max(1 << b, (q + 1) * C))
+    if not q:
+        return in_slices(lambda c: _subset_sums(sums, kept[c], odd, mod)[..., low], C, step, axis=1)
+    taken = (U[:, None] >> np.arange(b, n)) & 1  # (C, q): the high columns outside J
+    place, free = np.cumsum(taken, axis=1) - taken, taken.sum(axis=1)
+
+    def block(c):
+        slots = np.zeros((q + 1, s, len(kept[c]), C), mats.dtype)
+        for h in range(1 << q):
+            H, r = (h >> np.arange(q)) & 1, sums
+            for j in np.flatnonzero(H):  # one column at a time, as doubling adds them
+                r = residues(r + mats[:, :, b + j, None], mod)
+            carry = _subset_sums(r, kept[c], odd ^ bool(H.sum() % 2), mod)[..., low]
+            live = ~(H & ~taken).any(axis=1)  # the J that avoid H
+            rank = ((H & taken) << place).sum(axis=1)  # H among the subsets of J's high columns
+            for level in range(q + 1):  # a binary counter, pairing as the transform's passes do
+                up = live & (rank >> level & 1 == 1)
+                np.copyto(slots[level], carry, where=live & ~up)
+                np.add(carry, slots[level], out=carry, where=up)
+                live = up
+        return np.moveaxis(slots[free, ..., np.arange(C)], 0, -1)  # J's sum sits at its level
+
+    return residues(in_slices(block, C, step, axis=1), mod)
+
+
+def _subset_sums(r, rows, odd, mod):
+    """G(U) = sum_{T subset U} +-prod_{i in R} r_i(T) over the sets U of the table's columns.
+
+    r is the (s, n, 2^b) table of row sums r_i(T), rows a (c, m) array of
+    row sets R and odd the sets T whose product is negated; the result is
+    (s, c, 2^b).  Its one temporary besides the result is a row of factors.
+    """
+    G = r[:, rows[:, 0]]
+    for t in range(1, rows.shape[1]):
+        G = residues(np.multiply(G, r[:, rows[:, t]], out=G), mod)
+    np.negative(G, out=G, where=odd)
+    for j in range(r.shape[-1].bit_length() - 1):  # one in-place add per column bit
+        # a view: only the last axis, contiguous even where G's first two are not, is split
+        pairs = G.reshape(*G.shape[:2], -1, 2, 1 << j)
+        pairs[..., 1, :] += pairs[..., 0, :]
+    return residues(G, mod)
+
+
 def modular_values(M: np.ndarray, degree: int, bound, kernel) -> np.ndarray:
     """The exact values of an (m, ..., n, n) stack of items, from int64 images mod primes.
 
     An item is one matrix (for per and det) or the operands of a closed form
     (A and the directions), and its value a polynomial in the item's entries,
     homogeneous of `degree`, with integer coefficients after at most
-    divisions by integers prime to every modulus.  kernel(images, mod) maps
-    a (c, ..., n, n) int64 stack of residues, and the prime of each image, to
-    its values mod those primes: `_ryser_stack` for per,
-    `tensor.det_batch` for det, or a closed form.  Each item's entries
+    divisions by integers prime to every modulus; or a table of such
+    values, as `complement_permanents` gives.  kernel(images, mod) maps a
+    (c, ..., n, n) int64 stack of residues, and the prime of each image, to
+    its values mod those primes, (c,) or (c, ...) for tables:
+    `_ryser_stack` for per, `tensor.det_batch` for det,
+    `complement_permanents`, or a closed form.  Each item's entries
     are put over one common denominator d and its value divided by d^degree.
     bound(rows) bounds both parts of the value of the integer item from the
     row sums rows_i of |re| + |im| over all of its matrices (n Python ints):
     `math.prod` bounds per and so |det| too (Hadamard's row 2-norm bound holds
     for det, not per: per J_4 = 24 > 16 = its bound), and `_multimodular`
-    takes the primes each item needs and lifts its value.  A stack is walked
-    in slices of `slice_length(n)` items, and an item without entries (order
-    0) has the value 1.  TypeError when an entry is not a Gaussian rational.
+    takes the primes each item needs and lifts its value.  The result is
+    (m,), or (m, ...) for tables.  A stack is walked in slices of
+    `slice_length(n)` items, and an item without entries (order 0) has the
+    value 1.  TypeError when an entry is not a Gaussian rational.
     """
     m, n = M.shape[0], M.shape[-1]
     if not M.size:
@@ -266,17 +389,21 @@ def modular_values(M: np.ndarray, degree: int, bound, kernel) -> np.ndarray:
         mags = np.abs(parts)
     # row i of each item, summed over its matrices, as Python ints
     rows = mags.reshape(2, m, -1, n, n).sum(axis=(0, 2, 4)).tolist()
-    R, I = _multimodular(parts.reshape(2, *M.shape), map(bound, rows), kernel)
+    R, I, shape = _multimodular(parts.reshape(2, *M.shape), map(bound, rows), kernel)
     if any(d != 1 for d in scales):
+        scales = np.repeat(scales, math.prod(shape)).tolist()
         R, I = ([Fraction(x, d) for x, d in zip(X, scales)] for X in (R, I))
-    return exact_from_parts(R, I)
+    return exact_from_parts(R, I).reshape(m, *shape)
 
 
-def _multimodular(parts: np.ndarray, bounds, kernel) -> tuple[list, list]:
+def _multimodular(parts: np.ndarray, bounds, kernel) -> tuple[list, list, tuple]:
     """The integer values of m items, real and imaginary parts, from images mod primes.
 
     parts is a (2, m, ...) array of the int parts (re and im) of each item's
-    operands, and bounds[i] bounds both parts of item i's value.  Item i
+    operands, and bounds[i] bounds both parts of every value of item i.  An
+    item has one value, or a table of the kernel's trailing shape, which is
+    returned with the two lists of parts (item by item, each table in C
+    order).  Item i
     takes the fewest primes p = 1 (mod 4) whose product M exceeds twice its
     bound; items that need the same count form a group, and the images of
     every group go to one call kernel(images, mod), which maps a (c, ...)
@@ -303,20 +430,21 @@ def _multimodular(parts: np.ndarray, bounds, kernel) -> tuple[list, list]:
         images.append(((group[:, :1] + group[:, 1:] * signed_s) % p).reshape(-1, *shape))
         mods.append(np.repeat(p.ravel(), 2 * len(at)))
     values = kernel(*(x[0] if len(x) == 1 else np.concatenate(x) for x in (images, mods)))
-    lifted, start = [], 0
+    table = values.shape[1:]
+    lifted, start, width = [], 0, math.prod(table)
     for count, at in groups:
         p, _, halves = _crt_plan(count)[:3]
-        uv = values[start:start + 2 * count * len(at)].reshape(count, 2, len(at))
-        start += uv.size
+        uv = values[start:start + 2 * count * len(at)].reshape(count, 2, len(at) * width)
+        start += 2 * count * len(at)
         u, v = uv[:, :1], uv[:, 1:]
         residues = np.concatenate([u + v, u - v], axis=1) * halves % p  # (u + v) / 2 and (u - v) / 2s
         lifted.append(_crt_lift(residues.reshape(count, -1), count))
     if len(groups) == 1:
-        return [lifted[0][:m], lifted[0][m:]]
-    RI = np.empty((2, m), dtype=object)
+        return lifted[0][:m * width], lifted[0][m * width:], table
+    RI = np.empty((2, m, width), dtype=object)
     for (_, at), x in zip(groups, lifted):
-        RI[:, at] = np.array(x, dtype=object).reshape(2, -1)
-    return RI.tolist()
+        RI[:, at] = np.array(x, dtype=object).reshape(2, -1, width)
+    return *RI.reshape(2, -1).tolist(), table
 
 
 def _crt_lift(residues: np.ndarray, count: int) -> list:
@@ -471,7 +599,9 @@ def map_blocks(M, rows, cols, evaluate, source=None, mod=None) -> np.ndarray:
 def each(evaluate):
     """The stack evaluator that calls the scalar `evaluate` (`per`) once per floating matrix.
 
-    An exact stack, or a residue stack given with its primes, goes whole to
+    `padj`, `laplace_per` and `dper` evaluate their gathers with it
+    (`tilde_sym_block` takes `complement_permanents` instead).  An exact
+    stack, or a residue stack given with its primes, goes whole to
     `per_batch`, so that an exact gather is one lift.
     """
     def values(mats, mod=None):

@@ -1,8 +1,11 @@
 """Symmetric / antisymmetric tensor-power blocks and their compressions.
 
 Every block is built on the lexicographically ordered multi-index basis by
-`permanent.map_blocks`, in budgeted slices.  Only the strict-index blocks of
-the tilde operators and mixed powers are built; the formulas need no others.
+`permanent.map_blocks`, in budgeted slices, except `tilde_sym_block`: its
+complementary permanents per A(I|J) all come from one Ryser pass over the
+column sets of A (`permanent.complement_permanents`), which calls no scalar
+`per`.  Only the strict-index blocks of the tilde operators and mixed
+powers are built; the formulas need no others.
 
 `det_batch` is the determinant evaluator of both modes.  A floating stack
 of order 0, 1 or 2 is its Leibniz expansion 1, a or a d - b c, one
@@ -30,7 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, enumerate_weak, index_plan, multiplicity
-from .permanent import budget_length, each, in_slices, map_blocks, modular_values, per, per_batch
+from .permanent import budget_length, complement_permanents, in_slices, map_blocks, modular_values, per_batch
+# no block here calls per; `tensor.per` stays bound for code that wraps or
+# patches the evaluator under each module's name for it (bench/tracing.py)
+from .permanent import per  # noqa: F401
 from .scalars import (
     ExactComplex,
     divided,
@@ -254,14 +260,14 @@ def antisym_power(A, k: int) -> TensorBlock:
 def tilde_sym_block(A, k: int, mod=None) -> TensorBlock:
     """Compressed complementary-permanent operator: (J, I) entry per A(I|J).
 
-    At k = n the complement is empty and the single entry is per(empty) = 1.
+    Every entry comes from one Ryser pass over the column sets of A
+    (`permanent.complement_permanents`), an exact A through one lift.  At
+    k = n the complement is empty and the single entry is per(empty) = 1.
     Given mod, A is a (..., n, n) stack of residues and the entries (..., C, C).
     """
-    n = (require_square(A) if mod is None else require_square_stack(A)).shape[-1]
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= {n}")
-    basis, comps = enumerate_strict(k, n), index_plan(k, n).complements
-    return TensorBlock(basis, basis, map_blocks(A, comps[None, :], comps[:, None], each(per), mod=mod))
+    table = complement_permanents(require_square(A) if mod is None else A, k, mod)
+    basis = enumerate_strict(k, np.shape(A)[-1])
+    return TensorBlock(basis, basis, np.ascontiguousarray(np.swapaxes(table, -1, -2)))
 
 
 def tilde_antisym_block(A, k: int) -> TensorBlock:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -152,6 +153,33 @@ def test_charpoly_takes_the_minor_sums_where_the_rescaled_recurrence_underflows(
     for r, value in enumerate(g, 1):
         expected = h[r] + 2e200 * h[r - 1]
         assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def test_charpoly_keeps_coefficients_beyond_the_float_range_without_minor_sums(rng, monkeypatch):
+    # 1e200 times a random 10 x 10: the run on 2^-e A is finite, and only
+    # its scale-back by 2^(e r) overflows, for every r >= 2; those minor sums
+    # cost 2^10 - 1 determinants and let numpy's overflow warnings out
+    A = 1e200 * random_complex(rng, 10)
+    calls = _counted_minor_sums(monkeypatch)
+    g = charpoly_all(A).g
+    assert calls == []
+    assert rel_dev([g[0], np.trace(A)]) < 1e-12
+    assert not any(cmath.isfinite(value) for value in g[1:])
+
+
+def test_minor_sums_that_overflow_warn_no_caller(rng, monkeypatch):
+    # a 1e200 3 x 3 block beside an O(1) block: the rescaled run underflows,
+    # so every coefficient is a minor sum, and from r = 2 on they overflow
+    # (pytest turns a warning that escapes into a failure)
+    n = 6
+    A = np.zeros((n, n), dtype=complex)
+    A[:3, :3] = 1e200 * random_complex(rng, 3)
+    A[3:, 3:] = random_complex(rng, 3)
+    calls = _counted_minor_sums(monkeypatch)
+    g = charpoly_all(A).g
+    assert calls == list(range(1, n + 1))
+    assert rel_dev([g[0], np.trace(A)]) < 1e-12
+    assert not any(cmath.isfinite(value) for value in g[1:])
 
 
 def test_r_out_of_range(rng):

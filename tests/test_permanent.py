@@ -7,15 +7,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
-from conftest import random_complex, random_gaussian_integer, rel_dev
+from conftest import (
+    assert_complements_within_rounding,
+    random_complex,
+    random_gaussian_integer,
+    rel_dev,
+    typed,
+)
 from test_tensor import _leibniz
 from permderiv import derivatives, permanent, tensor
-from permderiv.multiindex import MultiIndex, enumerate_strict
+from permderiv.multiindex import MultiIndex, enumerate_strict, index_plan
 from permderiv.permanent import (
     ReplacementSpec,
     column_replace,
+    complement_permanents,
     laplace_per,
     minor_complement,
     padj,
@@ -340,6 +347,65 @@ def test_float_per_is_within_a_ryser_rounding_bound_of_exact_per(parts):
     error = abs(Fraction(value.real) - exact.re) + abs(Fraction(value.imag) - exact.im)
     rho = math.prod(sum(abs(x) + abs(y) for x, y in row) for row in entries)
     assert error <= 2 * 2**n * (n * n + 3 * n + 2**n) * Fraction(1, 2**53) * rho
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None, database=None)
+@given(dyadic_matrices(), st.integers(0, 6))
+def test_complement_permanents_are_within_a_ryser_rounding_bound(parts, k):
+    """|fl(per A(I|J)) - per A(I|J)|_1 <= 2^(m+1) (m^2 + 3m) u prod_{i not in I} rho_i,
+    m = n - k, rho_i = sum_{j not in J} |a_ij|_1 and u = 2^-53.
+
+    As for `per` above, with gamma_k = k u / (1 - k u) and exact inputs (every
+    float is dyadic).  Only the column sets T of U = [n] - J reach the entry,
+    and the negations are exact, so only these round:
+    - r_i(T) adds the |T| <= m columns of T to 0 one at a time in column
+      order, the first add exact, whether a column is in the subset table or
+      added for its high set H: |fl(r_i) - r_i|_1 <= gamma_{m-1} rho_i;
+    - the m - 1 complex products over the rows i not in I, on those sums,
+      give |fl(p_T) - p_T|_1 <= gamma_K prod_i rho_i, K = m(m - 1) + 2(m - 1);
+    - G(U) = sum_{T subset U} +-p_T is a balanced tree of additions, one
+      level per bit of U (the subset-sum passes, then the binary counter over
+      the high sets H, which pairs as the passes would), so every term takes
+      m additions: within gamma_m of the sum of |fl(p_T)|_1.
+    So the error is at most 2^m ((1 + gamma_K)(1 + gamma_m) - 1) prod_i rho_i
+    <= 2^m gamma_{m^2 + 2m - 2} prod_i rho_i, which the bound covers with
+    m + 2 roundings to spare.
+    """
+    n = parts.shape[-1]
+    assume(n)
+    k = min(k, n)
+    A = parts[0] + 1j * parts[1]
+    assert_complements_within_rounding(A, k, complement_permanents(A, k))
+
+
+def test_complement_permanents_are_exact_in_every_part_type():
+    # Gaussian-integer, Fraction and 2^70-scaled entries; a zero row makes
+    # prod_i rho_i 0, though a complement without that row need not be 0, so
+    # the lift's bound takes max(rho_i, 1)
+    rng = np.random.default_rng(20261020)
+    for n in range(1, 7):
+        A = random_gaussian_integer(rng, n)
+        fractions = A.copy()
+        fractions[0, -1] = ExactComplex(Fraction(1, 3), Fraction(-5, 2))
+        scaled = A * ExactComplex(2**70, 1)
+        scaled[n // 2] = ExactComplex(0)
+        for k in range(n + 1):
+            basis = enumerate_strict(k, n)
+            tables = []
+            for M in (A, fractions, scaled):
+                tables.append([[per_naive(minor_complement(M, I, J)) for J in basis] for I in basis])
+                assert typed(complement_permanents(M, k)) == typed(tables[-1]), (n, k)
+            # one lift of the stack: items of other denominators and prime counts
+            assert typed(complement_permanents(np.stack((A, fractions, scaled)), k)) == typed(tables)
+        # residue images mod three of the primes, against per_batch of every complement
+        primes = np.array([permanent._modulus(i)[0] for i in range(3)])
+        images = rng.integers(0, primes[:, None, None], (3, n, n))
+        for k in range(n + 1):
+            keep = index_plan(k, n).complements
+            gathered = images[:, keep[:, None, :, None], keep[None, :, None, :]]
+            got = complement_permanents(images, k, primes)
+            assert got.dtype == np.int64 and np.array_equal(got, per_batch(gathered, primes))
 
 
 def test_per_batch_keeps_the_stack_shape(rng):
@@ -669,15 +735,10 @@ def test_object_stacks_of_numpy_integers_lift_exactly(rng):
         python[index] = int(numpy[index])
     assert type(python[0, 0, 0]) is int and python[0, 0, 0] == 2**62 and python[1, 2, 3] == -(2**63)
     assert type(numpy[0, 0, 0]) is np.int64 and type(numpy[0, 0, 1]) is np.int32
-    assert _typed([per(M) for M in numpy]) == _typed([per(M) for M in python])
-    assert _typed(per_batch(numpy)) == _typed(per_batch(python))
-    assert _typed(det_batch(numpy)) == _typed(det_batch(python))
+    assert typed([per(M) for M in numpy]) == typed([per(M) for M in python])
+    assert typed(per_batch(numpy)) == typed(per_batch(python))
+    assert typed(det_batch(numpy)) == typed(det_batch(python))
     assert per_batch(numpy).tolist() == [per_naive(M) for M in python]
-
-
-def _typed(values):
-    """Each exact value with the types of its parts, so that == also compares them."""
-    return [(z.re, type(z.re), z.im, type(z.im)) for z in np.ravel(np.asarray(values, dtype=object))]
 
 
 def _counted(monkeypatch, name, modules):
@@ -715,17 +776,19 @@ def test_exact_gathers_are_one_lift_each(rng, monkeypatch):
     minors_ref = [per(minor_complement(A.T, I, J)) for I in singles for J in singles]
     scalar = _counted(monkeypatch, "per", (permanent, derivatives, tensor))
     batches = _counted(monkeypatch, "per_batch", (permanent,))
+    lifts = _counted(monkeypatch, "modular_values", (permanent,))
 
-    assert _typed(padj(A)) == _typed(padj_ref) and len(batches) == 1
-    assert _typed(tilde_sym_block(A, 2).entries) == _typed(tilde_ref) and len(batches) == 2
-    assert _typed(laplace_per(A, pairs[0])) == _typed(laplace_ref) and len(batches) == 4
+    assert typed(padj(A)) == typed(padj_ref) and len(batches) == len(lifts) == 1
+    # the one Ryser pass over the columns of A is lifted once, with no per_batch call
+    assert typed(tilde_sym_block(A, 2).entries) == typed(tilde_ref) and len(batches) == 1 and len(lifts) == 2
+    assert typed(laplace_per(A, pairs[0])) == typed(laplace_ref) and len(batches) == 3 and len(lifts) == 4
     del batches[:]
     value = derivatives.dper(A, X)
     # padj, then the column route on the replaced matrices, then the minors of A^T
     assert [mats.shape for mats, _ in batches] == [(n, n, n - 1, n - 1), (n, n, n), (n, n, n - 1, n - 1)]
-    assert _typed(batches[0][1]) == _typed(padj_ref)
-    assert _typed(batches[1][1]) == _typed(columns_ref)
-    assert _typed(batches[2][1]) == _typed(minors_ref)
+    assert typed(batches[0][1]) == typed(padj_ref)
+    assert typed(batches[1][1]) == typed(columns_ref)
+    assert typed(batches[2][1]) == typed(minors_ref)
     assert value == sum(map(operator.mul, X.ravel(), padj_ref), ExactComplex(0))
     assert not scalar
 
@@ -738,8 +801,8 @@ def test_floating_gathers_call_per_once_per_block(rng, monkeypatch):
     assert len(scalar) == n * n
     derivatives.dper(A, X)  # padj, the n replaced matrices and the minors of A^T
     assert len(scalar) == n * n + (n * n + n + n * n)
-    tilde_sym_block(A, 2)
-    assert len(scalar) == 3 * n * n + n + math.comb(n, 2) ** 2
+    tilde_sym_block(A, 2)  # one Ryser pass over the columns of A: no per and no per_batch call
+    assert len(scalar) == 3 * n * n + n
     assert not batches
 
 
