@@ -91,14 +91,14 @@ def test_antisym_power_corners(rng):
     assert np.allclose(antisym_power(np.eye(4, dtype=complex), 2).entries, np.eye(6))
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_tilde_sym_block_k1_is_padj_transpose(exact, rng):
-    A = (random_gaussian_integer if exact else random_complex)(rng, 4)
-    entries = tilde_sym_block(A, 1).entries
-    if exact:
-        assert typed(entries) == typed(padj(A).T)
-    else:  # padj's scalar per sums in another order; the table is checked against exact values
-        assert_complements_within_rounding(A, 1, entries.T)
+def test_tilde_sym_block_k1_is_padj_transpose(rng):
+    for exact in (False, True):
+        A = (random_gaussian_integer if exact else random_complex)(rng, 4)
+        entries = tilde_sym_block(A, 1).entries
+        if exact:
+            assert typed(entries) == typed(padj(A).T)
+        else:  # padj's scalar per sums in another order; the table is checked against exact values
+            assert_complements_within_rounding(A, 1, entries.T)
 
 
 @pytest.mark.parametrize("exact", [False, True])
