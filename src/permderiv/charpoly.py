@@ -4,10 +4,11 @@ g_r(A) is the sum of r x r principal minors; det(xI - A) =
 x^n - g_1 x^{n-1} + ... + (-1)^n g_n.  `charpoly_all` takes every g_r at once
 by Berkowitz's division-free recurrence in O(n^4) ring operations, one body
 on complex128 and on int64 residues; `g_r` and the derivative forms walk the
-principal restrictions.  An exact `g_r` lifts one value per matrix, the sum
-of its restriction determinants, through `tensor.det_bareiss`.  The
-derivative formulas are the determinant analogues of the permanent ones,
-applied inside every principal restriction A_I and summed over I in Q_{r,n}.
+principal restrictions.  An exact `g_r` lifts one value per matrix through
+`tensor.det_bareiss` with minors r, whose residue kernel walks the
+restrictions of the images of the whole matrices.  The derivative formulas
+are the determinant analogues of the permanent ones, applied inside every
+principal restriction A_I and summed over I in Q_{r,n}.
 Like the `D^k per` forms, each takes (A, directions), here followed by k
 and r, and `scalars.require_directions` fixes one mode for the call.
 
@@ -54,6 +55,7 @@ from .scalars import (
 )
 from .tensor import (
     det_batch,
+    elementary,
     map_restrictions,
     mixed_entries,
     principal_blocks,
@@ -100,19 +102,16 @@ def g_r(A, r: int):
 
     A floating matrix's restriction determinants are summed over a
     contiguous last axis, so a matrix of a stack gives bit for bit its g_r
-    alone.  An exact stack lifts one value per matrix and restriction chunk,
-    the sum of the chunk's determinants (`tensor.det_bareiss` with summed),
-    and adds a matrix's chunks.  A single matrix gives a scalar.
+    alone.  An exact stack lifts one value per matrix from the residue
+    images of the whole matrices (`tensor.det_bareiss` with minors r).  A
+    single matrix gives a scalar.
     """
     A = require_square_stack(A)
     n = A.shape[-1]
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
-    if is_exact(A):  # (m, chunks): one lifted partial sum per matrix and chunk
-        sums = map_restrictions(
-            A.reshape(-1, n, n), r, lambda AI: tensor.det_bareiss(AI, summed=True)[:, None], axis=1
-        )
-        return sums.sum(axis=1).reshape(A.shape[:-2])[()]
+    if is_exact(A):
+        return tensor.det_bareiss(A, r)
     dets = map_restrictions(A, r, det_batch, axis=-1)  # (..., C(n, r))
     if A.ndim == 2:
         return total(dets)
@@ -187,7 +186,7 @@ def _ldexp(z: np.ndarray, e) -> np.ndarray:
 def _lifted_coefficient(A, r: int):
     """g_r of an exact matrix, from `_berkowitz` on its residues."""
     return modular_values(
-        A[None], r, lambda rows: _elementary(rows, r), lambda M, mod: _berkowitz(M, mod)[:, r]
+        A[None], r, lambda rows: elementary(rows, r), lambda M, mod: _berkowitz(M, mod)[:, r]
     )[0]
 
 
@@ -316,17 +315,8 @@ def _restriction_sum(A, directions, k, r, term, elements, factor=None):
 
     M = np.stack((A, *directions))
     if is_exact(M):
-        return modular_values(M[None], r, lambda rows: _elementary(rows, r), value)[0]
+        return modular_values(M[None], r, lambda rows: elementary(rows, r), value)[0]
     return value(M)
-
-
-def _elementary(values: list, r: int) -> int:
-    """The r-th elementary symmetric polynomial of Python ints, exactly."""
-    e = [1] + [0] * r
-    for x in values:
-        for j in range(r, 0, -1):
-            e[j] += e[j - 1] * x
-    return e[r]
 
 
 def _row_totals(values, mod=None) -> np.ndarray:

@@ -7,8 +7,8 @@ the canonical basis order for every tensor block built on top of these.
 The formulas index matrices through `index_plan(k, n)`, one cached
 `IndexPlan` per (k, n): read-only zero-based numpy arrays of the strict
 k-combinations, their complements and index parities, and the k!
-permutations.  Each array is built on first use, so importing the package
-builds none.
+permutations, and the strict basis that `enumerate_strict` returns.  Each
+is built on first use, so importing the package builds none.
 """
 
 from __future__ import annotations
@@ -50,15 +50,12 @@ class MultiIndex:
 
 
 def enumerate_strict(k: int, n: int) -> tuple[MultiIndex, ...]:
-    """All strictly increasing k-tuples from [1..n], lexicographic.
+    """All strictly increasing k-tuples from [1..n], lexicographic: the shared
+    `index_plan(k, n).strict`.
 
     Empty for k > n by convention.
     """
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
-    return tuple(
-        MultiIndex(c, "strict") for c in itertools.combinations(range(1, n + 1), k)
-    )
+    return index_plan(k, n).strict
 
 
 def enumerate_weak(k: int, n: int) -> tuple[MultiIndex, ...]:
@@ -108,6 +105,11 @@ class IndexPlan:
         if k < 0 or n < 1:
             raise ValueError("need k >= 0 and n >= 1")
         self.k, self.n = k, n
+
+    @cached_property
+    def strict(self) -> tuple[MultiIndex, ...]:
+        """The strict k-tuples from [1..n] as MultiIndex, in the order of `combos`."""
+        return tuple(MultiIndex(c) for c in itertools.combinations(range(1, self.n + 1), self.k))
 
     @cached_property
     def combos(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, product
 
 import numpy as np
@@ -27,18 +28,20 @@ MAX_ORDER = 8
 MAX_N = 6
 
 
-def _linear_coeff_weights(d: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _linear_coeff_weights(d: int) -> tuple[Fraction, ...]:
     """Weights w_j with sum_j w_j f(j) = coefficient of t in the degree-d
     interpolant of f on nodes 0..d: w_0 = -H_d and w_j = (-1)^(j+1) C(d, j) / j."""
     harmonic = sum((Fraction(1, i) for i in range(1, d + 1)), Fraction(0))
-    return [-harmonic] + [Fraction((-1) ** (j + 1) * math.comb(d, j), j) for j in range(1, d + 1)]
+    return (-harmonic, *(Fraction((-1) ** (j + 1) * math.comb(d, j), j) for j in range(1, d + 1)))
 
 
-def _int_weights(d: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=None)
+def _int_weights(d: int) -> tuple[tuple[int, ...], int]:
     """The weights of `_linear_coeff_weights(d)` times L, the lcm of their denominators, and L."""
     weights = _linear_coeff_weights(d)
     scale = math.lcm(*(w.denominator for w in weights))
-    return [int(w * scale) for w in weights], scale
+    return tuple(int(w * scale) for w in weights), scale
 
 
 def _functional(phi, r):

@@ -13,10 +13,10 @@ permanents are lifted back by the Chinese remainder theorem (the classic
 multimodular method).  Every exact value takes that one lift,
 `modular_values`, with its residue kernel as an argument: Ryser's formula
 for exact stacks, the residue branch of `tensor.det_batch` for exact
-determinants (`tensor.det_bareiss`, which also lifts the sum of an item's
-determinants as one value, one per matrix for exact `charpoly.g_r`), or a
-closed form itself, run once on the images of all its operands, so that one
-value is lifted per call.
+determinants (`tensor.det_bareiss`, which also lifts each matrix's sum of
+r x r principal minors from its whole images, one value per matrix for
+exact `charpoly.g_r`), or a closed form itself, run once on the images of
+all its operands, so that one value is lifted per call.
 `per_batch`, `map_blocks`, `each(per)` and `complement_permanents` take a
 residue stack with its primes (`mod`) for that.  `complement_permanents`
 gives per A(I|J) for every pair of k-sets from one Ryser pass over the

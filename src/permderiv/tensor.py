@@ -19,10 +19,10 @@ theorem.  Given the primes of a residue stack (`mod`), as there and in the
 exact closed forms, det_batch runs the same expansions to order 2, the
 cofactor expansion along the first row at order 3, which needs no modular
 inverse, and from order 4 Bareiss's recurrence (`_bareiss_residues`), which
-inverts a pivot at each inner step.  `det_bareiss` with summed lifts the
-sum of each item's determinants as one value, added mod p in the residue
-kernel; exact `charpoly.g_r` sends its restrictions through it, so it
-lifts one value per matrix.
+inverts a pivot at each inner step.  `det_bareiss` with minors r lifts
+g_r, each matrix's sum of r x r principal minors, as one value: its residue
+kernel gathers the restrictions from the images of the whole matrices and
+adds their determinants mod p.  Exact `charpoly.g_r` is that one call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .permanent import budget_length, complement_permanents, in_slices, map_bloc
 # patches the evaluator under each module's name for it (bench/tracing.py)
 from .permanent import per  # noqa: F401
 from .scalars import (
-    ExactComplex,
     divided,
     is_exact,
     moduli,
@@ -69,7 +68,7 @@ def det(A):
     return value if is_exact(A) else complex(value)
 
 
-def det_bareiss(A, summed: bool = False):
+def det_bareiss(A, minors: int | None = None):
     """Determinants of an (..., n, n) exact stack, from their values mod primes.
 
     The stack runs through the multimodular lift of exact values
@@ -77,26 +76,32 @@ def det_bareiss(A, summed: bool = False):
     its kernel, so the values are exact, `Fraction` entries included, and
     keep int parts while integral.  A single matrix gives a scalar.
 
-    Given summed, A is an (..., c, n, n) stack, and each item of c matrices
-    gives the sum of their determinants, lifted as one value: the kernel
-    adds the c residue determinants mod p.  Its bound is still the product
-    of the item's row sums rho_j = sum_I rho_Ij over its matrices I, since
-    for rho >= 0 the product prod_j sum_I rho_Ij expands into every term of
-    sum_I prod_j rho_Ij and more, none negative, and prod_j rho_Ij bounds
-    |det A_I|.  c matrices of order 0 sum to c.
+    Given minors = r, each matrix gives instead g_r, the sum of its r x r
+    principal minors, lifted as one value: the kernel gathers the
+    restrictions of each residue image (`map_restrictions`) and adds their
+    determinants mod p.  g_r is homogeneous of degree r and bounded by
+    e_r(rho), rho_i the sum of |re| + |im| over row i of the matrix, since
+    |det A_I| <= prod_{i in I} rho_i(A_I) <= prod_{i in I} rho_i.
     """
     A = np.asarray(A)
-    lead, n = A.shape[:A.ndim - 2 - summed], A.shape[-1]
-    if summed and not A.size:
-        return np.full(lead, ExactComplex(A.shape[-3]), dtype=object)[()]
-    items = A.reshape(math.prod(lead), *A.shape[len(lead):])
-    kernel = _summed_residues if summed else det_batch
-    return modular_values(items, n, math.prod, kernel).reshape(lead)[()]
+    items = A.reshape(math.prod(A.shape[:-2]), *A.shape[-2:])
+    if minors is None:
+        return modular_values(items, A.shape[-1], math.prod, det_batch).reshape(A.shape[:-2])[()]
+
+    def minor_sums(images, mod):  # (c,): the restriction determinants of each image, added mod p
+        return map_restrictions(images, minors, lambda M: det_batch(M, mod), axis=1).sum(axis=1) % mod
+
+    values = modular_values(items, minors, lambda rows: elementary(rows, minors), minor_sums)
+    return values.reshape(A.shape[:-2])[()]
 
 
-def _summed_residues(images: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """The sum of the c determinants of each (c, n, n) item of a residue stack, mod its prime."""
-    return det_batch(images, mod).sum(axis=-1) % mod
+def elementary(values: list, r: int) -> int:
+    """The r-th elementary symmetric polynomial of Python ints, exactly."""
+    e = [1] + [0] * r
+    for x in values:
+        for j in range(r, 0, -1):
+            e[j] += e[j - 1] * x
+    return e[r]
 
 
 def _bareiss_residues(mats: np.ndarray, mod: np.ndarray) -> np.ndarray:

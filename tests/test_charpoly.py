@@ -366,26 +366,27 @@ def test_one_restriction_per_chunk_gives_the_same_value(form, exact, n, k, r, rn
 
 @pytest.mark.parametrize("r", range(1, 6))
 def test_exact_restrictions_of_every_order_reach_bareiss(r, rng, monkeypatch):
-    # an exact g_r of every order sends all its restrictions to one summed
-    # det_bareiss call, orders 1 and 2 included
+    # an exact g_r of every order is one det_bareiss call on the whole
+    # matrix, with the order r, orders 1 and 2 included
     A = random_gaussian_integer(rng, 5)
     reference = sum((_leibniz(P.value) for P in principal_restrictions(A, r)), ExactComplex(0))
     calls = []
     det_bareiss = tensor.det_bareiss
 
-    def counted(m, summed=False):
-        calls.append((m.shape, summed))
-        return det_bareiss(m, summed)
+    def counted(m, minors=None):
+        calls.append((m.shape, minors))
+        return det_bareiss(m, minors)
 
     monkeypatch.setattr(tensor, "det_bareiss", counted)
     assert g_r(A, r) == reference
-    assert calls == [((1, math.comb(5, r), r, r), True)]
+    assert calls == [((5, 5), r)]
 
 
 @pytest.mark.parametrize("budget", [None, 2])
 def test_exact_g_r_of_a_node_stack_lifts_one_value_per_matrix_and_chunk(rng, monkeypatch, budget):
     # the interpolation oracle's 16 "gr" nodes of order 5 at r = 3, of 10
-    # restrictions each: one lift of 16 sums, or 16 per chunk of 2 restrictions
+    # restrictions each: one lift of 16 sums, whether the residue kernel
+    # takes the restrictions in one chunk or in chunks of 2
     A, X, Y = (random_gaussian_integer(rng, 5) for _ in range(3))
     nodes = oracle._node_stack(A, (X, Y), np.array([(s, t) for s in range(4) for t in range(4)]))
     references = [
@@ -393,18 +394,63 @@ def test_exact_g_r_of_a_node_stack_lifts_one_value_per_matrix_and_chunk(rng, mon
     ]
     if budget:
         monkeypatch.setattr(tensor, "budget_length", lambda elements: budget)
-    lift, built = tensor.modular_values, []
+    lift, built, chunks = tensor.modular_values, [], []
+    gather = tensor.principal_blocks
 
     def counted(*args):
         values = lift(*args)
         built.append(len(values))
         return values
 
+    def gathered(M, rows):
+        chunks.append(len(rows))
+        return gather(M, rows)
+
     monkeypatch.setattr(tensor, "modular_values", counted)
+    monkeypatch.setattr(tensor, "principal_blocks", gathered)
     values = g_r(nodes, 3)
-    assert built == [16] * (5 if budget else 1)
+    assert built == [16]
+    assert chunks == ([2] * 5 if budget else [10])
     for value, reference in zip(values, references, strict=True):
         assert value == reference and _parts(value) == _parts(reference)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_g_r_of_a_stack_equals_the_berkowitz_coefficients(rng, n):
+    # charpoly_all lifts each g_r from Berkowitz's recurrence on residues, an
+    # independent exact path: Gaussian integers, Fraction parts, parts beyond
+    # int64 and a zero row
+    stack = np.stack([random_gaussian_integer(rng, n) for _ in range(4)])
+    stack[1] = stack[1] / 3
+    stack[2] = stack[2] * 2**70 + random_gaussian_integer(rng, n)
+    stack[3, 0] = ExactComplex(0)
+    coefficients = [charpoly_all(M) for M in stack]
+    for r in range(1, n + 1):
+        for value, g in zip(g_r(stack, r), coefficients, strict=True):
+            assert value == g[r] and _parts(value) == _parts(g[r])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_exact_g_r_attains_its_bound_past_a_prime_count(n, count):
+    # diag(rho) has g_r = e_r(rho), its bound; with rho = (x, 1, ..., 1),
+    # e_r = a x + b for a = C(n-1, r-1) and b = C(n-1, r), and the least x
+    # with 2 e_r > M, the product of `count` primes, needs count + 1 primes:
+    # with count, e_r > M/2 would lift to e_r - M
+    M = permanent._crt_plan(count)[-1]
+    for r in range(1, n + 1):
+        a, b = math.comb(n - 1, r - 1), math.comb(n - 1, r)
+        x = (M // 2 - b) // a + 1
+        rho = [x] + [1] * (n - 1)
+        e = a * x + b
+        assert tensor.elementary(rho, r) == e and permanent._prime_count(2 * e) == count + 1
+        D = np.full((n, n), ExactComplex(0), dtype=object)
+        D[range(n), range(n)] = [ExactComplex(v) for v in rho]
+        value = g_r(D, r)
+        assert value == e and _parts(value) == (ExactComplex, int, int)
+        # the scaled entries of D / 3 have the same bound, and g_r is
+        # homogeneous of degree r, not n
+        assert g_r(D / 3, r) == Fraction(e, 3**r)
 
 
 @pytest.mark.parametrize("chunked", [False, True])

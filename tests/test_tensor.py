@@ -487,28 +487,30 @@ def test_det_bareiss_fraction_entries():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_summed_det_bareiss_equals_the_sum_of_its_determinants(rng, n):
-    # Gaussian integers, Fraction parts and parts beyond int64, in items of
-    # 5 matrices each; orders >= 4 take _bareiss_residues
+    # given minors = r, each matrix gives the sum of its r x r principal
+    # minors: Gaussian integers, Fraction parts and parts beyond int64, in a
+    # (2, 5) stack; restrictions of order >= 4 take _bareiss_residues
     cases = _bareiss_cases(rng, n)
     for stack in (cases, [M / 3 for M in cases], [M * 2**70 + random_gaussian_integer(rng, n) for M in cases]):
         stack = np.stack(stack).reshape(2, 5, n, n)
-        sums = det_bareiss(stack, summed=True)
-        assert sums.shape == (2,) and sums.dtype == object
-        for value, dets in zip(sums, det_bareiss(stack)):
-            reference = sum(dets.tolist(), ExactComplex(0))
-            assert value == reference and _parts(value) == _parts(reference)
-        single = det_bareiss(stack[1], summed=True)  # one item gives a scalar
-        assert isinstance(single, ExactComplex) and single == sums[1]
+        for r in range(1, n + 1):
+            sums = det_bareiss(stack, r)
+            assert sums.shape == (2, 5) and sums.dtype == object
+            restrictions = det_bareiss(tensor.principal_blocks(stack, index_plan(r, n).combos))
+            for value, dets in zip(sums.ravel(), restrictions.reshape(10, -1)):
+                reference = sum(dets.tolist(), ExactComplex(0))
+                assert value == reference and _parts(value) == _parts(reference)
+            single = det_bareiss(stack[1, 2], r)  # one matrix gives a scalar
+            assert single == sums[1, 2] and _parts(single) == _parts(sums[1, 2])
 
 
-@pytest.mark.parametrize("shape", [(2, 0, 3, 3), (0, 3, 2, 2), (2, 3, 0, 0)])
+@pytest.mark.parametrize("shape", [(0, 1, 1), (0, 3, 3), (2, 0, 5, 5)])
 def test_summed_det_bareiss_of_empty_stacks(shape):
-    # no matrices sum to 0, and matrices of order 0, each of determinant 1, to their count
+    # a stack without matrices gives no sums, of every order r
     stack = np.empty(shape, dtype=object)
-    sums = det_bareiss(stack, summed=True)
-    assert sums.shape == shape[:1]
-    assert sums.tolist() == [sum(dets.tolist(), ExactComplex(0)) for dets in det_bareiss(stack)]
-    assert sums.tolist() == [shape[1]] * shape[0]
+    for r in range(1, shape[-1] + 1):
+        sums = det_bareiss(stack, r)
+        assert sums.shape == shape[:-2] and sums.dtype == object
 
 
 def _parts(z):
