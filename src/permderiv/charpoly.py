@@ -29,7 +29,6 @@ the restriction's rows/columns to 1..r.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,7 +54,6 @@ from .scalars import (
 )
 from .tensor import (
     det_batch,
-    elementary,
     map_restrictions,
     mixed_entries,
     principal_blocks,
@@ -122,9 +120,8 @@ def charpoly_all(A) -> CharPolyCoefficients:
     """All coefficients (g_1, ..., g_n) by Berkowitz's recurrence (`_berkowitz`).
 
     An exact matrix runs the recurrence on int64 residues, and each g_r is
-    lifted once (`permanent.modular_values`): it is homogeneous of degree r
-    and, as a sum of principal minors, bounded by e_r(rho), rho_i the sum of
-    |re| + |im| over row i.  A floating matrix runs it on complex128.
+    lifted once (`permanent.modular_values`, degree r).  A floating matrix
+    runs it on complex128.
 
     Where a floating coefficient comes out non-finite (an intermediate
     overflowed), the recurrence is run again on 2^-e A, e the binary exponent
@@ -185,9 +182,7 @@ def _ldexp(z: np.ndarray, e) -> np.ndarray:
 
 def _lifted_coefficient(A, r: int):
     """g_r of an exact matrix, from `_berkowitz` on its residues."""
-    return modular_values(
-        A[None], r, lambda rows: elementary(rows, r), lambda M, mod: _berkowitz(M, mod)[:, r]
-    )[0]
+    return modular_values(A[None], r, lambda M, mod: _berkowitz(M, mod)[:, r])[0]
 
 
 def _berkowitz(A, mod=None) -> np.ndarray:
@@ -288,11 +283,9 @@ def _restriction_sum(A, directions, k, r, term, elements, factor=None):
     each reduced as for one restriction alone; elements(k, r) counts its
     largest temporary for one restriction.  The sum is multiplied by the
     integer factor, if any.  An exact sum runs once on the int64 images of the
-    operands mod primes (`permanent.modular_values`), with a leading image axis
-    on A_I, X_I and the values and mod the prime of each image; its budgets
-    hold per image.  D^k g_r is homogeneous of degree r, and
-    sum_I prod_{i in I} rho_i = e_r(rho) bounds it, rho_i being the sum of
-    |re| + |im| over row i of every operand.
+    operands mod primes (`permanent.modular_values`, degree r), with a
+    leading image axis on A_I, X_I and the values and mod the prime of each
+    image; its budgets hold per image.
     """
     A, directions = require_directions(A, directions)
     n = A.shape[0]
@@ -315,7 +308,7 @@ def _restriction_sum(A, directions, k, r, term, elements, factor=None):
 
     M = np.stack((A, *directions))
     if is_exact(M):
-        return modular_values(M[None], r, lambda rows: elementary(rows, r), value)[0]
+        return modular_values(M[None], r, value)[0]
     return value(M)
 
 

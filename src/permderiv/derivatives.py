@@ -24,12 +24,12 @@ import numpy as np
 
 from .multiindex import index_plan
 from .permanent import (
-    each,
     map_blocks,
     modular_values,
     padj,
     per,
     per_batch,
+    per_each,
     replacement_stack,
     replacement_values,
 )
@@ -54,11 +54,11 @@ def dper(A, X):
     P = padj(A)
     value = reduce(add, map(mul, P.ravel(), X.ravel()))
     if __debug__:
-        by_columns = reduce(add, each(per)(replacement_stack(A, X[None])))
+        by_columns = reduce(add, per_each(replacement_stack(A, X[None])))
         # sum_ij X_ij per A^T(j|i): the same minors, but by Ryser's formula
         # over their columns rather than their rows, so that they round apart
         comps = index_plan(1, A.shape[0]).complements
-        minors = map_blocks(A.T, comps[:, None], comps[None, :], each(per))
+        minors = map_blocks(A.T, comps[:, None], comps[None, :], per_each)
         by_minors = reduce(add, map(mul, X.T.ravel(), minors.ravel()))
         # an overflow, in the value or a route, leaves nothing to compare; the
         # caller sees a non-finite value (the CLI reports it as an input error)
@@ -112,10 +112,8 @@ def _form(A, directions, term):
     stack of the directions; per A for k = 0 and 0 for k > n.
 
     An exact form runs term once on the images A (2P, n, n) and Xs
-    (2P, k, n, n), mod the prime of each.  D^k per is homogeneous of degree n,
-    and each of its terms takes one entry from each row of one operand, so
-    prod_i rho_i bounds it, rho_i being the sum of |re| + |im| over row i of
-    every operand.
+    (2P, k, n, n), mod the prime of each, and lifts one value of degree n
+    (`permanent.modular_values`).
     """
     A, directions = require_directions(A, directions)
     k, n = len(directions), A.shape[0]
@@ -125,7 +123,7 @@ def _form(A, directions, term):
         return zero_like(A)
     if is_exact(A):
         M = np.stack((A, *directions))[None]
-        return modular_values(M, n, math.prod, lambda M, mod: term(M[:, 0], M[:, 1:], mod))[0]
+        return modular_values(M, n, lambda M, mod: term(M[:, 0], M[:, 1:], mod))[0]
     return term(A, np.stack(directions), None)
 
 

@@ -11,19 +11,19 @@ product and one dot.  An exact stack runs that kernel on int64 images mod
 primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
 permanents are lifted back by the Chinese remainder theorem (the classic
 multimodular method).  Every exact value takes that one lift,
-`modular_values`, with its residue kernel as an argument: Ryser's formula
-for exact stacks, the residue branch of `tensor.det_batch` for exact
-determinants (`tensor.det_bareiss`, which also lifts each matrix's sum of
-r x r principal minors from its whole images, one value per matrix for
-exact `charpoly.g_r`), or a closed form itself, run once on the images of
-all its operands, so that one value is lifted per call.
-`per_batch`, `map_blocks`, `each(per)` and `complement_permanents` take a
+`modular_values`, which bounds it from its degree, with its residue kernel
+as an argument: Ryser's formula for exact stacks, the residue branch of
+`tensor.det_batch` for exact determinants (`tensor.det_bareiss`, which also
+lifts each matrix's sum of r x r principal minors from its whole images,
+one value per matrix for exact `charpoly.g_r`), or a closed form itself,
+run once on the images of all its operands, so one value is lifted per call.
+`per_batch`, `map_blocks`, `per_each` and `complement_permanents` take a
 residue stack with its primes (`mod`) for that.  `complement_permanents`
 gives per A(I|J) for every pair of k-sets from one Ryser pass over the
 column sets of A, for `tensor.tilde_sym_block`.  The formulas index through
 `multiindex.index_plan`, and `map_blocks` gathers and evaluates every block
 of submatrices in budgeted slices; only `padj`, `laplace_per` and `dper`
-still evaluate theirs with `each(per)`: scalar `per` of each floating block,
+still evaluate theirs with `per_each`: scalar `per` of each floating block,
 and one `per_batch` lift of an exact gather.
 """
 
@@ -129,7 +129,7 @@ def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     """
     m, n = mats.shape[0], mats.shape[-1]
     if mats.dtype == object:
-        return modular_values(mats, n, math.prod, _ryser_stack)
+        return modular_values(mats, n, _ryser_stack)
     if n == 0:
         return np.ones(m, complex if mod is None else np.int64)
     if mod is None:
@@ -253,9 +253,7 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
 
     A floating A is cast to complex128.  Given mod, A is a (..., n, n)
     stack of residues and the values are residues.  An exact A is lifted
-    once (`modular_values`) with this function as its kernel: each value is
-    homogeneous of degree m, and prod_i max(rho_i, 1) bounds it, since the
-    complement drops k rows whose rho_i may be 0.
+    once (`modular_values`, degree m) with this function as its kernel.
     """
     A = require_square_stack(A)
     lead, n = A.shape[:-2], A.shape[-1]
@@ -267,10 +265,7 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
         return np.full((*lead, C, C), one, object if exact else complex if mod is None else np.int64)
     flat = A.reshape(-1, n, n)
     if exact:
-        values = modular_values(
-            flat, n - k, lambda rows: math.prod(max(rho, 1) for rho in rows),
-            lambda M, p: complement_permanents(M, k, p),
-        )
+        values = modular_values(flat, n - k, lambda M, p: complement_permanents(M, k, p))
         return values.reshape(*lead, C, C)
     if mod is None:
         flat = flat.astype(complex, copy=False)
@@ -342,7 +337,7 @@ def _subset_sums(r, rows, odd, mod):
     return residues(G, mod)
 
 
-def modular_values(M: np.ndarray, degree: int, bound, kernel) -> np.ndarray:
+def modular_values(M: np.ndarray, degree: int, kernel) -> np.ndarray:
     """The exact values of an (m, ..., n, n) stack of items, from int64 images mod primes.
 
     An item is one matrix (for per and det) or the operands of a closed form
@@ -355,20 +350,24 @@ def modular_values(M: np.ndarray, degree: int, bound, kernel) -> np.ndarray:
     `_ryser_stack` for per, `tensor.det_batch` for det,
     `complement_permanents`, or a closed form.  Each item's entries
     are put over one common denominator d and its value divided by d^degree.
-    bound(rows) bounds both parts of the value of the integer item from the
-    row sums rows_i of |re| + |im| over all of its matrices (n Python ints):
-    `math.prod` bounds per and so |det| too (Hadamard's row 2-norm bound holds
-    for det, not per: per J_4 = 24 > 16 = its bound), and `_multimodular`
-    takes the primes each item needs and lifts its value.  The result is
-    (m,), or (m, ...) for tables.  A stack is walked in slices of
-    `slice_length(n)` items, and an item without entries (order 0) has the
-    value 1.  TypeError when an entry is not a Gaussian rational.
+
+    Every such value (per, det, a complement, g_r, a Berkowitz coefficient,
+    each closed form) is a sum of signed products of `degree` entries from
+    distinct rows of the item's matrices, no product of the same entries
+    twice, so e_degree(rho) bounds both of its parts, rho_i being the sum of
+    |re| + |im| over row i of every matrix of the integer item: at degree n,
+    prod_i rho_i (Hadamard's row 2-norm bound holds for det, not per:
+    per J_4 = 24 > 16).  `_multimodular` takes the primes each item needs
+    and lifts its value.  The result is (m,), or (m, ...) for tables.  A
+    stack is walked in slices of `slice_length(n)` items, and an item
+    without entries (order 0) has the value 1.  TypeError when an entry is
+    not a Gaussian rational.
     """
     m, n = M.shape[0], M.shape[-1]
     if not M.size:
         return np.full(m, ExactComplex(1), dtype=object)
     if m > slice_length(n):
-        return in_slices(lambda s: modular_values(M[s], degree, bound, kernel), m, slice_length(n))
+        return in_slices(lambda s: modular_values(M[s], degree, kernel), m, slice_length(n))
     re, im = rational_parts(M.ravel().tolist())
     scales, size = [1] * m, len(re) // m
     if {*map(type, re), *map(type, im)} - {int}:
@@ -389,11 +388,23 @@ def modular_values(M: np.ndarray, degree: int, bound, kernel) -> np.ndarray:
         mags = np.abs(parts)
     # row i of each item, summed over its matrices, as Python ints
     rows = mags.reshape(2, m, -1, n, n).sum(axis=(0, 2, 4)).tolist()
-    R, I, shape = _multimodular(parts.reshape(2, *M.shape), map(bound, rows), kernel)
+    bounds = (_elementary(rho, degree) for rho in rows)
+    R, I, shape = _multimodular(parts.reshape(2, *M.shape), bounds, kernel)
     if any(d != 1 for d in scales):
         scales = np.repeat(scales, math.prod(shape)).tolist()
         R, I = ([Fraction(x, d) for x, d in zip(X, scales)] for X in (R, I))
     return exact_from_parts(R, I).reshape(m, *shape)
+
+
+def _elementary(values: list, degree: int) -> int:
+    """e_degree(values) of Python ints, exactly: their product when degree is their count."""
+    if degree == len(values):
+        return math.prod(values)
+    e = [1] + [0] * degree
+    for x in values:
+        for j in range(degree, 0, -1):
+            e[j] += e[j - 1] * x
+    return e[degree]
 
 
 def _multimodular(parts: np.ndarray, bounds, kernel) -> tuple[list, list, tuple]:
@@ -537,7 +548,7 @@ def map_blocks(M, rows, cols, evaluate, source=None, mod=None) -> np.ndarray:
     complements.  With a source, M is a (..., d, n, n) stack of directions and
     column m of a block comes from direction source[m], source being a (..., j)
     index into that axis that broadcasts like cols.  evaluate (`per_batch`,
-    `det_batch` or `each(per)`) maps a stack of blocks to their values; the result
+    `det_batch` or `per_each`) maps a stack of blocks to their values; the result
     has M's leading shape followed by the broadcast shape, and the evaluator's
     dtype.  Given mod, M holds residues and evaluate(blocks, mod) is given the
     prime of each block.  Blocks beyond one slice of `slice_length(j)` are gathered into
@@ -596,20 +607,18 @@ def map_blocks(M, rows, cols, evaluate, source=None, mod=None) -> np.ndarray:
     return out if part.flags.owndata else out[...]
 
 
-def each(evaluate):
-    """The stack evaluator that calls the scalar `evaluate` (`per`) once per floating matrix.
+def per_each(mats, mod=None) -> np.ndarray:
+    """Permanents of a stack, by one scalar `per` call per floating matrix.
 
     `padj`, `laplace_per` and `dper` evaluate their gathers with it
     (`tilde_sym_block` takes `complement_permanents` instead).  An exact
     stack, or a residue stack given with its primes, goes whole to
     `per_batch`, so that an exact gather is one lift.
     """
-    def values(mats, mod=None):
-        if mod is not None or mats.dtype == object:
-            return per_batch(mats, mod)
-        flat = mats.reshape(math.prod(mats.shape[:-2]), *mats.shape[-2:])
-        return np.fromiter(map(evaluate, flat), complex, len(flat)).reshape(mats.shape[:-2])
-    return values
+    if mod is not None or mats.dtype == object:
+        return per_batch(mats, mod)
+    flat = mats.reshape(math.prod(mats.shape[:-2]), *mats.shape[-2:])
+    return np.fromiter(map(per, flat), complex, len(flat)).reshape(mats.shape[:-2])
 
 
 def laplace_per(A, I: MultiIndex):
@@ -618,8 +627,8 @@ def laplace_per(A, I: MultiIndex):
     n = A.shape[0]
     rows, kept = (np.array(x.zero_based(), dtype=np.intp) for x in (I, complement(I, n)))
     plan = index_plan(len(I), n)
-    tops = map_blocks(A, rows, plan.combos, each(per))
-    bottoms = map_blocks(A, kept, plan.complements, each(per))
+    tops = map_blocks(A, rows, plan.combos, per_each)
+    bottoms = map_blocks(A, kept, plan.complements, per_each)
     return reduce(operator.add, map(operator.mul, tops, bottoms))
 
 
@@ -629,7 +638,7 @@ def padj(A):
     if A.shape[0] < 1:
         raise ValueError("padj requires n >= 1")
     comps = index_plan(1, A.shape[0]).complements
-    return map_blocks(A, comps[:, None], comps[None, :], each(per))
+    return map_blocks(A, comps[:, None], comps[None, :], per_each)
 
 
 def column_replace(A, spec: ReplacementSpec):

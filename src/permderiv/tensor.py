@@ -77,31 +77,19 @@ def det_bareiss(A, minors: int | None = None):
     keep int parts while integral.  A single matrix gives a scalar.
 
     Given minors = r, each matrix gives instead g_r, the sum of its r x r
-    principal minors, lifted as one value: the kernel gathers the
-    restrictions of each residue image (`map_restrictions`) and adds their
-    determinants mod p.  g_r is homogeneous of degree r and bounded by
-    e_r(rho), rho_i the sum of |re| + |im| over row i of the matrix, since
-    |det A_I| <= prod_{i in I} rho_i(A_I) <= prod_{i in I} rho_i.
+    principal minors, lifted as one value of degree r: the kernel gathers
+    the restrictions of each residue image (`map_restrictions`) and adds
+    their determinants mod p.
     """
     A = np.asarray(A)
     items = A.reshape(math.prod(A.shape[:-2]), *A.shape[-2:])
     if minors is None:
-        return modular_values(items, A.shape[-1], math.prod, det_batch).reshape(A.shape[:-2])[()]
+        return modular_values(items, A.shape[-1], det_batch).reshape(A.shape[:-2])[()]
 
     def minor_sums(images, mod):  # (c,): the restriction determinants of each image, added mod p
         return map_restrictions(images, minors, lambda M: det_batch(M, mod), axis=1).sum(axis=1) % mod
 
-    values = modular_values(items, minors, lambda rows: elementary(rows, minors), minor_sums)
-    return values.reshape(A.shape[:-2])[()]
-
-
-def elementary(values: list, r: int) -> int:
-    """The r-th elementary symmetric polynomial of Python ints, exactly."""
-    e = [1] + [0] * r
-    for x in values:
-        for j in range(r, 0, -1):
-            e[j] += e[j - 1] * x
-    return e[r]
+    return modular_values(items, minors, minor_sums).reshape(A.shape[:-2])[()]
 
 
 def _bareiss_residues(mats: np.ndarray, mod: np.ndarray) -> np.ndarray:

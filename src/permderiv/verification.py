@@ -14,7 +14,7 @@ import numpy as np
 from .charpoly import charpoly_all, dk_gr_columns, dk_gr_minors, dk_gr_tensor, g_r
 from .derivatives import dkper_columns, dkper_minors, dkper_tensor, dper
 from .multiindex import enumerate_strict
-from .norms import dkper_norm_bound, dk_gr_norm_exact, operator_norm, svd
+from .norms import dkper_norm_bound, dk_gr_norm_exact, svd
 from .oracle import faddeev_leverrier
 from .permanent import laplace_per, per, per_naive
 

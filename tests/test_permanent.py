@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import subprocess
@@ -18,6 +19,8 @@ from conftest import (
 )
 from test_tensor import _leibniz
 from permderiv import derivatives, permanent, tensor
+from permderiv.charpoly import charpoly_all, dk_gr, g_r
+from permderiv.derivatives import dkper
 from permderiv.multiindex import MultiIndex, enumerate_strict, index_plan
 from permderiv.permanent import (
     ReplacementSpec,
@@ -382,7 +385,7 @@ def test_complement_permanents_are_within_a_ryser_rounding_bound(parts, k):
 def test_complement_permanents_are_exact_in_every_part_type():
     # Gaussian-integer, Fraction and 2^70-scaled entries; a zero row makes
     # prod_i rho_i 0, though a complement without that row need not be 0, so
-    # the lift's bound takes max(rho_i, 1)
+    # the lift bounds a complement of order n - k by e_{n-k}(rho)
     rng = np.random.default_rng(20261020)
     for n in range(1, 7):
         A = random_gaussian_integer(rng, n)
@@ -406,6 +409,86 @@ def test_complement_permanents_are_exact_in_every_part_type():
             gathered = images[:, keep[:, None, :, None], keep[None, :, None, :]]
             got = complement_permanents(images, k, primes)
             assert got.dtype == np.int64 and np.array_equal(got, per_batch(gathered, primes))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_complement_table_attains_its_bound_past_a_prime_count(n, count):
+    # at k = n - 1 every entry per A(I|J) is one entry a_ij, bounded by
+    # e_1(rho) = sum_i rho_i; with one nonzero entry x that bound is x
+    # itself, and the least x with 2x > M, the product of `count` primes,
+    # needs count + 1 primes: with count, x > M/2 would lift to x - M
+    x = permanent._crt_plan(count)[-1] // 2 + 1
+    assert permanent._elementary([0] * (n - 1) + [x], 1) == x
+    assert permanent._prime_count(2 * x) == count + 1
+    basis = enumerate_strict(n - 1, n)
+    for entry in (ExactComplex(x), ExactComplex(0, -x)):
+        A = np.full((n, n), ExactComplex(0), dtype=object)
+        A[n - 1, n // 2] = entry
+        table = [[per_naive(minor_complement(A, I, J)) for J in basis] for I in basis]
+        assert entry in sum(table, [])
+        assert typed(complement_permanents(A, n - 1)) == typed(table)
+
+
+def _elementary_bound(rows, degree):
+    """e_degree of the row sums, as a sum over row sets (no recurrence)."""
+    return sum(math.prod(S) for S in itertools.combinations(rows, degree))
+
+
+def test_every_lifted_value_is_within_e_degree_of_its_row_sums():
+    # each lift bounds an item's value by e_degree(rho), rho_i the sum of
+    # |re| + |im| over row i of every matrix of the item: per, det and the
+    # D^k per forms at degree n, complements at n - k, g_r, the Berkowitz
+    # coefficients and the D^k g_r forms at r.  Diagonal items with
+    # positive entries attain it for per, det and g_r.  Where a literal sum
+    # is cheap, the value also equals it, so a lift over too few primes fails
+    rng = np.random.default_rng(20261021)
+    worst = {}
+
+    def check(kind, value, operands, degree, reference=None):
+        rows = [sum(abs(z.re) + abs(z.im) for M in operands for z in M[i]) for i in range(len(operands[0]))]
+        bound = _elementary_bound(rows, degree)
+        assert type(value) is ExactComplex and max(abs(value.re), abs(value.im)) <= bound, (kind, degree)
+        if bound:
+            worst[kind] = max(worst.get(kind, 0), max(abs(value.re), abs(value.im)) / bound)
+        if reference is not None:
+            assert typed([value]) == typed([reference]), (kind, degree)
+
+    for n in range(1, 5):
+        A = random_gaussian_integer(rng, n)
+        fractions = A / 3
+        scaled = A * 2**70 + random_gaussian_integer(rng, n)
+        zero_row = scaled.copy()
+        zero_row[0] = ExactComplex(0)
+        diagonal = np.full((n, n), ExactComplex(0), dtype=object)
+        diagonal[range(n), range(n)] = [ExactComplex(int(v)) for v in rng.integers(1, 9, n)]
+        stack = np.stack((A, fractions, scaled, zero_row, diagonal))
+        directions = [random_gaussian_integer(rng, n) for _ in range(n + 1)]
+        for M, value in zip(stack, per_batch(stack)):
+            check("per", value, [M], n, per_naive(M))
+        for M, value in zip(stack, det_batch(stack)):
+            check("det", value, [M], n, _leibniz(M))
+        for k in range(n + 1):
+            basis = enumerate_strict(k, n)
+            for M, table in zip(stack, complement_permanents(stack, k)):
+                for value, (I, J) in zip(table.ravel(), itertools.product(basis, basis)):
+                    check("complement", value, [M], n - k, per_naive(minor_complement(M, I, J)))
+        for r in range(1, n + 1):
+            for M, value in zip(stack, g_r(stack, r)):
+                minors = (_leibniz(minor_complement(M, I, I)) for I in enumerate_strict(n - r, n))
+                check("g_r", value, [M], r, sum(minors, ExactComplex(0)))
+        for M in stack:
+            for r, value in enumerate(charpoly_all(M), 1):
+                check("charpoly", value, [M], r)
+            for k in range(1, n + 1):
+                Xs = tuple(directions[:k])
+                for value in dkper(M, Xs, "all").values():
+                    check("dkper", value, [M, *Xs], n)
+                for r in range(k, n + 1):
+                    for value in dk_gr(M, Xs, k, r, "all").values():
+                        check("dk_gr", value, [M, *Xs], r)
+    assert worst["per"] == worst["det"] == worst["g_r"] == worst["charpoly"] == 1
+    assert set(worst) == {"per", "det", "complement", "g_r", "charpoly", "dkper", "dk_gr"}
 
 
 def test_per_batch_keeps_the_stack_shape(rng):
