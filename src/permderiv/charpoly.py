@@ -2,11 +2,12 @@
 
 g_r(A) is the sum of r x r principal minors; det(xI - A) =
 x^n - g_1 x^{n-1} + ... + (-1)^n g_n.  `charpoly_all` takes every g_r at once
-by Berkowitz's division-free recurrence in O(n^4) ring operations, one body
-on complex128 and on int64 residues; `g_r` and the derivative forms walk the
-principal restrictions.  An exact `g_r` lifts one value per matrix through
-`tensor.det_bareiss` with minors r, whose residue kernel walks the
-restrictions of the images of the whole matrices.  The derivative formulas
+by Berkowitz's division-free recurrence (`tensor._berkowitz`, whose g_n is
+also `tensor.det_batch`'s residue determinant from order 4 on) in O(n^4)
+ring operations, one body on complex128 and on int64 residues; `g_r` and the
+derivative forms walk the principal restrictions.  An exact `g_r` lifts one
+value per matrix through `tensor.det_bareiss` with minors r, whose residue
+kernel walks the restrictions of the images of the whole matrices.  The derivative formulas
 are the determinant analogues of the permanent ones, applied inside every
 principal restriction A_I and summed over I in Q_{r,n}.
 Like the `D^k per` forms, each takes (A, directions), here followed by k
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from . import tensor
 from .derivatives import dispatch
 from .scalars import (
     is_exact,
-    matmul,
     product,
     require_directions,
     require_square,
@@ -53,6 +52,7 @@ from .scalars import (
     zero_like,
 )
 from .tensor import (
+    _berkowitz,
     det_batch,
     map_restrictions,
     mixed_entries,
@@ -183,53 +183,6 @@ def _ldexp(z: np.ndarray, e) -> np.ndarray:
 def _lifted_coefficient(A, r: int):
     """g_r of an exact matrix, from `_berkowitz` on its residues."""
     return modular_values(A[None], r, lambda M, mod: _berkowitz(M, mod)[:, r])[0]
-
-
-def _berkowitz(A, mod=None) -> np.ndarray:
-    """(..., n + 1): 1, g_1, ..., g_n of each matrix of an (..., n, n) stack, with no division.
-
-    Berkowitz's recurrence (S. J. Berkowitz, IPL 18 (1984)), run on N = -A,
-    whose characteristic polynomial is x^n + g_1 x^{n-1} + ... + g_n: the
-    leading (k + 1) x (k + 1) block of N is its leading k x k block N_k
-    bordered by the column c_k, the row r_k and the corner m_k, and its
-    coefficients are those of N_k times the (k + 2) x (k + 1) lower
-    triangular Toeplitz matrix with first column
-    (1, -m_k, -r_k c_k, -r_k N_k c_k, ..., -r_k N_k^{k-1} c_k).  Column k of
-    W_0 = triu(N, 1) is c_k, and column k of W_{j+1} = triu(N W_j, 1) is
-    N_k^{j+1} c_k, so each product N W_j holds r_k N_k^j c_k for every k at
-    once, on its diagonal.  Given mod, A holds residues and the prime of each
-    matrix, and every step runs mod that prime.
-    """
-    N = residues(-A, mod)
-    n = N.shape[-1]
-    upper, toeplitz = _berkowitz_plan(n)
-    # row k: the first column of the Toeplitz matrix of step k, then zeros
-    columns = np.zeros(N.shape[:-2] + (n, n + 2), N.dtype)
-    columns[..., 1] = N.diagonal(0, -2, -1)
-    W = N * upper
-    for j in range(2, n + 1):
-        NW = matmul(N, W, mod)
-        columns[..., j] = NW.diagonal(0, -2, -1)
-        W = NW * upper
-    columns = residues(-columns, mod)
-    columns[..., 0] = 1
-    p = np.ones(N.shape[:-2] + (1, 1), N.dtype)
-    for k in range(n):
-        # toeplitz[:k + 2, :k + 1] indexes row k, with -1 at the zeros above the diagonal
-        p = matmul(columns[..., k, toeplitz[:k + 2, :k + 1]], p, mod)
-    return p[..., 0]
-
-
-@lru_cache(maxsize=None)
-def _berkowitz_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of triu(., 1) at order n, and the (n + 1, n) Toeplitz index table.
-
-    Entry (a, b) of the table is a - b on and below the diagonal, and -1 above.
-    """
-    i = np.arange(n + 1)
-    toeplitz = i[:, None] - i[:n]
-    toeplitz[toeplitz < 0] = -1
-    return i[:n, None] < i[:n], toeplitz
 
 
 def dk_gr_columns(A, directions, k: int, r: int):

@@ -4,7 +4,9 @@ Random jobs of every job verb, on matrices of order 0..4 whose entries mix
 small ints, [re, im] pairs, floats, 1e200, 2^70, booleans, strings, nulls
 and ragged rows, with random --k, --r, --formula and --mode.  Whatever the
 job, the exit code is 0, 1 or 2, stdout is one line of strict JSON, exit 1
-reports {"error": ...}, and an exact result has int or "p/q" parts.
+reports {"error": ...}, and an exact result has int or "p/q" parts.  On
+small Gaussian-integer input, both modes compute every result verb and
+agree to rounding.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import sys
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from permderiv import cli
@@ -81,20 +84,69 @@ def _is_exact_part(x) -> bool:
     return type(x) is int
 
 
+@st.composite
+def agreeing_jobs(draw, verb):
+    """(argv without --mode, stdin text) of a verb job on Gaussian integers with
+    parts in [-4, 4], n = 1..6; k <= min(3, n, r)."""
+    argv, n = [verb], draw(st.integers(1, 6))
+
+    def matrix():
+        return draw(st.lists(st.lists(st.lists(small, min_size=2, max_size=2), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+
+    job = {"A": matrix()}
+    r = n
+    if verb in ("gr", "dkgr"):
+        r = draw(st.integers(1, n))
+        argv += ["--r", str(r)]
+    if verb in ("dkper", "dkgr"):
+        k = draw(st.integers(1, min(3, r)))
+        job["directions"] = [matrix() for _ in range(k)]
+        argv += ["--k", str(k), "--formula", "all"]
+    if verb == "dper":
+        job["X"] = matrix()
+    return argv, json.dumps(job)
+
+
+def _run(argv, text):
+    """cli.main on argv with text as stdin: (exit code, the one JSON line it printed)."""
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    lines = out.getvalue().split("\n")
+    assert len(lines) == 2 and lines[1] == ""
+    return code, json.loads(lines[0], parse_constant=_strict)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(jobs())
 def test_every_job_keeps_the_cli_contract(job):
     argv, text = job
-    out = io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
-        code = cli.main(argv)
+    code, report = _run(argv, text)
     assert code in (0, 1, 2)
-    lines = out.getvalue().split("\n")
-    assert len(lines) == 2 and lines[1] == ""
-    report = json.loads(lines[0], parse_constant=_strict)
     assert isinstance(report, dict)
     if code == 1:
         assert "error" in report
     elif argv[argv.index("--mode") + 1] == "exact" and argv[0] in EXACT_VERBS:
         fields = [report[name] for name in EXACT_FIELDS if name in report]
         assert fields and all(map(_is_exact_part, _exact_parts(fields)))
+
+
+@pytest.mark.parametrize("verb", EXACT_VERBS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exact_and_floating_results_agree(verb, data):
+    argv, text = data.draw(agreeing_jobs(verb))
+    (exact_code, exact), (floating_code, floating) = (
+        _run(argv + ["--mode", mode], text) for mode in ("exact", "floating")
+    )
+    assert exact_code == floating_code == 0 and exact.keys() == floating.keys()
+    fields = [name for name in EXACT_FIELDS if name in exact]
+    assert fields
+    for name in fields:
+        exact_parts = [Fraction(x) for x in _exact_parts(exact[name])]
+        floating_parts = _exact_parts(floating[name])
+        assert len(exact_parts) == len(floating_parts)
+        scale = max(1, *map(abs, exact_parts))
+        for x, y in zip(exact_parts, floating_parts):
+            assert abs(float(x) - y) <= 1e-9 * scale

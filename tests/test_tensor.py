@@ -489,7 +489,7 @@ def test_det_bareiss_fraction_entries():
 def test_summed_det_bareiss_equals_the_sum_of_its_determinants(rng, n):
     # given minors = r, each matrix gives the sum of its r x r principal
     # minors: Gaussian integers, Fraction parts and parts beyond int64, in a
-    # (2, 5) stack; restrictions of order >= 4 take _bareiss_residues
+    # (2, 5) stack; restrictions of order >= 4 take _berkowitz
     cases = _bareiss_cases(rng, n)
     for stack in (cases, [M / 3 for M in cases], [M * 2**70 + random_gaussian_integer(rng, n) for M in cases]):
         stack = np.stack(stack).reshape(2, 5, n, n)
@@ -591,41 +591,64 @@ def test_residue_determinants_of_a_stack_longer_than_a_slice(rng, n, monkeypatch
         assert value == reference and _parts(value) == _parts(reference)
 
 
-def _order3_images(rng):
-    """(m, 3, 3) int64 residues and the prime of each: random images, residues
-    p - 1 everywhere (the largest products), zero rows and matrices singular mod p."""
+def _residue_images(rng, n):
+    """(m, n, n) int64 residues and the prime of each: random images, residues
+    p - 1 everywhere (the largest products), zero rows, matrices singular mod p
+    only, the zero matrix and a zero (0, 0) entry."""
     primes = [permanent._modulus(i)[0] for i in range(4)]
     mats, mod = [], []
     for p in primes:
-        random = rng.integers(0, p, (6, 3, 3))
-        top = np.full((3, 3, 3), p - 1)
+        random = rng.integers(0, p, (6, n, n))
+        top = np.full((3, n, n), p - 1)
         top[1, 1, 1] = 0  # p - 1 around one zero
         top[2, :, 0] = 1  # and beside a column of ones
-        zero = rng.integers(0, p, (3, 3, 3))
-        zero[np.arange(3), np.arange(3)] = 0  # row i of matrix i is 0
-        singular = rng.integers(0, p, (3, 3, 3))
-        singular[:, 2] = (singular[:, 0] + 5 * singular[:, 1]) % p  # rows dependent mod p only
+        zero = rng.integers(0, p, (n, n, n))
+        zero[np.arange(n), np.arange(n)] = 0  # row i of matrix i is 0
+        singular = rng.integers(0, p, (3, n, n))
+        singular[:, n - 1] = (singular[:, 0] + 5 * singular[:, 1]) % p  # rows dependent mod p only
         singular[2, 1] = singular[2, 0]  # and a repeated row
-        group = np.concatenate([random, top, zero, singular, np.zeros((1, 3, 3), dtype=np.int64)])
+        corner = rng.integers(0, p, (2, n, n))
+        corner[:, 0, 0] = 0  # no pivot at (0, 0)
+        group = np.concatenate([random, top, zero, singular, np.zeros((1, n, n), dtype=np.int64), corner])
         mats.append(group)
         mod += [p] * len(group)
     return np.concatenate(mats).astype(np.int64), np.array(mod, dtype=np.int64)
 
 
-def test_order_three_residue_dets_equal_bareiss(rng):
-    mats, mod = _order3_images(rng)
+def _det_mod(M, p):
+    """det M mod p of a matrix of Python ints, by Gaussian elimination over Z_p."""
+    M, value = [[x % p for x in row] for row in M], 1
+    for i in range(len(M)):
+        pivot = next((j for j in range(i, len(M)) if M[j][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            M[i], M[pivot], value = M[pivot], M[i], -value
+        value = value * M[i][i] % p
+        inverse = pow(M[i][i], -1, p)
+        for j in range(i + 1, len(M)):
+            factor = M[j][i] * inverse % p
+            M[j] = [(a - factor * b) % p for a, b in zip(M[j], M[i])]
+    return value % p
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_residue_dets_equal_elimination_mod_p(rng, n):
+    # order 3 takes the cofactor expansion, orders >= 4 g_n of _berkowitz
+    mats, mod = _residue_images(rng, n)
     dets = det_batch(mats, mod)
     assert dets.dtype == np.int64 and np.all((0 <= dets) & (dets < mod))
-    assert dets.tolist() == tensor._bareiss_residues(mats, mod).tolist()
     for M, p, value in zip(mats.tolist(), mod.tolist(), dets.tolist()):  # Python ints, unbounded
-        sarrus = sum(
-            math.prod(M[i][(i + j) % 3] for i in range(3)) - math.prod(M[i][(j - i) % 3] for i in range(3))
-            for j in range(3)
-        )
-        assert value == sarrus % p
+        assert value == _det_mod(M, p)
+        if n == 3:
+            sarrus = sum(
+                math.prod(M[i][(i + j) % 3] for i in range(3)) - math.prod(M[i][(j - i) % 3] for i in range(3))
+                for j in range(3)
+            )
+            assert value == sarrus % p
     assert np.any(dets == 0) and np.any(dets != 0)
     # a (4, m/4) stack with one prime per leading entry, as the closed forms pass it
-    stacked = mats.reshape(4, -1, 3, 3)
+    stacked = mats.reshape(4, -1, n, n)
     assert det_batch(stacked, mod.reshape(4, -1)[:, 0]).tolist() == dets.reshape(4, -1).tolist()
 
 
