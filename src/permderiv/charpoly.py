@@ -1,13 +1,12 @@
 """Characteristic-polynomial coefficients g_r and their derivatives.
 
 g_r(A) is the sum of r x r principal minors; det(xI - A) =
-x^n - g_1 x^{n-1} + ... + (-1)^n g_n.  `charpoly_all` takes every g_r at once
-by Berkowitz's division-free recurrence (`tensor._berkowitz`, whose g_n is
-also `tensor.det_batch`'s residue determinant from order 4 on) in O(n^4)
-ring operations, one body on complex128 and on int64 residues; `g_r` and the
-derivative forms walk the principal restrictions.  An exact `g_r` lifts one
-value per matrix through `tensor.det_bareiss` with minors r, whose residue
-kernel walks the restrictions of the images of the whole matrices.  The derivative formulas
+x^n - g_1 x^{n-1} + ... + (-1)^n g_n.  An exact g_r, of `g_r` and of
+`charpoly_all` alike, is one lift per matrix through `tensor.det_bareiss`
+with minors r: closed-form minors summed through order 3, Berkowitz's
+division-free recurrence (`tensor._berkowitz`) on the whole image beyond.
+A floating `charpoly_all` runs that recurrence once, in O(n^4) operations,
+and a floating `g_r` sums the principal minors.  The derivative formulas
 are the determinant analogues of the permanent ones, applied inside every
 principal restriction A_I and summed over I in Q_{r,n}.
 Like the `D^k per` forms, each takes (A, directions), here followed by k
@@ -47,7 +46,6 @@ from .scalars import (
     require_square_stack,
     residues,
     to_complex,
-    total,
     total_in_order,
     zero_like,
 )
@@ -57,6 +55,7 @@ from .tensor import (
     map_restrictions,
     mixed_entries,
     principal_blocks,
+    principal_minor_sums,
     signed_complement_minors,
 )
 
@@ -98,11 +97,10 @@ def principal_restrictions(A, r: int) -> tuple[PrincipalRestriction, ...]:
 def g_r(A, r: int):
     """Sum of the r x r principal minors of A, or of each matrix of an (..., n, n) stack.
 
-    A floating matrix's restriction determinants are summed over a
-    contiguous last axis, so a matrix of a stack gives bit for bit its g_r
-    alone.  An exact stack lifts one value per matrix from the residue
-    images of the whole matrices (`tensor.det_bareiss` with minors r).  A
-    single matrix gives a scalar.
+    A floating matrix of a stack gives bit for bit its g_r alone
+    (`tensor.principal_minor_sums`).  An exact stack lifts one value per
+    matrix from the residue images of the whole matrices
+    (`tensor.det_bareiss` with minors r).  A single matrix gives a scalar.
     """
     A = require_square_stack(A)
     n = A.shape[-1]
@@ -110,18 +108,15 @@ def g_r(A, r: int):
         raise ValueError(f"need 1 <= r <= {n}")
     if is_exact(A):
         return tensor.det_bareiss(A, r)
-    dets = map_restrictions(A, r, det_batch, axis=-1)  # (..., C(n, r))
-    if A.ndim == 2:
-        return total(dets)
-    return _row_totals(dets.reshape(-1, dets.shape[-1])).reshape(A.shape[:-2])
+    sums = principal_minor_sums(A, r)
+    return complex(sums) if A.ndim == 2 else sums
 
 
 def charpoly_all(A) -> CharPolyCoefficients:
-    """All coefficients (g_1, ..., g_n) by Berkowitz's recurrence (`_berkowitz`).
+    """All coefficients (g_1, ..., g_n); a floating matrix's by Berkowitz's recurrence.
 
-    An exact matrix runs the recurrence on int64 residues, and each g_r is
-    lifted once (`permanent.modular_values`, degree r).  A floating matrix
-    runs it on complex128.
+    An exact matrix lifts each g_r as exact `g_r` does (`tensor.det_bareiss`
+    with minors r).  A floating matrix runs `_berkowitz` once on complex128.
 
     Where a floating coefficient comes out non-finite (an intermediate
     overflowed), the recurrence is run again on 2^-e A, e the binary exponent
@@ -140,7 +135,7 @@ def charpoly_all(A) -> CharPolyCoefficients:
     A = require_square(A)
     n = A.shape[0]
     if is_exact(A):
-        return CharPolyCoefficients(tuple(_lifted_coefficient(A, r) for r in range(1, n + 1)))
+        return CharPolyCoefficients(tuple(tensor.det_bareiss(A, r) for r in range(1, n + 1)))
     A = to_complex(A)
     with np.errstate(over="ignore", invalid="ignore"):
         g = _berkowitz(A)[1:]
@@ -178,11 +173,6 @@ def _ldexp(z: np.ndarray, e) -> np.ndarray:
     out = np.empty_like(z)
     out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
     return out
-
-
-def _lifted_coefficient(A, r: int):
-    """g_r of an exact matrix, from `_berkowitz` on its residues."""
-    return modular_values(A[None], r, lambda M, mod: _berkowitz(M, mod)[:, r])[0]
 
 
 def dk_gr_columns(A, directions, k: int, r: int):

@@ -391,7 +391,7 @@ def modular_values(M: np.ndarray, degree: int, kernel) -> np.ndarray:
     bounds = (_elementary(rho, degree) for rho in rows)
     R, I, shape = _multimodular(parts.reshape(2, *M.shape), bounds, kernel)
     if any(d != 1 for d in scales):
-        scales = np.repeat(scales, math.prod(shape)).tolist()
+        scales = [d for d in scales for _ in range(math.prod(shape))]  # Python ints, unbounded
         R, I = ([Fraction(x, d) for x, d in zip(X, scales)] for X in (R, I))
     return exact_from_parts(R, I).reshape(m, *shape)
 

@@ -17,13 +17,12 @@ residues mod primes, through the one multimodular lift of exact values
 (`permanent.modular_values`), which recovers them by the Chinese remainder
 theorem.  Given the primes of a residue stack (`mod`), as there and in the
 exact closed forms, det_batch runs the same expansions to order 2, the
-cofactor expansion along the first row at order 3, and from order 4 the
-last coefficient g_n of Berkowitz's division-free recurrence
-(`_berkowitz`), which also gives `charpoly` every g_r at once; no residue
-determinant needs a modular inverse.  `det_bareiss` with minors r lifts
-g_r, each matrix's sum of r x r principal minors, as one value: its residue
-kernel gathers the restrictions from the images of the whole matrices and
-adds their determinants mod p.  Exact `charpoly.g_r` is that one call.
+cofactor expansion along the first row at order 3 (`_EXPANDED`), and from
+order 4 the last coefficient g_n of Berkowitz's division-free recurrence
+(`_berkowitz`); no residue determinant needs a modular inverse.
+`det_bareiss` with minors r lifts g_r, the sum of r x r principal minors, on
+the same boundary: its residue kernel sums the closed-form minors of each
+whole image (`principal_minor_sums`) or takes its g_r from `_berkowitz`.
 """
 
 from __future__ import annotations
@@ -51,6 +50,8 @@ from .scalars import (
     to_complex,
     total,
 )
+
+_EXPANDED = 3  # the largest order of `det_batch`'s closed-form residue determinants
 
 
 @dataclass(frozen=True)
@@ -81,19 +82,21 @@ def det_bareiss(A, minors: int | None = None):
     keep int parts while integral.  A single matrix gives a scalar.
 
     Given minors = r, each matrix gives instead g_r, the sum of its r x r
-    principal minors, lifted as one value of degree r: the kernel gathers
-    the restrictions of each residue image (`map_restrictions`) and adds
-    their determinants mod p.
+    principal minors, lifted as one value of degree r: the kernel sums the
+    closed-form minors of each residue image up to order `_EXPANDED`
+    (`principal_minor_sums`), and takes `_berkowitz`'s g_r beyond.
     """
     A = np.asarray(A)
     items = A.reshape(math.prod(A.shape[:-2]), *A.shape[-2:])
     if minors is None:
         return modular_values(items, A.shape[-1], det_batch).reshape(A.shape[:-2])[()]
 
-    def minor_sums(images, mod):  # (c,): the restriction determinants of each image, added mod p
-        return map_restrictions(images, minors, lambda M: det_batch(M, mod), axis=1).sum(axis=1) % mod
+    def g(images, mod):  # (c,): g_r of each image mod p
+        if minors > _EXPANDED:
+            return _berkowitz(images, mod)[..., minors]
+        return principal_minor_sums(images, minors, mod)
 
-    return modular_values(items, minors, minor_sums).reshape(A.shape[:-2])[()]
+    return modular_values(items, minors, g).reshape(A.shape[:-2])[()]
 
 
 def det_batch(mats: np.ndarray, mod=None) -> np.ndarray:
@@ -116,7 +119,7 @@ def det_batch(mats: np.ndarray, mod=None) -> np.ndarray:
     k = mats.shape[-1]
     if mod is not None:
         mod = moduli(mod, mats.shape[:-2])
-        if k > 3:
+        if k > _EXPANDED:
             return _berkowitz(mats, mod)[..., k]
     elif is_exact(mats):
         return det_bareiss(mats)
@@ -220,6 +223,13 @@ def map_restrictions(M, r: int, evaluate, elements: int = 0, axis: int = 0) -> n
     return in_slices(
         lambda s: evaluate(principal_blocks(M, rows[s])), len(rows), budget_length(size), axis
     )
+
+
+def principal_minor_sums(M, r: int, mod=None) -> np.ndarray:
+    """g_r, the r x r principal minors summed, of each matrix of an (..., n, n) stack (mod p given mod)."""
+    dets = map_restrictions(M, r, lambda MI: det_batch(MI, mod), axis=-1)  # (..., C(n, r))
+    # summed over a contiguous axis, a matrix of a stack gives bit for bit its sum alone
+    return residues(np.ascontiguousarray(dets).sum(axis=-1), mod)
 
 
 def sym_power(A, k: int) -> TensorBlock:

@@ -69,17 +69,25 @@ def test_charpoly_matches_numpy_roots(rng):
         assert np.allclose(coeffs, ref, rtol=1e-8, atol=1e-8)
 
 
+def _minor_sum(M, r):
+    """g_r of an exact matrix as its Leibniz principal minors, summed in ExactComplex."""
+    return sum((_leibniz(P.value) for P in principal_restrictions(M, r)), ExactComplex(0))
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_exact_berkowitz_equals_the_principal_minor_sums(rng, n):
-    # Gaussian integers, Fraction parts and parts beyond int64, part types included
+    # charpoly_all (Berkowitz's recurrence from order 4) and g_r against the
+    # Leibniz minors summed in ExactComplex: Gaussian integers, Fraction parts
+    # and parts beyond int64, part types included
     cases = _order3_exact_cases(rng, n) if n > 1 else [exact_matrix([[(Fraction(2, 3), -(2**70))]])]
     for M in [random_gaussian_integer(rng, n), *cases]:
         coefficients = charpoly_all(M)
         assert len(coefficients) == n
         for r, value in enumerate(coefficients, 1):
-            minors = g_r(M, r)
+            reference, minors = _minor_sum(M, r), g_r(M, r)
             assert isinstance(value, ExactComplex)
-            assert value == minors and _parts(value) == _parts(minors)
+            assert value == minors == reference
+            assert _parts(value) == _parts(minors) == _parts(reference)
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -369,7 +377,7 @@ def test_exact_restrictions_of_every_order_reach_bareiss(r, rng, monkeypatch):
     # an exact g_r of every order is one det_bareiss call on the whole
     # matrix, with the order r, orders 1 and 2 included
     A = random_gaussian_integer(rng, 5)
-    reference = sum((_leibniz(P.value) for P in principal_restrictions(A, r)), ExactComplex(0))
+    reference = _minor_sum(A, r)
     calls = []
     det_bareiss = tensor.det_bareiss
 
@@ -382,6 +390,35 @@ def test_exact_restrictions_of_every_order_reach_bareiss(r, rng, monkeypatch):
     assert calls == [((5, 5), r)]
 
 
+@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_exact_g_r_from_order_4_is_one_berkowitz_run_per_lift(rng, r, shape, monkeypatch):
+    # through order 3 the kernel sums the gathered restrictions' closed-form
+    # determinants; from order 4 it takes Berkowitz's g_r of each whole image
+    stack = np.stack([random_gaussian_integer(rng, 6) for _ in range(math.prod(shape))])
+    stack = stack.reshape(*shape, 6, 6)
+    lifts, runs, gathers = [], [], []
+    lift, berkowitz, gather = tensor.modular_values, tensor._berkowitz, tensor.principal_blocks
+    monkeypatch.setattr(tensor, "modular_values", lambda *a: lifts.append(1) or lift(*a))
+    monkeypatch.setattr(tensor, "_berkowitz", lambda *a: runs.append(a[0].shape) or berkowitz(*a))
+    monkeypatch.setattr(tensor, "principal_blocks", lambda *a: gathers.append(1) or gather(*a))
+    values = np.asarray(g_r(stack, r), dtype=object)
+    assert len(lifts) == 1
+    if r > 3:
+        assert len(runs) == 1 and runs[0][-2:] == (6, 6) and gathers == []
+    else:
+        assert runs == [] and gathers
+    for value, M in zip(values.ravel(), stack.reshape(-1, 6, 6), strict=True):
+        reference = _minor_sum(M, r)
+        assert value == reference and _parts(value) == _parts(reference)
+
+
+def test_exact_g_7_of_a_14_by_14_matches_the_floating_minor_sum(rng):
+    A = random_gaussian_integer(rng, 14)
+    exact, floating = g_r(A, 7), g_r(to_complex(A), 7)
+    assert abs(to_complex(np.array([exact]))[0] - floating) <= 1e-9 * abs(floating)
+
+
 @pytest.mark.parametrize("budget", [None, 2])
 def test_exact_g_r_of_a_node_stack_lifts_one_value_per_matrix_and_chunk(rng, monkeypatch, budget):
     # the interpolation oracle's 16 "gr" nodes of order 5 at r = 3, of 10
@@ -389,9 +426,7 @@ def test_exact_g_r_of_a_node_stack_lifts_one_value_per_matrix_and_chunk(rng, mon
     # takes the restrictions in one chunk or in chunks of 2
     A, X, Y = (random_gaussian_integer(rng, 5) for _ in range(3))
     nodes = oracle._node_stack(A, (X, Y), np.array([(s, t) for s in range(4) for t in range(4)]))
-    references = [
-        sum((_leibniz(P.value) for P in principal_restrictions(M, 3)), ExactComplex(0)) for M in nodes
-    ]
+    references = [_minor_sum(M, 3) for M in nodes]
     if budget:
         monkeypatch.setattr(tensor, "budget_length", lambda elements: budget)
     lift, built, chunks = tensor.modular_values, [], []
@@ -417,17 +452,18 @@ def test_exact_g_r_of_a_node_stack_lifts_one_value_per_matrix_and_chunk(rng, mon
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exact_g_r_of_a_stack_equals_the_berkowitz_coefficients(rng, n):
-    # charpoly_all lifts each g_r from Berkowitz's recurrence on residues, an
-    # independent exact path: Gaussian integers, Fraction parts, parts beyond
-    # int64 and a zero row
+    # each matrix's charpoly_all coefficient and its Leibniz minors summed in
+    # ExactComplex: Gaussian integers, Fraction parts, parts beyond int64 and
+    # a zero row
     stack = np.stack([random_gaussian_integer(rng, n) for _ in range(4)])
     stack[1] = stack[1] / 3
     stack[2] = stack[2] * 2**70 + random_gaussian_integer(rng, n)
     stack[3, 0] = ExactComplex(0)
     coefficients = [charpoly_all(M) for M in stack]
     for r in range(1, n + 1):
-        for value, g in zip(g_r(stack, r), coefficients, strict=True):
-            assert value == g[r] and _parts(value) == _parts(g[r])
+        for value, M, g in zip(g_r(stack, r), stack, coefficients, strict=True):
+            reference = _minor_sum(M, r)
+            assert value == g[r] == reference and _parts(value) == _parts(g[r]) == _parts(reference)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])

@@ -701,6 +701,20 @@ def test_exact_per_and_per_batch_equal_the_permutation_sum(mats):
         assert single == expected and _is_exact_result(single)
 
 
+def test_a_denominator_power_between_2_63_and_2_64_beside_an_integral_item():
+    # the second item's d^5 = 6930^5 lies in [2^63, 2^64): beside the first
+    # item's scale 1, a numpy array of the scales would be float64
+    zero = np.full((5, 5), ExactComplex(0), dtype=object)
+    scaled = zero.copy()
+    scaled[4] = [0, Fraction(1, 7), Fraction(1, 9), Fraction(1, 10), Fraction(1, 11)]
+    scaled[3] = [Fraction(1, 7)] * 5
+    assert 2**63 <= 6930**5 < 2**64
+    for M in (scaled, scaled * ExactComplex(2, 1) + np.eye(5, dtype=int)):
+        values = per_batch(np.stack([zero, M]))
+        assert values.tolist() == [0, per_naive(M)] and all(map(_is_exact_result, values))
+        assert det_batch(np.stack([zero, M])).tolist() == [0, _leibniz(M)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(exact_stacks())
 def test_exact_det_batch_equals_the_signed_permutation_sum(mats):
