@@ -55,8 +55,8 @@ def dper(A, X):
     value = reduce(add, map(mul, P.ravel(), X.ravel()))
     if __debug__:
         by_columns = reduce(add, per_each(replacement_stack(A, X[None])))
-        # sum_ij X_ij per A^T(j|i): the same minors, but by Ryser's formula
-        # over their columns rather than their rows, so that they round apart
+        # sum_ij X_ij per A^T(j|i): the same minors, but by Glynn's formula
+        # with signs on their rows rather than their columns, so that they round apart
         comps = index_plan(1, A.shape[0]).complements
         minors = map_blocks(A.T, comps[:, None], comps[None, :], per_each)
         by_minors = reduce(add, map(mul, X.T.ravel(), minors.ravel()))
@@ -130,13 +130,16 @@ def _form(A, directions, term):
 def _agree(value, routes, A, X, P) -> bool:
     """Whether dper's routes equal its value, or lie within its rounding when floating.
 
-    Ryser's formula on an m x m matrix B rounds by at most about
-    m^2 2^m eps prod_i sum_l |b_il| (2^m products of m row sums), which
-    |per B| does not bound when its terms cancel.  Weighted by |X| and
-    summed, the minors of A round within that bound for the A(j; X), column
-    j of A replaced by that of X, and the minors of A^T within it for the
-    A^T(i; X^T), so both follow from the row and column sums of |A| and |X|;
-    1e-12 max(sum |P X|, 1), P = padj A, bounds the rounding of the trace.
+    Glynn's formula on an m x m matrix B rounds by at most about
+    (m^2 + 2^(m-1)) eps prod_i sum_l |b_il| (2^(m-1) products of m signed
+    row sums, scaled by 2^(1-m)), which |per B| does not bound when its
+    terms cancel.  The slack allows m^2 2^m eps prod_i sum_l |b_il|, the
+    bound of Ryser's unscaled 2^m products, which covers Glynn's.  Weighted
+    by |X| and summed, the minors of A round within it for the A(j; X),
+    column j of A replaced by that of X, and the minors of A^T within it
+    for the A^T(i; X^T), so both follow from the row and column sums of |A|
+    and |X|; 1e-12 max(sum |P X|, 1), P = padj A, bounds the rounding of the
+    trace.
     """
     if is_exact(P):
         return all(route == value for route in routes)
@@ -144,8 +147,8 @@ def _agree(value, routes, A, X, P) -> bool:
     with np.errstate(over="ignore"):  # an infinite bound leaves nothing to compare
         by_rows = (a.sum(axis=1)[:, None] - a + x).prod(axis=0).sum()
         by_columns = (a.sum(axis=0) - a + x).prod(axis=1).sum()
-        ryser = n * n * 2.0**n * np.finfo(float).eps * (by_rows + by_columns)
-        slack = ryser + 1e-12 * max(np.abs(P * X).sum(), 1.0)
+        rounding = n * n * 2.0**n * np.finfo(float).eps * (by_rows + by_columns)
+        slack = rounding + 1e-12 * max(np.abs(P * X).sum(), 1.0)
     if not (cmath.isfinite(value) and math.isfinite(slack)):
         return True
     return all(not cmath.isfinite(route) or abs(value - route) <= slack for route in routes)

@@ -1,26 +1,30 @@
 """Permanent evaluation and the submatrix machinery built around it.
 
 `per_naive` is the literal sum over all n! permutations and serves as the
-independent oracle.  `per` and `per_batch` share one blocked Ryser kernel
-in both modes, O(2^n * n) per matrix: the row sums over all subsets of up
-to ten columns are formed at once (a product with a cached 0/1 subset
-table), and only the subsets of the remaining columns are looped over in
-Python.  A floating matrix of up to ten columns skips the stack and runs
-the kernel's calls on itself, so a scalar `per` is one matmul, one row
-product and one dot.  An exact stack runs that kernel on int64 images mod
-primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1, and its
-permanents are lifted back by the Chinese remainder theorem (the classic
-multimodular method).  Every exact value takes that one lift,
-`modular_values`, which bounds it from its degree, with its residue kernel
-as an argument: Ryser's formula for exact stacks, the residue branch of
-`tensor.det_batch` for exact determinants (`tensor.det_bareiss`, which also
-lifts each matrix's sum of r x r principal minors from its whole images,
-one value per matrix for exact `charpoly.g_r`), or a closed form itself,
-run once on the images of all its operands, so one value is lifted per call.
-`per_batch`, `map_blocks`, `per_each` and `complement_permanents` take a
-residue stack with its primes (`mod`) for that.  `complement_permanents`
-gives per A(I|J) for every pair of k-sets from one Ryser pass over the
-column sets of A, for `tensor.tilde_sym_block`.  The formulas index through
+independent oracle.  `per` and `per_batch` share one blocked kernel of
+Glynn's formula in both modes, O(2^(n-1) * n) per matrix, half the terms of
+Ryser's: the row sums over all sign patterns of up to ten columns (the
+first fixed at +1) are formed at once (a product with a cached +-1 table),
+and only the patterns of the remaining columns are looped over in Python.
+Glynn's terms are centred, so on a positive matrix they do not cancel as
+Ryser's subset sums do.  A floating matrix of up to ten columns skips the
+stack and runs the kernel's calls on itself, so a scalar `per` is one
+matmul, one row product and one dot, with the scale 2^(1-n) folded into
+the signs.  An exact stack runs that kernel on int64 images mod primes
+p = 1 (mod 4) below 2^31, where i maps to a square root of -1, divides by
+2^(n-1) mod p, and its permanents are lifted back by the Chinese remainder
+theorem (the classic multimodular method).  Every exact value takes that
+one lift, `modular_values`, which bounds it from its degree, with its
+residue kernel as an argument: Glynn's formula for exact stacks, the
+residue branch of `tensor.det_batch` for exact determinants
+(`tensor.det_bareiss`, which also lifts each matrix's sum of r x r
+principal minors from its whole images, one value per matrix for exact
+`charpoly.g_r`), or a closed form itself, run once on the images of all its
+operands, so one value is lifted per call.  `per_batch`, `map_blocks`,
+`per_each` and `complement_permanents` take a residue stack with its primes
+(`mod`) for that.  `complement_permanents` gives per A(I|J) for every pair
+of k-sets from one pass of Ryser's formula over the column sets of A, for
+`tensor.tilde_sym_block`.  The formulas index through
 `multiindex.index_plan`, and `map_blocks` gathers and evaluates every block
 of submatrices in budgeted slices; only `padj`, `laplace_per` and `dper`
 still evaluate theirs with `per_each`: scalar `per` of each floating block,
@@ -52,7 +56,7 @@ from .scalars import (
 )
 
 NAIVE_MAX_N = 10
-_LOW_COLUMNS = 10  # at most this many columns go into the cached subset table
+_LOW_COLUMNS = 10  # at most this many columns go into the cached sign table
 _STACK_BUDGET = 1 << 16  # complex elements in one kernel temporary
 
 
@@ -86,58 +90,88 @@ def per_naive(A):
 
 
 def per(A):
-    """Permanent of a square matrix, by the blocked Ryser kernel in A's mode.
+    """Permanent of a square matrix, by the blocked Glynn kernel in A's mode.
 
-    A floating matrix whose columns all fit the subset table (n <= 10 at the
-    default budget) runs the kernel's three calls on itself, bit for bit as in
-    `per_batch`; other orders take a stack of one.  An exact matrix runs as
-    int64 images mod primes (see `modular_values`).
+    A floating matrix whose columns all fit the sign table (n <= 10 at the
+    default budget) runs the kernel's three calls on itself, with the bits of
+    `per_batch` of a one-matrix stack; other orders take a stack of one.  A
+    matrix in a larger stack may differ in the last bits (ROADMAP item 2).
+    An exact matrix runs as int64 images mod primes (see `modular_values`).
     """
     A = require_square(A)
     if len(A) and A.dtype != object:
-        b, bits, signs = _ryser_plan(len(A), _LOW_COLUMNS, _STACK_BUDGET)[:3]
+        b, deltas, signs = _glynn_plan(len(A), _LOW_COLUMNS, _STACK_BUDGET)[:3]
         if b == len(A):
-            return np.multiply.reduce(A.astype(complex, copy=False).dot(bits), axis=0).dot(signs)
-    return _ryser_stack(A[None])[0]
+            return np.multiply.reduce(A.astype(complex, copy=False).dot(deltas), axis=0).dot(signs)
+    return _glynn_stack(A[None])[0]
 
 
 def per_batch(mats: np.ndarray, mod=None) -> np.ndarray:
     """Permanents of a stack of k x k matrices, in the stack's mode.
 
     A floating stack returns complex128 and an exact (object) stack an object
-    array of ExactComplex; both run the one blocked Ryser kernel, an exact
+    array of ExactComplex; both run the one blocked Glynn kernel, an exact
     stack on its int64 images mod primes.  Given mod, the stack holds residues
     (see `scalars.moduli`) and the values are residues.
     """
     mats = require_square_stack(mats)
     m, k = mats.shape[:-2], mats.shape[-1]
     flat = mats.reshape(math.prod(m), k, k)
-    return _ryser_stack(flat, None if mod is None else moduli(mod, m).reshape(-1)).reshape(m)
+    return _glynn_stack(flat, None if mod is None else moduli(mod, m).reshape(-1)).reshape(m)
 
 
-def _ryser_stack(mats: np.ndarray, mod=None) -> np.ndarray:
-    """Permanents of an (m, n, n) stack by Ryser's formula, in its mode.
+def _glynn_stack(mats: np.ndarray, mod=None) -> np.ndarray:
+    """Permanents of an (m, n, n) stack by Glynn's formula, in its mode.
 
     A floating stack is cast to complex128.  An object stack is evaluated
     slice by slice (`slice_length`) as int64 images mod primes, by this
     function as the kernel, and lifted back to ExactComplex
     (`modular_values`), so its temporaries grow with the number of primes P
-    (2P images per matrix) but not with m.  With mod,
-    the stack holds those int64 images and mod the modulus of each.  The
-    stack is walked in chunks of whole matrices, so no kernel temporary holds
-    more than _STACK_BUDGET elements whatever n or m.
+    (2P images per matrix) but not with m.  With mod, the stack holds those
+    int64 images and mod the odd prime of each, and the sums are divided by
+    2^(n-1) mod p.  The stack is walked in chunks of whole matrices, so no
+    kernel temporary holds more than _STACK_BUDGET elements whatever n or m.
     """
     m, n = mats.shape[0], mats.shape[-1]
     if mats.dtype == object:
-        return modular_values(mats, n, _ryser_stack)
+        return modular_values(mats, n, _glynn_stack)
     if n == 0:
         return np.ones(m, complex if mod is None else np.int64)
     if mod is None:
         mats = mats.astype(complex, copy=False)
-    b, bits, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET, mats.dtype)
-    return in_slices(
-        lambda s: _ryser_block(mats[s], b, bits, signs, None if mod is None else mod[s]), m, chunk
+    b, deltas, signs, chunk = _glynn_plan(n, _LOW_COLUMNS, _STACK_BUDGET, mats.dtype)
+    values = in_slices(
+        lambda s: _glynn_block(mats[s], b, deltas, signs, None if mod is None else mod[s]), m, chunk
     )
+    if mod is None or n == 1 or not m:  # 1 / 2^0 = 1, or no images
+        return values
+    return values * _half_powers(mod, n - 1) % mod
+
+
+def _half_powers(mod: np.ndarray, e: int):
+    """1 / 2^e mod each odd modulus of mod.
+
+    A stack of one prime, the common case, takes one cached scalar; a stack
+    of several raises each (p + 1) / 2 = 1/2 to the e-th power by repeated
+    squaring, O(log e) calls on the whole array.
+    """
+    first = int(mod[0])
+    if (mod == first).all():
+        return _half_power(first, e)
+    power, half = 1, (mod + 1) // 2
+    while e:
+        if e & 1:
+            power = power * half % mod
+        e >>= 1
+        if e:
+            half = half * half % mod
+    return power
+
+
+@lru_cache(maxsize=None)
+def _half_power(q: int, e: int) -> int:
+    """1 / 2^e mod the odd modulus q."""
+    return pow((q + 1) // 2, e, q)
 
 
 def in_slices(evaluate, count: int, step: int, axis: int = 0) -> np.ndarray:
@@ -162,41 +196,49 @@ def slice_length(n: int) -> int:
     puts more in one chunk) and whole kernel chunks, so a stack evaluated
     slice by slice runs in the same chunks, bit for bit, as in one call.
     """
-    chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)[3] if n else 1
+    chunk = _glynn_plan(n, _LOW_COLUMNS, _STACK_BUDGET)[3] if n else 1
     return budget_length(n * n * chunk) * chunk
 
 
 @lru_cache(maxsize=None)
-def _ryser_plan(n: int, low_columns: int, budget: int, dtype=complex):
-    """Split of order n: low column count b, its subset table and signs, chunk size.
+def _glynn_plan(n: int, low_columns: int, budget: int, dtype=complex):
+    """Split of order n: low column count b, its sign table and signs, chunk size.
 
-    bits is the (b, 2^b) 0/1 table of the subsets L of the low columns and
-    signs[L] = (-1)^(n + |L|), both of dtype (complex, or int64 for residues);
-    b is cut so that n * 2^b <= budget.
+    deltas is the (b, 2^(b-1)) +-1 table of the sign patterns delta of the
+    low columns with delta_1 = +1, and signs[L] = prod_j delta_j(L), scaled
+    by 2^(1-n) for a floating dtype (exact in binary floating point), both of
+    dtype (complex, or int64 for residues); b >= 1 is cut so that
+    n * 2^(b-1) <= budget.
     """
-    b = max(min(n, low_columns, (budget // n).bit_length() - 1), 0)
-    bits = (np.arange(1 << b) >> np.arange(b)[:, None]) & 1
-    signs = 1 - 2 * ((n + bits.sum(axis=0)) % 2)
-    bits, signs = bits.astype(dtype), signs.astype(dtype)
-    bits.flags.writeable = signs.flags.writeable = False  # shared by every caller
-    return b, bits, signs, max(budget // (n << b), 1)
+    b = max(min(n, low_columns, (budget // n).bit_length()), 1)
+    flips = (np.arange(1 << (b - 1)) >> np.arange(b - 1)[:, None]) & 1
+    deltas = np.vstack([np.ones(1 << (b - 1), flips.dtype), 1 - 2 * flips])
+    signs = 1 - 2 * (flips.sum(axis=0) % 2)
+    deltas, signs = deltas.astype(dtype), signs.astype(dtype)
+    if dtype != np.int64:
+        signs *= 2.0 ** (1 - n)
+    deltas.flags.writeable = signs.flags.writeable = False  # shared by every caller
+    return b, deltas, signs, max(budget // (n << (b - 1)), 1)
 
 
-def _ryser_block(block, b, bits, signs, mod=None):
-    """per A = sum over column sets S of (-1)^(n+|S|) prod_i sum_{j in S} a_ij.
+def _glynn_block(block, b, deltas, signs, mod=None):
+    """per A = 2^(1-n) sum over delta in {+-1}^n, delta_1 = 1, of
+    (prod_k delta_k) prod_i sum_j delta_j a_ij (D. G. Glynn, European
+    J. Combin. 31 (2010)).
 
-    S splits into a set L of the low b columns and a set T of the other
-    n - b.  The row sums of every L come from one product with the subset
-    table, and each T, looped over in Python, adds its row sums as a column.
+    delta splits into a pattern L of the low b columns and a pattern T of the
+    other n - b.  The row sums of every L come from one product with the sign
+    table, and each T, looped over in Python, adds every high column, signed,
+    to them.  A floating block's signs carry the factor 2^(1-n).
 
     With mod, the block holds int64 residues below 2^31 and each matrix's
-    value is returned mod its modulus.  Row sums are reduced before every
-    product and products after it, so a product stays below 2^62, a signed
-    sum of 2^b <= 2^10 products below 2^41, and the accumulator is reduced
-    after every T.
+    value, 2^(n-1) per A, is returned mod its modulus.  Row sums are reduced
+    before every product and products after it, so a product stays below
+    2^62, a signed sum of 2^(b-1) <= 2^9 products below 2^40, and the
+    accumulator is reduced after every T.
     """
     c, n = block.shape[0], block.shape[-1]
-    low = block[:, :, :b].reshape(c * n, b).dot(bits).reshape(c, n, 1 << b)
+    low = block[:, :, :b].reshape(c * n, b).dot(deltas).reshape(c, n, 1 << (b - 1))
     if mod is not None:
         p, rows_p = mod[:, None], mod[:, None, None]
         low %= rows_p
@@ -205,8 +247,8 @@ def _ryser_block(block, b, bits, signs, mod=None):
     acc = None
     for t in range(1 << (n - b)):
         rows = low
-        if t:
-            high = block[:, :, b:] @ ((t >> shifts) & 1)
+        if n > b:
+            high = block[:, :, b:] @ (1 - 2 * ((t >> shifts) & 1))
             rows = np.add(low, high[:, :, None], out=sums)
             if mod is not None:
                 rows %= rows_p
@@ -241,11 +283,19 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
     transform G(U) = sum_{T subset U}, one in-place add per column bit; the
     entry is G([n] - J).
 
-    Memory is bounded as in `_ryser_block`: the table covers the b low
-    columns of `_ryser_plan`, each set H of the other columns is looped over
-    in Python and adds its columns to the row sums, and its term G_H goes to
-    the J that avoid H.  Rows I are taken in budgeted chunks.  The floating
-    bits depend on neither: H's columns are added one at a time in column
+    The table stays Ryser's while `per` runs Glynn's formula: Glynn's sign
+    patterns span all n columns, so no term serves the complements of
+    several J, while Ryser's column sets T of A are also the column sets of
+    every A(I|J) with J outside T.  So it keeps Ryser's rounding, which
+    cancels on positive entries where Glynn's does not (README).
+
+    Memory is bounded by the permanent kernel's budget rule: the table
+    covers the b low columns whose n 2^b row sums per matrix fit
+    _STACK_BUDGET, matrices are taken in chunks that keep the table within
+    it, each set H of the other columns is looped over in Python and adds
+    its columns to the row sums, and its term G_H goes to the J that avoid
+    H.  Rows I are taken in budgeted chunks.  The floating bits depend on
+    neither split: H's columns are added one at a time in column
     order, as doubling adds them, and the G_H of each J are summed in the
     tree that the transform's passes over the high bits build (a binary
     counter over H in increasing order), so every budget gives the bits of
@@ -271,17 +321,26 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
         flat = flat.astype(complex, copy=False)
     else:
         mod = moduli(mod, lead).reshape(-1)
-    b, _, signs, chunk = _ryser_plan(n, _LOW_COLUMNS, _STACK_BUDGET)
-    odd = (signs.real < 0) ^ bool(k % 2)  # (-1)^(m + |L|) for the low column sets L
+    b = max(min(n, _LOW_COLUMNS, (_STACK_BUDGET // n).bit_length() - 1), 0)  # n 2^b row sums fit
+    odd = _odd_sets(b) ^ bool((n - k) % 2)  # (-1)^(m + |L|) = -1 for the low column sets L
+    chunk = max(_STACK_BUDGET // (n << b), 1)
     return in_slices(
         lambda s: _complement_block(flat[s], k, b, odd, None if mod is None else mod[s]), len(flat), chunk
     ).reshape(*lead, C, C)
 
 
+@lru_cache(maxsize=None)
+def _odd_sets(b: int) -> np.ndarray:
+    """Whether each subset L of b columns, as a bit mask, has odd size |L|."""
+    odd = ((np.arange(1 << b) >> np.arange(b)[:, None]) & 1).sum(axis=0) % 2 == 1
+    odd.flags.writeable = False  # shared by every caller
+    return odd
+
+
 def _complement_block(mats, k, b, odd, mod):
     """`complement_permanents` of an (s, n, n) floating or residue stack: (s, C, C).
 
-    The subset table covers the b low columns; the sets H of the q = n - b
+    The row-sum table covers the b low columns; the sets H of the q = n - b
     others are looped over.  odd marks the low sets L whose sign is -1.
     """
     s, n = mats.shape[0], mats.shape[-1]
@@ -347,7 +406,7 @@ def modular_values(M: np.ndarray, degree: int, kernel) -> np.ndarray:
     values, as `complement_permanents` gives.  kernel(images, mod) maps a
     (c, ..., n, n) int64 stack of residues, and the prime of each image, to
     its values mod those primes, (c,) or (c, ...) for tables:
-    `_ryser_stack` for per, `tensor.det_batch` for det,
+    `_glynn_stack` for per, `tensor.det_batch` for det,
     `complement_permanents`, or a closed form.  Each item's entries
     are put over one common denominator d and its value divided by d^degree.
 

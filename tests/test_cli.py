@@ -195,7 +195,7 @@ def test_dper_whose_value_overflows_is_an_input_error():
 
 
 def test_dper_of_an_a_that_dwarfs_x():
-    # dper's cross-check allows the rounding of Ryser's formula and ends in JSON
+    # dper's cross-check allows the rounding of the permanent kernel and ends in JSON
     pairs = ([[[z.real, z.imag] for z in row] for row in M] for M in _dominant_a(3))
     proc = run_cli(["dper"], json.dumps(dict(zip("AX", pairs))))
     assert proc.returncode == 0 and proc.stderr == ""

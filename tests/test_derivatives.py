@@ -143,7 +143,7 @@ def _dominant_a(n, seed=3):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_dper_accepts_an_a_that_dwarfs_x(n):
     # the routes differ by far more than 1e-12 sum |P X| but stay within the
-    # rounding bound of Ryser's formula on the A(j; X)
+    # rounding bound of the permanent kernel on the A(j; X)
     A, X = _dominant_a(n)
     exact = [np.array([[ExactComplex(Fraction(z.real), Fraction(z.imag)) for z in row] for row in M])
              for M in (A, X)]

@@ -318,30 +318,38 @@ def dyadic_matrices(draw):
 @seed(20261019)
 @settings(max_examples=150, deadline=None, database=None)
 @given(dyadic_matrices())
-def test_float_per_is_within_a_ryser_rounding_bound_of_exact_per(parts):
-    """|fl(per A) - per A| <= 2 2^n (n^2 + 3n + 2^n) u prod_i rho_i, u = 2^-53.
+def test_float_per_is_within_a_glynn_rounding_bound_of_exact_per(parts):
+    """|fl(per A) - per A| <= 2 (n^2 + n + 2^(n-1)) u prod_i rho_i, u = 2^-53.
 
     Every float is a dyadic rational, so the exact engine gives per A of the
     very entries the floating kernel sees.  Write |z|_1 = |re z| + |im z|,
     which bounds |z| and is submultiplicative, rho_i = sum_j |a_ij|_1, and
     gamma_k = k u / (1 - k u), so that (1 + gamma_j)(1 + gamma_k) <=
-    1 + gamma_{j+k} and gamma_k <= 2 k u while k u <= 1/2.  For n <= 6 every
-    column is in the subset table, and fl(per A) is one product with the 0/1
-    table, one row product and one dot with the +-1 signs, whose
-    multiplications are exact, so only their additions and the row
-    product round:
-    - a row sum r_i(S) = sum_{j in S} a_ij takes at most n - 1 additions per
-      part, so |fl(r_i) - r_i|_1 <= gamma_{n-1} rho_i and |fl(r_i)|_1 <=
-      (1 + gamma_{n-1}) rho_i;
+    1 + gamma_{j+k} and gamma_k <= 2 k u while k u <= 1/2.  Glynn's formula
+    reads per A = 2^(1-n) sum_delta (prod_k delta_k) p_delta over the
+    N = 2^(n-1) sign vectors delta with delta_1 = 1, p_delta =
+    prod_i s_i(delta) and s_i(delta) = sum_j delta_j a_ij.  For n <= 6 every
+    column is in the sign table, and fl(per A) is one product with the +-1
+    table, one row product and one dot with the signs +-2^(1-n), whose
+    multiplications are exact (a sign, or a power of two far from
+    underflow here), so only their additions and the row product round:
+    - a row sum s_i(delta) takes n - 1 additions per part, in any order, so
+      |fl(s_i) - s_i|_1 <= gamma_{n-1} rho_i and |fl(s_i)|_1 <=
+      (1 + gamma_{n-1}) rho_i, as |s_i(delta)|_1 <= rho_i;
     - a complex product rounds each part of ac - bd and ad + bc within
       gamma_2 (|ac| + |bd|), with or without FMA, so |fl(xy) - xy|_1 <=
-      gamma_2 |x|_1 |y|_1; the n - 1 products of p_S = prod_i r_i(S), on
-      the rounded row sums, give |fl(p_S) - p_S|_1 <= gamma_k prod_i rho_i
-      with k = n(n - 1) + 2(n - 1);
-    - the dot adds the 2^n signed fl(p_S), each within (1 + gamma_k)
-      prod_i rho_i, with at most 2^n - 1 additions per part.
-    So |fl(per A) - per A|_1 <= 2^n gamma_{n^2 + n + 2^n - 3} prod_i rho_i,
-    which the bound above covers with 2n + 3 roundings to spare.
+      gamma_2 |x|_1 |y|_1; the n - 1 products of p_delta, on the rounded
+      row sums, give |fl(p_delta) - p_delta|_1 <= gamma_k prod_i rho_i with
+      k = n(n - 1) + 2(n - 1);
+    - the dot adds the N scaled terms, each within 2^(1-n) (1 + gamma_k)
+      prod_i rho_i, with at most N - 1 additions per part, so it rounds
+      within gamma_{N-1} N 2^(1-n) (1 + gamma_k) prod_i rho_i =
+      gamma_{N-1} (1 + gamma_k) prod_i rho_i.
+    The N terms' own errors add up to at most N 2^(1-n) gamma_k prod_i rho_i
+    = gamma_k prod_i rho_i, so |fl(per A) - per A|_1 <=
+    gamma_{n^2 + n + 2^(n-1) - 3} prod_i rho_i, which the bound above covers
+    with 3 roundings to spare.  The scale 2^(1-n) cancels the term count,
+    so unlike Ryser's bound for 2^n unscaled terms it has no factor 2^n.
     """
     n = parts.shape[-1]
     value = per(parts[0] + 1j * parts[1])
@@ -349,7 +357,25 @@ def test_float_per_is_within_a_ryser_rounding_bound_of_exact_per(parts):
     exact = per(exact_matrix(entries))
     error = abs(Fraction(value.real) - exact.re) + abs(Fraction(value.imag) - exact.im)
     rho = math.prod(sum(abs(x) + abs(y) for x, y in row) for row in entries)
-    assert error <= 2 * 2**n * (n * n + 3 * n + 2**n) * Fraction(1, 2**53) * rho
+    assert error <= 2 * (n * n + n + 2 ** (n - 1)) * Fraction(1, 2**53) * rho
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_float_per_of_a_positive_matrix_is_accurate(n):
+    # subset sums of positive entries share a sign and cancel badly in the
+    # signed sum; Glynn's terms are centred
+    A = np.random.default_rng(20261020 + n).random((n, n))
+    exact = per(exact_matrix([[Fraction(x) for x in row] for row in A.tolist()]))
+    value = per(A)
+    assert exact.im == 0 and exact.re > 0
+    error = abs(Fraction(value.real) - exact.re) + abs(Fraction(value.imag))
+    assert error <= Fraction(1, 10**13) * exact.re
+
+
+def test_float_per_of_the_all_ones_matrix():
+    # per J_16 = 16!, a sum that subset-sum formulas lose digits of
+    value = per(np.ones((16, 16)))
+    assert abs(value - math.factorial(16)) <= 1e-14 * math.factorial(16)
 
 
 @seed(20261020)
@@ -500,16 +526,20 @@ def test_per_batch_keeps_the_stack_shape(rng):
             assert rel_dev([values[idx], per_naive(mats[idx])]) < 1e-12
     empty = per_batch(np.zeros((4, 0, 0), dtype=complex))
     assert empty.shape == (4,) and np.all(empty == 1)
+    # a stack of no matrices, floating and as residues with no primes
+    for dtype, mod in ((complex, None), (np.int64, np.array([], np.int64))):
+        none = per_batch(np.zeros((0, 3, 3), dtype), mod)
+        assert none.shape == (0,) and none.dtype == dtype
 
 
 def test_kernel_chunk_loops(rng, monkeypatch):
-    # two low columns and a 64-element budget: n = 6 loops over 2^4 high
-    # column subsets and walks a stack of 5 in chunks of 2, on complex128
-    # and on the int64 images of an exact stack alike (an exact stack is
-    # also split into slices of 2 before it is mapped to images)
+    # two low columns and a 32-element budget: n = 6 loops over 2^4 sign
+    # patterns of the high columns and walks a stack of 5 in chunks of 2, on
+    # complex128 and on the int64 images of an exact stack alike (an exact
+    # stack is also split into slices of 2 before it is mapped to images)
     monkeypatch.setattr(permanent, "_LOW_COLUMNS", 2)
-    monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
-    b, _, _, chunk = permanent._ryser_plan(6, 2, 64)
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 32)
+    b, _, _, chunk = permanent._glynn_plan(6, 2, 32)
     assert (b, chunk) == (2, 2)
     mats = np.stack([random_complex(rng, 6) for _ in range(5)])
     for M, value in zip(mats, per_batch(mats)):
@@ -522,29 +552,38 @@ def test_kernel_chunk_loops(rng, monkeypatch):
 
 
 def _kernel_plan(n):
-    return permanent._ryser_plan(n, permanent._LOW_COLUMNS, permanent._STACK_BUDGET)
+    return permanent._glynn_plan(n, permanent._LOW_COLUMNS, permanent._STACK_BUDGET)
 
 
-def _ryser_reference(mats):
-    """The float kernel written out: each row product an explicit loop of *=, chunk by chunk."""
+def _glynn_reference(mats):
+    """The float kernel written out from Glynn's formula, chunk by chunk.
+
+    per A = 2^(1-n) sum over delta in {+-1}^n, delta_1 = 1, of
+    (prod_k delta_k) prod_i sum_j delta_j a_ij.  The deltas of the b low
+    columns are the rows of a table, column L setting delta_j = -1 for bit
+    j - 1 of L; pattern t of the high columns sets delta_{b+j} = -1 for bit j
+    of t.  Each row product is an explicit loop of *=.
+    """
     m, n = mats.shape[0], mats.shape[-1]
     if n == 0:
         return np.ones(m, dtype=complex)
-    b, bits, signs, chunk = _kernel_plan(n)
+    b, chunk = _kernel_plan(n)[::3]
+    L = np.arange(2 ** (b - 1))
+    low_deltas = np.array([np.ones_like(L)] + [1 - 2 * (L >> (j - 1) & 1) for j in range(1, b)])
+    low_signs = low_deltas.prod(axis=0) * 2.0 ** (1 - n)
     values = []
     for start in range(0, m, chunk):
         block = mats[start:start + chunk].astype(complex)
         c = len(block)
-        low = (block[:, :, :b].reshape(c * n, b) @ bits).reshape(c, n, 1 << b)
-        for t in range(1 << (n - b)):
-            rows = low
-            if t:
-                rows = low + (block[:, :, b:] @ ((t >> np.arange(n - b)) & 1))[:, :, None]
+        low = (block[:, :, :b].reshape(c * n, b) @ low_deltas.astype(complex)).reshape(c, n, -1)
+        for t in range(2 ** (n - b)):
+            high_deltas = np.array([1 - 2 * (t >> j & 1) for j in range(n - b)], dtype=np.int64)
+            rows = low if n == b else low + (block[:, :, b:] @ high_deltas)[:, :, None]
             prods = rows[:, 0].copy()
             for i in range(1, n):
                 prods *= rows[:, i]
-            term = prods.dot(signs)
-            if bin(t).count("1") % 2:
+            term = prods.dot(low_signs.astype(complex))
+            if high_deltas.prod() < 0:
                 term = -term
             acc = acc + term if t else term
         values.append(acc)
@@ -560,12 +599,12 @@ def test_kernel_is_bit_identical_to_the_explicit_row_loop(rng):
         m = _kernel_plan(n)[3] + 1 if n else 2
         mats = np.stack([random_complex(rng, n) for _ in range(m)])
         mats *= 10.0 ** rng.integers(-3, 4, (m, 1, 1))
-        expected = _ryser_reference(mats)
-        assert permanent._ryser_stack(mats).tobytes() == expected.tobytes()
+        expected = _glynn_reference(mats)
+        assert permanent._glynn_stack(mats).tobytes() == expected.tobytes()
         assert per_batch(mats).tobytes() == expected.tobytes()
         for M in mats[[0, m - 2, m - 1]]:
-            alone = _ryser_reference(M[None])
-            assert permanent._ryser_stack(M[None]).tobytes() == alone.tobytes()
+            alone = _glynn_reference(M[None])
+            assert permanent._glynn_stack(M[None]).tobytes() == alone.tobytes()
             for value in (per(M), per_batch(M[None])[0]):
                 assert type(value) is np.complex128 and value.tobytes() == alone.tobytes()
 
@@ -586,8 +625,8 @@ def test_scalar_per_has_the_bits_of_a_stack_of_one(budget, rng, monkeypatch):
     # matrix goes through the stack as a stack of one
     monkeypatch.setattr(permanent, "_STACK_BUDGET", budget)
     stacks = []
-    stack = permanent._ryser_stack
-    monkeypatch.setattr(permanent, "_ryser_stack", lambda *a: stacks.append(a) or stack(*a))
+    stack = permanent._glynn_stack
+    monkeypatch.setattr(permanent, "_glynn_stack", lambda *a: stacks.append(a) or stack(*a))
     for n in range(13):
         direct = 0 < n == _kernel_plan(n)[0]
         for dtype in (complex, np.complex64, float, np.int64, bool):
@@ -606,7 +645,7 @@ def test_exact_single_matrices_equal_their_stacks(rng):
         mats = np.stack([random_gaussian_integer(rng, n, -2, 3) for _ in range(3)])
         stacked = per_batch(mats)
         for M, value in zip(mats, stacked):
-            single = (per(M), per_batch(M[None])[0], permanent._ryser_stack(M[None])[0])
+            single = (per(M), per_batch(M[None])[0], permanent._glynn_stack(M[None])[0])
             assert all(_is_exact_result(v) and v == value for v in single)
             if n <= 6:
                 assert value == per_naive(M)
@@ -743,14 +782,14 @@ def test_each_item_is_lifted_over_its_own_denominator(rng, monkeypatch):
     small = random_gaussian_integer(rng, 3)
     counts = [_primes_of_item(small), _primes_of_item(big)]
     assert counts[0] == 1 and counts[1] >= 10
-    kernel, images = permanent._ryser_stack, []
+    kernel, images = permanent._glynn_stack, []
 
     def counted(mats, mod=None):
         if mod is not None:
             images.append(len(mats))
         return kernel(mats, mod)
 
-    monkeypatch.setattr(permanent, "_ryser_stack", counted)
+    monkeypatch.setattr(permanent, "_glynn_stack", counted)
     values = per_batch(np.stack([small, big]))
     assert images == [2 * sum(counts)]  # re + s im and re - s im per prime
     for M, value in zip((small, big), values):
@@ -773,10 +812,10 @@ def test_parts_beyond_int64_are_reduced_mod_each_prime(rng, monkeypatch):
     for M in (A, B, C, D, D[:2, :2]):
         value = per(M)
         assert value == per_naive(M) and _is_exact_result(value)
-    # slices of 4 matrices (a 64-element budget): the second slice holds the
+    # slices of 4 matrices (a 32-element budget): the second slice holds the
     # parts beyond int64 and takes more primes than the first
     monkeypatch.setattr(permanent, "_LOW_COLUMNS", 2)
-    monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", 32)
     assert permanent.slice_length(4) == 4
     mats = np.stack([random_gaussian_integer(rng, 4) for _ in range(4)] + [A, B])
     values = per_batch(mats)
