@@ -24,11 +24,16 @@ operands, so one value is lifted per call.  `per_batch`, `map_blocks`,
 `per_each` and `complement_permanents` take a residue stack with its primes
 (`mod`) for that.  `complement_permanents` gives per A(I|J) for every pair
 of k-sets from one pass of Ryser's formula over the column sets of A, for
-`tensor.tilde_sym_block`.  The formulas index through
-`multiindex.index_plan`, and `map_blocks` gathers and evaluates every block
-of submatrices in budgeted slices; only `padj`, `laplace_per` and `dper`
-still evaluate theirs with `per_each`: scalar `per` of each floating block,
-and one `per_batch` lift of an exact gather.
+`tensor.tilde_sym_block`.  Both kernels put the axis they reduce over
+first, so that numpy walks contiguous memory: Glynn's row sums are laid out
+row first, and the row product multiplies whole rows; Ryser's table of row
+sums is laid out column set first, and each doubling step and subset-sum
+pass adds whole slabs.  Every element still takes the same operations in
+the same order as in any other layout, so the layout moves no bit.  The
+formulas index through `multiindex.index_plan`, and `map_blocks` gathers
+and evaluates every block of submatrices in budgeted slices; only `padj`,
+`laplace_per` and `dper` still evaluate theirs with `per_each`: scalar
+`per` of each floating block, and one `per_batch` lift of an exact gather.
 """
 
 from __future__ import annotations
@@ -229,7 +234,14 @@ def _glynn_block(block, b, deltas, signs, mod=None):
     delta splits into a pattern L of the low b columns and a pattern T of the
     other n - b.  The row sums of every L come from one product with the sign
     table, and each T, looped over in Python, adds every high column, signed,
-    to them.  A floating block's signs carry the factor 2^(1-n).
+    to them.  A floating block's signs carry the factor 2^(1-n).  The row
+    sums are laid out (n, c, 2^(b-1)), row first, so the product over the
+    rows multiplies contiguous (c, 2^(b-1)) slabs, one row after the other:
+    the same *= per element as along a middle axis.  The product with the
+    sign table gives a row the same sums wherever the row stands among its
+    operand's rows.  T's high-column sums are still formed on the
+    untransposed block, as a (c, n) product, and added transposed: formed
+    on the transposed block, they moved the last bit of some values.
 
     With mod, the block holds int64 residues below 2^31 and each matrix's
     value, 2^(n-1) per A, is returned mod its modulus.  Row sums are reduced
@@ -238,26 +250,27 @@ def _glynn_block(block, b, deltas, signs, mod=None):
     accumulator is reduced after every T.
     """
     c, n = block.shape[0], block.shape[-1]
-    low = block[:, :, :b].reshape(c * n, b).dot(deltas).reshape(c, n, 1 << (b - 1))
+    # rows first: low[i] holds row i's sums of every matrix and pattern L
+    low = block[:, :, :b].transpose(1, 0, 2).reshape(n * c, b).dot(deltas).reshape(n, c, 1 << (b - 1))
     if mod is not None:
-        p, rows_p = mod[:, None], mod[:, None, None]
-        low %= rows_p
+        p = mod[:, None]
+        low %= p
     if n > b:
         shifts, sums = np.arange(n - b), np.empty_like(low)
     acc = None
     for t in range(1 << (n - b)):
         rows = low
         if n > b:
-            high = block[:, :, b:] @ (1 - 2 * ((t >> shifts) & 1))
-            rows = np.add(low, high[:, :, None], out=sums)
+            high = block[:, :, b:] @ (1 - 2 * ((t >> shifts) & 1))  # (c, n)
+            rows = np.add(low, high.T[:, :, None], out=sums)
             if mod is not None:
-                rows %= rows_p
+                rows %= p
         if mod is None:
-            prods = np.multiply.reduce(rows, axis=1)  # row by row, left to right, as a loop of *=
+            prods = np.multiply.reduce(rows, axis=0)  # row by row, left to right, as a loop of *=
         else:
-            prods = rows[:, 0]
+            prods = rows[0]
             for i in range(1, n):
-                prods = prods * rows[:, i] % p
+                prods = prods * rows[i] % p
         term = prods.dot(signs)
         if t.bit_count() % 2:
             term = -term
@@ -299,7 +312,10 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
     order, as doubling adds them, and the G_H of each J are summed in the
     tree that the transform's passes over the high bits build (a binary
     counter over H in increasing order), so every budget gives the bits of
-    the unsplit pass.
+    the unsplit pass.  The row sums are laid out (2^b, s, n), column set
+    first, so a doubling step or a transform pass adds contiguous slabs,
+    each element in the order of a pass along a last set axis, and the
+    layout moves no bit either.
 
     A floating A is cast to complex128.  Given mod, A is a (..., n, n)
     stack of residues and the values are residues.  An exact A is lifted
@@ -342,57 +358,64 @@ def _complement_block(mats, k, b, odd, mod):
 
     The row-sum table covers the b low columns; the sets H of the q = n - b
     others are looped over.  odd marks the low sets L whose sign is -1.
+    The tables are laid out set first, and the result (J, s, I) until the
+    last step.
     """
     s, n = mats.shape[0], mats.shape[-1]
     plan, q = index_plan(k, n), n - b
     kept, C = plan.complements, len(plan.combos)
     U = (1 << n) - 1 - (1 << plan.combos).sum(axis=1)  # the column set [n] - J of each J
     low = U & ((1 << b) - 1)
-    sums = np.zeros((s, n, 1 << b), mats.dtype)  # r_i(L) of the low column sets L, by doubling
+    p = None if mod is None else mod[None, :, None]  # each matrix's prime, along the set and row axes
+    sums = np.zeros((1 << b, s, n), mats.dtype)  # r_i(L) of the low column sets L, by doubling
     for j in range(b):
-        np.add(sums[..., :1 << j], mats[:, :, j, None], out=sums[..., 1 << j:2 << j])
-    sums = residues(sums, mod)  # n residues add up to less than 2^36
+        np.add(sums[:1 << j], mats[:, :, j], out=sums[1 << j:2 << j])
+    sums = residues(sums, p)  # n residues add up to less than 2^36
     # a chunk's products and the row they take in, or its counter slots, fit the budget
     step = budget_length(2 * s * max(1 << b, (q + 1) * C))
     if not q:
-        return in_slices(lambda c: _subset_sums(sums, kept[c], odd, mod)[..., low], C, step, axis=1)
+        table = in_slices(lambda c: _subset_sums(sums, kept[c], odd, p)[low], C, step, axis=2)
+        return np.moveaxis(table, 0, -1)
     taken = (U[:, None] >> np.arange(b, n)) & 1  # (C, q): the high columns outside J
     place, free = np.cumsum(taken, axis=1) - taken, taken.sum(axis=1)
 
     def block(c):
-        slots = np.zeros((q + 1, s, len(kept[c]), C), mats.dtype)
+        slots = np.zeros((q + 1, C, s, len(kept[c])), mats.dtype)
         for h in range(1 << q):
             H, r = (h >> np.arange(q)) & 1, sums
             for j in np.flatnonzero(H):  # one column at a time, as doubling adds them
-                r = residues(r + mats[:, :, b + j, None], mod)
-            carry = _subset_sums(r, kept[c], odd ^ bool(H.sum() % 2), mod)[..., low]
+                r = residues(r + mats[:, :, b + j], p)
+            carry = _subset_sums(r, kept[c], odd ^ bool(H.sum() % 2), p)[low]
             live = ~(H & ~taken).any(axis=1)  # the J that avoid H
             rank = ((H & taken) << place).sum(axis=1)  # H among the subsets of J's high columns
             for level in range(q + 1):  # a binary counter, pairing as the transform's passes do
                 up = live & (rank >> level & 1 == 1)
-                np.copyto(slots[level], carry, where=live & ~up)
-                np.add(carry, slots[level], out=carry, where=up)
+                np.copyto(slots[level], carry, where=(live & ~up)[:, None, None])
+                np.add(carry, slots[level], out=carry, where=up[:, None, None])
                 live = up
-        return np.moveaxis(slots[free, ..., np.arange(C)], 0, -1)  # J's sum sits at its level
+        return slots[free, np.arange(C)]  # J's sum sits at its level
 
-    return residues(in_slices(block, C, step, axis=1), mod)
+    return np.moveaxis(residues(in_slices(block, C, step, axis=2), p), 0, -1)
 
 
 def _subset_sums(r, rows, odd, mod):
     """G(U) = sum_{T subset U} +-prod_{i in R} r_i(T) over the sets U of the table's columns.
 
-    r is the (s, n, 2^b) table of row sums r_i(T), rows a (c, m) array of
-    row sets R and odd the sets T whose product is negated; the result is
-    (s, c, 2^b).  Its one temporary besides the result is a row of factors.
+    r is the (2^b, s, n) table of row sums r_i(T), set first, rows a (c, m)
+    array of row sets R and odd the sets T whose product is negated; the
+    result is (2^b, s, c), and mod, if given, broadcasts against it.  Its
+    one temporary besides the result is a row of factors, a `take` along the
+    last axis.  Pass j adds the sets without bit j to those with it in
+    contiguous runs of 2^j s c elements, each element as along a last set
+    axis.
     """
-    G = r[:, rows[:, 0]]
+    G = r.take(rows[:, 0], axis=-1)
     for t in range(1, rows.shape[1]):
-        G = residues(np.multiply(G, r[:, rows[:, t]], out=G), mod)
-    np.negative(G, out=G, where=odd)
-    for j in range(r.shape[-1].bit_length() - 1):  # one in-place add per column bit
-        # a view: only the last axis, contiguous even where G's first two are not, is split
-        pairs = G.reshape(*G.shape[:2], -1, 2, 1 << j)
-        pairs[..., 1, :] += pairs[..., 0, :]
+        G = residues(np.multiply(G, r.take(rows[:, t], axis=-1), out=G), mod)
+    np.negative(G, out=G, where=odd[:, None, None])
+    for j in range(len(r).bit_length() - 1):  # one in-place add per column bit
+        pairs = G.reshape(-1, 2, G[0].size << j)  # a view: G is contiguous
+        pairs[:, 1] += pairs[:, 0]
     return residues(G, mod)
 
 

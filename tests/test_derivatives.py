@@ -18,7 +18,7 @@ from permderiv.derivatives import (
 from permderiv.oracle import mixed_partial_interp
 from permderiv.multiindex import index_plan
 from permderiv.permanent import padj, per, per_batch, replacement_stack
-from permderiv.scalars import ExactComplex, to_complex, total
+from permderiv.scalars import ExactComplex, exact_matrix, to_complex, total
 
 
 def test_dper_identity_is_trace(rng):
@@ -249,6 +249,52 @@ def test_columns_form_keeps_no_slot_table(rng):
     assert kept < 2**20
     assert not hasattr(plan, "slots")
     assert rel_dev([value, math.factorial(8) * per(X)]) < 1e-10
+
+
+@pytest.mark.parametrize("n, k", [(8, 1), (8, 2), (10, 1), (10, 2)])
+def test_tensor_form_of_positive_inputs_is_within_its_rounding_bound(n, k):
+    """|fl(D) - D|_1 <= 2 (e_A + e_X + 2 K u) S for the tensor form's value of
+    D = D^k per(A)(X^1, ..., X^k), with u = 2^-53 and |z|_1 = |re z| + |im z|.
+
+    Every float is a dyadic rational, so the exact engine gives D of the very
+    inputs the floating form sees.  The form is D = k! sum_{I,J} T_JI M_IJ,
+    with T_JI = per A(I|J) from `complement_permanents` and M_IJ = (1/k!)
+    sum_sigma per X^sigma[I|J] from `per_batch`, over the C = C(n, k) sets
+    I, J.  With rho(I, J) = prod_{i not in I} sum_{j not in J} |a_ij|_1 and
+    xi(I, J) = sum_sigma prod_i (row i's sum of |X^sigma[I|J]|_1),
+    |per A(I|J)|_1 <= rho and |k! M_IJ|_1 <= xi, and:
+    - each T_JI lies within e_A rho, e_A = 2^(m+1) (m^2 + 3m) u, m = n - k
+      (`conftest.assert_complements_within_rounding`);
+    - each per X^sigma[I|J] lies within e_X times its row sums' product,
+      e_X = 2 (k^2 + k + 2^(k-1)) u (the Glynn bound of `test_permanent`);
+      the sum over the k! sigma rounds k! - 1 times, the division by k! and
+      the final product by k! once each;
+    - each product T_JI M_IJ rounds within gamma_2, and the sum of the C^2
+      products takes at most C^2 - 1 additions per part, in any order.
+    So fl(D) - D is within ((1 + e_A)(1 + e_X)(1 + gamma_K) - 1) S, with
+    S = sum_{I,J} rho xi and K = k! + C^2 + 2, which is at most
+    2 (e_A + e_X + 2 K u) S while e_A + e_X + 2 K u <= 1/2.  On uniform
+    [0, 1) inputs the bound is loose (rho / per A(I|J) grows like e^m), and
+    the measured error stays far below it, though above the other forms'.
+    """
+    rng = np.random.default_rng(20261021 + 10 * n + k)
+    A, *Xs = rng.random((k + 1, n, n))
+    a, *xs = ([[Fraction(x) for x in row] for row in M.tolist()] for M in (A, *Xs))
+    exact = dkper(exact_matrix(a), [exact_matrix(x) for x in xs], "tensor")
+    value = dkper(A, Xs, "tensor")
+    plan = index_plan(k, n)
+    sets, perms = list(zip(plan.combos.tolist(), plan.complements.tolist())), plan.perms.tolist()
+    S = sum(  # the entries are nonnegative reals, their own |z|_1
+        math.prod(sum(a[i][j] for j in J_out) for i in I_out)  # rho(I, J)
+        * sum(math.prod(sum(xs[s][i][j] for s, j in zip(sigma, J)) for i in I) for sigma in perms)  # xi(I, J)
+        for I, I_out in sets
+        for J, J_out in sets
+    )
+    m, u, K = n - k, Fraction(1, 2**53), math.factorial(k) + len(plan.combos) ** 2 + 2
+    e_A, e_X = 2 ** (m + 1) * (m * m + 3 * m) * u, 2 * (k * k + k + 2 ** (k - 1)) * u
+    assert exact.im == 0 and exact.re > 0
+    error = abs(Fraction(value.real) - exact.re) + abs(Fraction(value.imag))
+    assert error <= 2 * (e_A + e_X + 2 * K * u) * S
 
 
 # -- properties of D^k per, for all three forms --------------------------------

@@ -437,6 +437,33 @@ def test_complement_permanents_are_exact_in_every_part_type():
             assert got.dtype == np.int64 and np.array_equal(got, per_batch(gathered, primes))
 
 
+def test_complement_tables_have_the_same_bits_at_every_budget(monkeypatch):
+    """Floating tables of a (2, n, n) stack, and residue tables of images mod
+    three primes, have the same bytes at every `_STACK_BUDGET`.
+
+    A budget sets the b low columns of the row-sum table and the chunks of
+    matrices and rows I; each set H of the n - b other columns adds its
+    columns one at a time and pairs its terms by the binary counter, as the
+    unsplit pass's doubling and transform do.  The smaller the budget, the
+    more sets H it loops over (2^3 at 64 for n = 6, 2^2 at 256 for n = 7), so
+    64 is checked up to n = 6 and 256 up to n = 7; every k up to n = 10, and
+    four k from n = 11.
+    """
+    rng = np.random.default_rng(20261021)
+    primes = np.array([permanent._modulus(i)[0] for i in range(3)])
+    for n in range(1, 13):
+        A = np.stack([random_complex(rng, n) for _ in range(2)]) * 10.0 ** rng.integers(-3, 4, (2, 1, 1))
+        images = rng.integers(0, primes[:, None, None], (3, n, n))
+        budgets = (1 << 16, 4096, 256, 64)[:4 if n <= 6 else 3 if n == 7 else 2]
+        for k in range(n + 1) if n <= 10 else (1, 2, n - 2, n - 1):
+            tables = set()
+            for budget in budgets:
+                monkeypatch.setattr(permanent, "_STACK_BUDGET", budget)
+                floating, residues = complement_permanents(A, k), complement_permanents(images, k, primes)
+                tables.add((floating.tobytes(), residues.tobytes()))
+            assert len(tables) == 1, (n, k)
+
+
 @pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_complement_table_attains_its_bound_past_a_prime_count(n, count):
