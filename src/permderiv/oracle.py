@@ -6,9 +6,13 @@ integer grid {0..d}^k, which equals the k-th mixed partial at 0.  It shares
 the permanent/determinant evaluators with the library but none of the
 closed-form derivative formulas.  The node matrices A + sum_p t_p X^p are
 built as stacks and each stack is evaluated by one call: `per_batch` for
-"per" and `charpoly.g_r` for "gr".  Exact values are added with int
-weights, the Lagrange weights times the lcm L of their denominators, and
-the sum divided once by L^k; floats keep the Fraction weights.
+"per" and `charpoly.g_r` for "gr".  Exact values take int weights, the
+Lagrange weights times the lcm L of their denominators.  An exact "per"
+builds no node as ExactComplex: it is one lift (`permanent.modular_values`)
+of the item (A, X^1..X^k), whose residue kernel forms the node residues mod
+each prime, weights their permanents and multiplies the sum by (L^k)^-1
+mod p.  Exact "gr" values are added as ExactComplex and the sum divided
+once by L^k; floats keep the Fraction weights.
 """
 
 from __future__ import annotations
@@ -21,8 +25,16 @@ from itertools import islice, product
 import numpy as np
 
 from .charpoly import g_r
-from .permanent import budget_length, per, per_batch
-from .scalars import exact_from_parts, is_exact, rational_parts, require_directions, to_complex, zero_like
+from .permanent import budget_length, modular_values, per, per_batch
+from .scalars import (
+    divided,
+    exact_from_parts,
+    is_exact,
+    rational_parts,
+    require_directions,
+    to_complex,
+    zero_like,
+)
 
 MAX_ORDER = 8
 MAX_N = 6
@@ -65,6 +77,8 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
     evaluates each stack by one `per_batch` call and "gr" by one `g_r` call,
     and a callable is called once per node.  The weighted values are added
     in grid order; exact values with int weights, divided once at the end.
+    An exact "per" of order n >= 1 builds its stacks as residues inside one
+    lift of degree n (`_interpolated_residues`) and makes one ExactComplex.
     """
     A, directions = require_directions(A, directions)
     n = A.shape[0]
@@ -74,6 +88,12 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
     if n > MAX_N:
         raise ValueError(f"interpolation oracle limited to n <= {MAX_N}")
     func = _functional(phi, r)
+    if phi == "per" and n and is_exact(A):  # (an item without entries lifts to 1)
+        # the coefficient of t_1...t_k is a sum of products of n entries from
+        # distinct rows of the operands, so e_n of their row sums bounds it
+        # as it bounds the closed forms of D^k per
+        item = np.stack((A, *directions))[None]
+        return modular_values(item, n, _interpolated_residues)[0]
     evaluate = per_batch if phi == "per" else func
     degree = r if phi == "gr" else n
     if is_exact(A):  # int weights, so no Fraction arithmetic until the one division
@@ -91,6 +111,43 @@ def mixed_partial_interp(phi, A, directions, *, r: int | None = None):
         for w, value in zip(ws, values):
             total = total + w * value
     return total / scale**k if scale > 1 else total
+
+
+def _interpolated_residues(item, mod):
+    """The coefficient of t_1...t_k in per(A + sum_p t_p X^p) mod p, for each
+    image (A, X^1..X^k) of the (c, k + 1, n, n) residue stack `item`.
+
+    The (n + 1)^k grid nodes are taken in grid order, `budget_length(n * n)`
+    of them at a time (`_weighted_slice`), with the int weights reduced mod p
+    once.  The sum, L^k times the coefficient, is multiplied by (L^k)^-1 mod p.
+    """
+    k, n = item.shape[1] - 1, item.shape[-1]
+    weights, scale = _int_weights(n)
+    reduced = np.array(weights)[None] % mod[:, None]  # (c, n + 1): w_j mod the prime of each image
+    grid, step = (n + 1) ** k, budget_length(n * n)
+    acc = sum(_weighted_slice(item, mod, reduced, np.arange(start, min(start + step, grid)))
+              for start in range(0, grid, step))
+    return divided(acc, scale**k, mod)
+
+
+def _weighted_slice(item, mod, reduced, at):
+    """sum_t w_t per(A + sum_p t_p X^p) mod p over the grid nodes t numbered `at`,
+    for each image, w_t = prod_p w_(t_p) formed on int64 from `reduced`.
+
+    The slice's (c, s, n, n) node residues, the one stack it holds, go to one
+    `per_batch` call and are freed on return, before the next slice is built.
+    """
+    k, n = item.shape[1] - 1, item.shape[-1]
+    # (s, k + 1): 1, then the coordinates t_1..t_k of each node
+    t = at[:, None] // (n + 1) ** np.arange(k, -1, -1) % (n + 1)
+    t[:, 0] = 1
+    nodes = np.einsum("sq,cqij->csij", t, item)  # A + sum_p t_p X^p, with no other stack
+    nodes %= mod[:, None, None, None]
+    p = mod[:, None]
+    w = np.ones((len(mod), len(at)), dtype=np.int64)
+    for q in range(1, k + 1):
+        w = w * reduced[:, t[:, q]] % p
+    return (per_batch(nodes, mod) * w % p).sum(axis=1) % mod
 
 
 def _node_stack(A, directions, nodes):

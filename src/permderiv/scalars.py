@@ -13,8 +13,8 @@ is built once from its parts.  The residue helpers at the end of this
 module (`residues`, `product`, `matmul`, `divided`, and `total` with a
 modulus) are the forms' arithmetic in both modes; without a modulus each is
 the plain numpy operation.  ExactComplex arithmetic is left to the API and
-JSON boundary, `dper` and the references (`per_naive`, the interpolation
-oracle).
+JSON boundary, `dper`, the reference `per_naive`, and the interpolation
+oracle's "gr" and callable functionals (its exact "per" is one lift).
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_complex, random_gaussian_integer, rel_dev
+from conftest import random_complex, random_gaussian_integer, rel_dev, typed
 from permderiv import oracle, permanent, tensor
 from permderiv.charpoly import charpoly_all, g_r
 from permderiv.derivatives import dkper, dper
@@ -192,7 +193,7 @@ def test_floating_oracle_is_the_fraction_weighted_sum_in_grid_order(rng, n, monk
 
 def _fraction_matrix(rng, n):
     M = random_gaussian_integer(rng, n)
-    M[0] = M[0] / 3
+    M[:1] = M[:1] / 3  # row 0, if any
     return M
 
 
@@ -254,3 +255,69 @@ def test_stacked_selectors_evaluate_once_per_node_slice(rng, monkeypatch, budget
     calls.clear()
     mixed_partial_interp("per", A, Xs)
     assert calls == {"per_batch": math.ceil((n + 1) ** k / step)}  # and no scalar per
+
+
+def _near_2_40(rng, n):
+    return random_gaussian_integer(rng, n) * 2**40 + random_gaussian_integer(rng, n)
+
+
+def _beyond_int64(rng, n):
+    M = random_gaussian_integer(rng, n)
+    if n:
+        M[0, 0] = M[0, 0] + (2**70 + 3j)
+    return M
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("make", [random_gaussian_integer, _near_2_40, _beyond_int64, _fraction_matrix])
+def test_exact_per_on_residues_equals_the_per_node_callable(rng, n, k, make):
+    # the residue route against ExactComplex node matrices and one exact per
+    # each: parts that take several primes, parts beyond int64, Fraction rows,
+    # k > n (the value 0) and the empty matrix, with the types of the parts
+    A, Xs = make(rng, n), [make(rng, n) for _ in range(k)]
+    value = mixed_partial_interp("per", A, Xs)
+    assert typed([value]) == typed([mixed_partial_interp(lambda M: per(M), A, Xs)])
+    if k > n:
+        assert value == 0
+
+
+def test_exact_per_is_one_lift_of_one_value(rng, monkeypatch):
+    n, k = 4, 2
+    A, Xs = _beyond_int64(rng, n), [_near_2_40(rng, n) for _ in range(k)]
+    expected = mixed_partial_interp(lambda M: per(M), A, Xs)
+    lifts, built = [], []
+    original_lift, original_build = oracle.modular_values, permanent.exact_from_parts
+    monkeypatch.setattr(oracle, "modular_values", lambda *args: lifts.append(args) or original_lift(*args))
+    for module in (oracle, permanent):
+        monkeypatch.setattr(module, "exact_from_parts", lambda re, im: built.append(len(re)) or original_build(re, im))
+    assert mixed_partial_interp("per", A, Xs) == expected
+    assert len(lifts) == 1 and lifts[0][0].shape == (1, k + 1, n, n) and lifts[0][1] == n
+    assert built == [1]  # one ExactComplex, the value
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 12])
+def test_exact_per_node_stacks_are_bounded_by_their_slice(rng, monkeypatch, budget):
+    # n = 6, k = 4: 2401 nodes, two slices at the default budget and 22 at
+    # 2^12.  The peak is bounded by one slice's int64 node stack, c images of
+    # s = budget_length(n * n) nodes (c = 20 for parts near 2^40), up to 8
+    # more int64 per node and image (weight, value, prime), and 4 kernel
+    # temporaries of the stack budget; the 2401 nodes in one stack exceed it
+    if budget:
+        monkeypatch.setattr(permanent, "_STACK_BUDGET", budget)
+    n, k = 6, 4
+    A, Xs = _near_2_40(rng, n), [_near_2_40(rng, n) for _ in range(k)]
+    mixed_partial_interp("per", A, Xs)  # caches the moduli and kernel plans
+    images = set()
+    original = oracle.per_batch
+    monkeypatch.setattr(oracle, "per_batch", lambda nodes, mod: images.add(nodes.shape[0]) or original(nodes, mod))
+    tracemalloc.start()
+    try:
+        value = mixed_partial_interp("per", A, Xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (c,) = images
+    s = oracle.budget_length(n * n)
+    assert (n + 1) ** k > s and c == 20
+    assert peak < c * s * (n * n + 8) * 8 + 4 * 8 * permanent._STACK_BUDGET
+    assert value == dkper(A, Xs)
