@@ -442,9 +442,8 @@ def modular_values(M: np.ndarray, degree: int, kernel) -> np.ndarray:
     bounds both of its parts, rho_i being the sum of
     |re| + |im| over row i of every matrix of the integer item: at degree n,
     prod_i rho_i (Hadamard's row 2-norm bound holds for det, not per:
-    per J_4 = 24 > 16); `_elementary` gives the bounds of all items in one
-    pass.  `_multimodular` takes the primes each item needs and lifts its
-    value.  The result is (m,), or (m, ...) for tables.  A
+    per J_4 = 24 > 16).  `_multimodular` takes the primes each item needs
+    and lifts its value.  The result is (m,), or (m, ...) for tables.  A
     stack is walked in slices of `slice_length(n)` items, and an item
     without entries (order 0) has the value 1.  TypeError when an entry is
     not a Gaussian rational.
@@ -473,30 +472,24 @@ def modular_values(M: np.ndarray, degree: int, kernel) -> np.ndarray:
         parts = np.array([re, im], dtype=object)
         mags = np.abs(parts)
     # row i of each item, summed over its matrices, as Python ints
-    rows = mags.reshape(2, m, -1, n, n).sum(axis=(0, 2, 4))
-    R, I, shape = _multimodular(parts.reshape(2, *M.shape), _elementary(rows, degree), kernel)
+    rows = mags.reshape(2, m, -1, n, n).sum(axis=(0, 2, 4)).tolist()
+    bounds = (_elementary(rho, degree) for rho in rows)
+    R, I, shape = _multimodular(parts.reshape(2, *M.shape), bounds, kernel)
     if any(d != 1 for d in scales):
         scales = [d for d in scales for _ in range(math.prod(shape))]  # Python ints, unbounded
         R, I = ([Fraction(x, d) for x, d in zip(X, scales)] for X in (R, I))
     return exact_from_parts(R, I).reshape(m, *shape)
 
 
-def _elementary(rows, degree: int) -> list:
-    """e_degree of each row of an (m, n) array of nonnegative integers, exactly,
-    as Python ints: all rows in one pass over the columns, and a row's product
-    when degree is n.  The pass runs on int64 when every entry and every bound
-    C(n, j) max(rows)^j on e_j, j <= degree, stays below 2^63, else on Python ints."""
-    rows = np.asarray(rows)
-    n, top = rows.shape[1], int(rows.max(initial=0))
-    fits = max(top, *(math.comb(n, j) * top**j for j in range(degree + 1))) < 1 << 63
-    rows = rows.astype(np.int64 if fits else object)
-    if degree == rows.shape[1]:
-        return np.multiply.reduce(rows, axis=1, initial=1).tolist()
-    e = np.zeros((degree + 1, len(rows)), dtype=rows.dtype)
-    e[0] = 1
-    for x in rows.T:  # e_j of the columns so far, for every j at once
-        e[1:] = e[1:] + e[:-1] * x
-    return e[degree].tolist()
+def _elementary(values: list, degree: int) -> int:
+    """e_degree(values) of Python ints, exactly: their product when degree is their count."""
+    if degree == len(values):
+        return math.prod(values)
+    e = [1] + [0] * degree
+    for x in values:
+        for j in range(degree, 0, -1):
+            e[j] += e[j - 1] * x
+    return e[degree]
 
 
 def _multimodular(parts: np.ndarray, bounds, kernel) -> tuple[list, list, tuple]:

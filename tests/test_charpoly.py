@@ -479,7 +479,7 @@ def test_exact_g_r_attains_its_bound_past_a_prime_count(n, count):
         x = (M // 2 - b) // a + 1
         rho = [x] + [1] * (n - 1)
         e = a * x + b
-        assert permanent._elementary([rho], r) == [e] and permanent._prime_count(2 * e) == count + 1
+        assert permanent._elementary(rho, r) == e and permanent._prime_count(2 * e) == count + 1
         D = np.full((n, n), ExactComplex(0), dtype=object)
         D[range(n), range(n)] = [ExactComplex(v) for v in rho]
         value = g_r(D, r)

@@ -1,10 +1,12 @@
 """The six exact closed forms, run on int64 residue images and lifted once.
 
-Each exact form must equal the other two and the interpolation oracle
-(which stays on ExactComplex arithmetic), with the same part types, for
-Fraction parts, parts beyond int64 and integer operands mixed with exact
-ones; it must take enough primes for large entries; and it must do no
-ExactComplex arithmetic of its own.
+Each exact form must equal the other two and the interpolation oracle,
+with the same part types, for Fraction parts, parts beyond int64 and
+integer operands mixed with exact ones; it must take enough primes for
+large entries; and it must do no ExactComplex arithmetic of its own.  The
+exact "per" oracle is itself one lift over the item (A, X^1..X^k), bounded
+as the forms are, so the seeded property also checks it against the
+oracle over `per` of each node matrix, each lift bounded by its own node.
 """
 
 import math
@@ -18,6 +20,7 @@ from permderiv import ExactComplex, exact_matrix, permanent
 from permderiv.charpoly import dk_gr_columns, dk_gr_minors, dk_gr_tensor
 from permderiv.derivatives import dkper_columns, dkper_minors, dkper_tensor
 from permderiv.oracle import mixed_partial_interp
+from permderiv.permanent import per
 
 PER_FORMS = (dkper_columns, dkper_minors, dkper_tensor)
 GR_FORMS = (dk_gr_columns, dk_gr_minors, dk_gr_tensor)
@@ -63,6 +66,7 @@ def test_exact_forms_equal_each_other_and_the_oracle(ops, data):
     n, k = A.shape[0], len(directions)
     oracle = mixed_partial_interp("per", A, directions)
     assert isinstance(oracle, ExactComplex)
+    assert _parts(mixed_partial_interp(lambda M: per(M), A, directions)) == _parts(oracle)
     for form in PER_FORMS:
         assert _parts(form(A, directions)) == _parts(oracle), form.__name__
     r = data.draw(st.integers(1, n), label="r")

@@ -318,6 +318,6 @@ def test_exact_per_node_stacks_are_bounded_by_their_slice(rng, monkeypatch, budg
         tracemalloc.stop()
     (c,) = images
     s = oracle.budget_length(n * n)
-    assert (n + 1) ** k > s and c == 20
+    assert (n + 1) ** k > s and c >= 4  # several primes
     assert peak < c * s * (n * n + 8) * 8 + 4 * 8 * permanent._STACK_BUDGET
     assert value == dkper(A, Xs)

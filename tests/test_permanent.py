@@ -472,7 +472,7 @@ def test_complement_table_attains_its_bound_past_a_prime_count(n, count):
     # itself, and the least x with 2x > M, the product of `count` primes,
     # needs count + 1 primes: with count, x > M/2 would lift to x - M
     x = permanent._crt_plan(count)[-1] // 2 + 1
-    assert permanent._elementary([[0] * (n - 1) + [x]], 1) == [x]
+    assert permanent._elementary([0] * (n - 1) + [x], 1) == x
     assert permanent._prime_count(2 * x) == count + 1
     basis = enumerate_strict(n - 1, n)
     for entry in (ExactComplex(x), ExactComplex(0, -x)):
@@ -488,20 +488,16 @@ def _elementary_bound(rows, degree):
     return sum(math.prod(S) for S in itertools.combinations(rows, degree))
 
 
-@pytest.mark.parametrize("top", [9, 2**20, 2**62, 2**64 - 1, 2**100])
+@pytest.mark.parametrize("top", [9, 2**62, 2**100])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_elementary_bounds_of_every_row_at_once_are_the_sums_over_row_sets(rng, n, top):
-    # e_degree of each row, every row in one pass, on int64 while it fits and
-    # on Python ints beyond; a zero row and a row of equal entries ride along
-    rows = [[int(x) for x in rng.integers(0, min(top, 2**62), n, endpoint=True)] for _ in range(5)]
-    rows[1] = [top] * n
-    rows[2] = [0] * n
-    rows[3][0] = top
-    array = np.array(rows, dtype=np.uint64 if top < 2**64 else object)
-    for degree in range(n + 1):
-        bounds = permanent._elementary(array, degree)
-        assert bounds == [_elementary_bound(rho, degree) for rho in rows], degree
-        assert all(type(b) is int for b in bounds)
+def test_elementary_bound_is_the_sum_over_row_sets(rng, n, top):
+    # e_degree of a row of Python ints at every degree, beyond int64 too;
+    # a zero row and a row of equal entries ride along
+    rows = [[int(x) for x in rng.integers(0, min(top, 2**62), n, endpoint=True)] for _ in range(3)]
+    rows[0][0] = top
+    rows += [[top] * n, [0] * n]
+    for rho, degree in itertools.product(rows, range(n + 1)):
+        assert permanent._elementary(rho, degree) == _elementary_bound(rho, degree), (rho, degree)
 
 
 def test_every_lifted_value_is_within_e_degree_of_its_row_sums():
