@@ -124,7 +124,8 @@ def charpoly_all(A) -> CharPolyCoefficients:
     `np.ldexp` on each part (`_rescaled_berkowitz`).  A scaling by a power of
     two is exact barring underflow, and so is that run unless one of its
     operations underflows: then it is not used, and every coefficient is the
-    principal-minor sum `g_r`, as `det_batch` falls back to LU.  A matrix
+    principal-minor sum `g_r`, whose `det_batch` hands a minor that
+    overflows, or a stack whose expansion underflows, to LU.  A matrix
     whose entries span too many binary orders underflows so, as a 1e200
     block beside an O(1) block does, and still costs the 2^n - 1 minors.
     Otherwise the minor sum replaces only a coefficient whose scaled run is

@@ -117,14 +117,15 @@ def _interpolated_residues(item, mod):
     """The coefficient of t_1...t_k in per(A + sum_p t_p X^p) mod p, for each
     image (A, X^1..X^k) of the (c, k + 1, n, n) residue stack `item`.
 
-    The (n + 1)^k grid nodes are taken in grid order, `budget_length(n * n)`
-    of them at a time (`_weighted_slice`), with the int weights reduced mod p
+    The (n + 1)^k grid nodes are taken in grid order, `budget_length(c n^2)`
+    of them at a time (`_weighted_slice`), so that a slice's node residues of
+    all c images fill one stack budget, with the int weights reduced mod p
     once.  The sum, L^k times the coefficient, is multiplied by (L^k)^-1 mod p.
     """
-    k, n = item.shape[1] - 1, item.shape[-1]
+    c, k, n = item.shape[0], item.shape[1] - 1, item.shape[-1]
     weights, scale = _int_weights(n)
     reduced = np.array(weights)[None] % mod[:, None]  # (c, n + 1): w_j mod the prime of each image
-    grid, step = (n + 1) ** k, budget_length(n * n)
+    grid, step = (n + 1) ** k, budget_length(c * n * n)
     acc = sum(_weighted_slice(item, mod, reduced, np.arange(start, min(start + step, grid)))
               for start in range(0, grid, step))
     return divided(acc, scale**k, mod)

@@ -7,22 +7,26 @@ column sets of A (`permanent.complement_permanents`), which calls no scalar
 `per`.  Only the strict-index blocks of the tilde operators and mixed
 powers are built; the formulas need no others.
 
-`det_batch` is the determinant evaluator of both modes.  A floating stack
-of order 0, 1 or 2 is its Leibniz expansion 1, a or a d - b c, one
-expression on complex128, so the minors of order k and r - k that the
-`D^k g_r` forms mostly evaluate need no LU; a floating a d - b c that
-overflows is taken by LU instead, and orders >= 3 run LAPACK LU.  An exact
-stack of every order runs `det_bareiss`: det_batch itself on int64
-residues mod primes, through the one multimodular lift of exact values
+`det_batch` is the determinant evaluator of both modes, and one set of
+division-free expansions (`_expansion`) serves floating stacks and residue
+stacks alike through order 4 (`_EXPANDED`): 1 and a at orders 0 and 1,
+a d - b c at order 2, the cofactor expansion along row 0 at order 3 and the
+Laplace expansion along rows 0 and 1, six products of complementary 2 x 2
+minors, at order 4.  So the minors and replaced matrices that the `D^k g_r`
+forms evaluate need no LU.  A floating stack whose expansion overflows
+gives those values by LAPACK LU, one whose expansion underflows is taken
+by LU whole, and from order 5 on a floating stack runs LU.  An exact stack
+of every order runs `det_bareiss`: det_batch itself on int64 residues mod
+primes, through the one multimodular lift of exact values
 (`permanent.modular_values`), which recovers them by the Chinese remainder
 theorem.  Given the primes of a residue stack (`mod`), as there and in the
-exact closed forms, det_batch runs the same expansions to order 2, the
-cofactor expansion along the first row at order 3 (`_EXPANDED`), and from
-order 4 the last coefficient g_n of Berkowitz's division-free recurrence
-(`_berkowitz`); no residue determinant needs a modular inverse.
-`det_bareiss` with minors r lifts g_r, the sum of r x r principal minors, on
-the same boundary: its residue kernel sums the closed-form minors of each
-whole image (`principal_minor_sums`) or takes its g_r from `_berkowitz`.
+exact closed forms, det_batch reduces every product of the expansions mod
+p, and from order 5 takes the last coefficient g_n of Berkowitz's
+division-free recurrence (`_berkowitz`); no residue determinant needs a
+modular inverse.  `det_bareiss` with minors r lifts g_r, the sum of r x r
+principal minors: its residue kernel sums the expanded minors of each whole
+image (`principal_minor_sums`) through r = 3 and takes `_berkowitz`'s g_r
+from r = 4.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from .scalars import (
     total,
 )
 
-_EXPANDED = 3  # the largest order of `det_batch`'s closed-form residue determinants
+_EXPANDED = 4  # the largest order of `det_batch`'s division-free expansions
+_MINOR_SUMS = 3  # the largest r whose residue g_r sums principal minors, not `_berkowitz`
 
 
 @dataclass(frozen=True)
@@ -83,8 +88,9 @@ def det_bareiss(A, minors: int | None = None):
 
     Given minors = r, each matrix gives instead g_r, the sum of its r x r
     principal minors, lifted as one value of degree r: the kernel sums the
-    closed-form minors of each residue image up to order `_EXPANDED`
-    (`principal_minor_sums`), and takes `_berkowitz`'s g_r beyond.
+    expanded minors of each residue image up to order `_MINOR_SUMS`
+    (`principal_minor_sums`), and takes `_berkowitz`'s g_r of the whole
+    image beyond.
     """
     A = np.asarray(A)
     items = A.reshape(math.prod(A.shape[:-2]), *A.shape[-2:])
@@ -92,7 +98,7 @@ def det_bareiss(A, minors: int | None = None):
         return modular_values(items, A.shape[-1], det_batch).reshape(A.shape[:-2])[()]
 
     def g(images, mod):  # (c,): g_r of each image mod p
-        if minors > _EXPANDED:
+        if minors > _MINOR_SUMS:
             return _berkowitz(images, mod)[..., minors]
         return principal_minor_sums(images, minors, mod)
 
@@ -104,54 +110,101 @@ def det_batch(mats: np.ndarray, mod=None) -> np.ndarray:
 
     An exact (object) stack of every order runs `det_bareiss`, which lifts
     its values mod primes from the residue branch below, and returns
-    ExactComplex values, int parts while integral.  A floating stack returns
-    complex128: orders 0, 1 and 2 are their Leibniz expansions 1, a and
-    a d - b c, one expression on the stack (no pivot and no division), and
-    the a d - b c that come out non-finite (a d or b c overflowed, above
-    about 1e154) are taken by LU; from order 3 on it runs LAPACK LU.  Given
-    mod, the stack holds residues in [0, p), p < 2^31, and so do its values:
-    orders <= 2 come from the same expansions, order 3 from its cofactor
-    expansion along the first row (minors a d - b c, every product reduced
-    mod p; 4-15x faster there than `_berkowitz`), and orders >= 4 are g_n of
-    `_berkowitz`, which divides nowhere.
+    ExactComplex values, int parts while integral.  Both other modes take
+    the same division-free expansions through order `_EXPANDED`: 1 and a at
+    orders 0 and 1, a d - b c at order 2, the cofactor expansion along row 0
+    at order 3 and the Laplace expansion along rows 0 and 1 at order 4
+    (`_expansion`).  A floating stack returns complex128; its expansion runs
+    with overflow, invalid operations and underflow trapped: the values that
+    overflow come out non-finite and are taken by LAPACK LU, and a stack in
+    which an intermediate underflows, and so loses its precision in the
+    subnormal range, is taken by LU whole.  From order 5 on it runs LU.
+    Given mod, the stack holds residues in [0, p), p < 2^31, and so do its
+    values: each product of the expansions is reduced mod p, and orders
+    >= 5 are g_n of `_berkowitz`, which divides nowhere.
     """
     mats = require_square_stack(mats)
     k = mats.shape[-1]
     if mod is not None:
         mod = moduli(mod, mats.shape[:-2])
-        if k > _EXPANDED:
-            return _berkowitz(mats, mod)[..., k]
     elif is_exact(mats):
         return det_bareiss(mats)
-    elif k > 2:
-        return np.linalg.det(mats.astype(complex))
     else:
         mats = mats.astype(complex, copy=False)
     if k < 2:
         return mats[..., 0, 0].copy() if k else np.ones(mats.shape[:-2], dtype=mats.dtype)
+    if k > _EXPANDED:
+        return np.linalg.det(mats) if mod is None else _berkowitz(mats, mod)[..., k]
     if mod is not None:
-        if k == 2:
-            return _leibniz(mats) % mod
-        # order 3: each entry of row 0 times its reduced minor stays below 2^62
-        row, below = mats[..., 0, :], mats[..., 1:, :]
-        a = row[..., 0] * (_leibniz(below[..., 1:]) % mod) % mod
-        b = row[..., 1] * (_leibniz(below[..., ::2]) % mod) % mod
-        c = row[..., 2] * (_leibniz(below[..., :2]) % mod) % mod
-        return (a - b + c) % mod
+        return _expansion(mats, mod)
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _leibniz(mats)
-    except FloatingPointError:  # a d or b c overflowed: the non-finite results by LU
-        with np.errstate(over="ignore", invalid="ignore"):
-            dets = np.array(_leibniz(mats))
-            bad = ~np.isfinite(dets)
-            dets[bad] = np.linalg.det(mats[bad])
+        with np.errstate(over="raise", invalid="raise", under="raise"):
+            return _expansion(mats)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            with np.errstate(under="raise"):
+                dets = np.array(_expansion(mats))
+        except FloatingPointError:  # a subnormal intermediate: the whole stack by LU
+            return np.linalg.det(mats)
+        bad = ~np.isfinite(dets)  # an overflow leaves inf or nan in its value, as nothing divides
+        dets[bad] = np.linalg.det(mats[bad])
     return dets
 
 
-def _leibniz(M: np.ndarray) -> np.ndarray:
-    """a d - b c of each 2 x 2 matrix of a stack."""
-    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+def _expansion(mats, mod=None) -> np.ndarray:
+    """det of each matrix of a stack of order 2, 3 or 4, with no division.
+
+    Order 2 is a d - b c, order 3 the cofactor expansion along row 0 and
+    order 4 the Laplace expansion along rows 0 and 1, six products of
+    complementary 2 x 2 minors.  Orders 3 and 4 gather the entries of their
+    terms with one `np.take` (`_TERM_ENTRIES`), term first, and add the terms
+    one after another, elementwise, so that a matrix of a stack gets bit for
+    bit its value alone.  Given mod, every minor and product is reduced mod p,
+    so each stays below 2^62.
+    """
+    k = mats.shape[-1]
+    if k == 2:
+        return _reduced(mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0], mod)
+    mod = None if mod is None else mod.ravel()
+    entries = np.take(mats.reshape(-1, k * k).T, _TERM_ENTRIES[k], axis=0)  # (f, t, matrices)
+    minors = _reduced(_minors(entries[-4:]), mod)
+    lead = entries[0] if k == 3 else _reduced(_minors(entries[:4]), mod)
+    terms = _reduced(lead * minors, mod)
+    dets = terms[0]
+    for term in terms[1:]:
+        dets = dets + term
+    return _reduced(dets, mod).reshape(mats.shape[:-2])[()]
+
+
+def _minors(entries):
+    """a d - b c for the stacked entries a, d, b, c."""
+    a, d, b, c = entries
+    return a * d - b * c
+
+
+def _minor_entries(row: int, pairs, k: int) -> list[np.ndarray]:
+    """The flat indices i k + j of a, d, b, c of the minors a d - b c on rows
+    row, row + 1 and each column pair (a, b) of `pairs`, for order k."""
+    (a, b), top = np.array(pairs).T, row * k
+    return [top + a, top + k + b, top + b, top + k + a]
+
+
+# the terms of `_expansion`: row 0's entry at order 3, or the minor of rows 0,
+# 1 on the column pair, times the minor of the last two rows on the
+# complementary columns, ordered so that each term's sign is +
+_TERM_ENTRIES = {
+    3: np.array([[0, 1, 2], *_minor_entries(1, [(1, 2), (2, 0), (0, 1)], 3)]),
+    4: np.array([
+        *_minor_entries(0, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4),
+        *_minor_entries(2, [(2, 3), (3, 1), (1, 2), (0, 3), (2, 0), (0, 1)], 4),
+    ]),
+}
+
+
+def _reduced(x, mod):
+    return x if mod is None else x % mod
 
 
 def _berkowitz(A, mod=None) -> np.ndarray:

@@ -297,11 +297,12 @@ def test_exact_per_is_one_lift_of_one_value(rng, monkeypatch):
 
 @pytest.mark.parametrize("budget", [None, 1 << 12])
 def test_exact_per_node_stacks_are_bounded_by_their_slice(rng, monkeypatch, budget):
-    # n = 6, k = 4: 2401 nodes, two slices at the default budget and 22 at
-    # 2^12.  The peak is bounded by one slice's int64 node stack, c images of
-    # s = budget_length(n * n) nodes (c = 20 for parts near 2^40), up to 8
-    # more int64 per node and image (weight, value, prime), and 4 kernel
-    # temporaries of the stack budget; the 2401 nodes in one stack exceed it
+    # n = 6, k = 4: 2401 nodes in 27 slices at the default budget and 481 at
+    # 2^12.  The peak is bounded by an int64 node stack of c images of
+    # s = budget_length(n * n) nodes (c = 20 for parts near 2^40), which holds
+    # a slice, up to 8 more int64 per node and image (weight, value, prime),
+    # and 4 kernel temporaries of the stack budget; the 2401 nodes in one
+    # stack exceed it
     if budget:
         monkeypatch.setattr(permanent, "_STACK_BUDGET", budget)
     n, k = 6, 4
@@ -320,4 +321,22 @@ def test_exact_per_node_stacks_are_bounded_by_their_slice(rng, monkeypatch, budg
     s = oracle.budget_length(n * n)
     assert (n + 1) ** k > s and c >= 4  # several primes
     assert peak < c * s * (n * n + 8) * 8 + 4 * 8 * permanent._STACK_BUDGET
+    assert value == dkper(A, Xs)
+
+
+def test_exact_per_peak_does_not_grow_with_the_prime_count(rng):
+    # parts near 2^40 take c = 20 images; with slices of budget_length(c n^2)
+    # nodes the node residues of a slice fill one stack budget of int64 for
+    # any c, so the call stays below 3 MB (slices of budget_length(n^2)
+    # nodes, c times as many residues, peaked at 12.7 MB)
+    n, k = 6, 4
+    A, Xs = _near_2_40(rng, n), [_near_2_40(rng, n) for _ in range(k)]
+    mixed_partial_interp("per", A, Xs)  # caches the moduli and kernel plans
+    tracemalloc.start()
+    try:
+        value = mixed_partial_interp("per", A, Xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
     assert value == dkper(A, Xs)

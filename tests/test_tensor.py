@@ -12,7 +12,7 @@ from permderiv.charpoly import charpoly_all, g_r
 from permderiv.derivatives import dkper_minors
 from permderiv.multiindex import MultiIndex, enumerate_strict, index_plan
 from permderiv.permanent import laplace_per, minor_complement, padj, per, per_batch, per_naive, submatrix
-from permderiv.scalars import ExactComplex, to_complex, total
+from permderiv.scalars import ExactComplex, exact_matrix, to_complex, total
 from permderiv.tensor import (
     antisym_power,
     det,
@@ -489,7 +489,7 @@ def test_det_bareiss_fraction_entries():
 def test_summed_det_bareiss_equals_the_sum_of_its_determinants(rng, n):
     # given minors = r, each matrix gives the sum of its r x r principal
     # minors: Gaussian integers, Fraction parts and parts beyond int64, in a
-    # (2, 5) stack; restrictions of order >= 4 take _berkowitz
+    # (2, 5) stack; from r = 4 each sum is _berkowitz's g_r of the whole image
     cases = _bareiss_cases(rng, n)
     for stack in (cases, [M / 3 for M in cases], [M * 2**70 + random_gaussian_integer(rng, n) for M in cases]):
         stack = np.stack(stack).reshape(2, 5, n, n)
@@ -634,7 +634,7 @@ def _det_mod(M, p):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_residue_dets_equal_elimination_mod_p(rng, n):
-    # order 3 takes the cofactor expansion, orders >= 4 g_n of _berkowitz
+    # orders 3 and 4 take their expansions, orders >= 5 g_n of _berkowitz
     mats, mod = _residue_images(rng, n)
     dets = det_batch(mats, mod)
     assert dets.dtype == np.int64 and np.all((0 <= dets) & (dets < mod))
@@ -761,6 +761,73 @@ def test_low_order_floating_dets_match_lapack(rng, n):
     assert np.all(abs(dets - np.linalg.det(mats)) <= 1e-12 * scale)
     single = det(mats[1, 7])
     assert type(single) is complex and single == dets[1, 7]
+
+
+def _exact_of(M):
+    """The exact matrix of the floats of M, Fraction parts."""
+    return exact_matrix([[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(M)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_integer_floating_dets_are_exact(rng, n):
+    # every product and sum of the expansion is an integer far below 2^53
+    mats = rng.integers(-9, 10, (60, n, n)) + 1j * rng.integers(-9, 10, (60, n, n))
+    exact = [_exact_of(M) for M in mats]
+    values = [complex(z) for z in det_batch(np.stack(exact))]
+    assert det_batch(mats).tolist() == values == [complex(_leibniz(M)) for M in exact]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_floating_det_equals_its_value_alone(rng, n):
+    mats = rng.standard_normal((3, 41, n, n)) + 1j * rng.standard_normal((3, 41, n, n))
+    dets = det_batch(mats)
+    for index in np.ndindex(3, 41):
+        M = mats[index]
+        for alone in (det_batch(M), det_batch(M[None])[0], det(M)):
+            assert np.complex128(alone).tobytes() == dets[index].tobytes()
+
+
+@pytest.mark.parametrize("scales", [(1e200, 1e200, 1e-250), (1e200, 1e200, 1e-100, 1e-100)], ids=["order3", "order4"])
+def test_huge_floating_dets_are_finite_through_lu(rng, scales):
+    # the expansion's products of two entries near 1e200 overflow although
+    # each determinant is finite; those values are taken by LU and the
+    # others keep the expansion's bits
+    n = len(scales)
+    mats = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    mats[[1, 4]] *= np.array(scales)
+    dets, lu = det_batch(mats), np.linalg.det(mats)
+    assert np.isfinite(dets).all() and np.all(abs(dets - lu) <= 1e-12 * abs(lu))
+    for i in (0, 2, 3, 5):
+        assert dets[i].tobytes() == det_batch(mats[i : i + 1]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "diagonal", [(1e300, 1e-160, 1e-160), (1e-160, 1e-160, 1e150, 1e150)], ids=["order3", "order4"]
+)
+def test_an_underflowing_floating_stack_runs_lu(rng, diagonal):
+    # the expansion's 1e-160 * 1e-160 is subnormal, with few significant
+    # bits left; LU's determinant is 1e-20 to rounding
+    M = np.diag(np.array(diagonal, dtype=complex))
+    M[0, 1] = 3e-161
+    stack = np.stack([random_complex(rng, len(M)), M])
+    for value in (det(M), det_batch(stack)[1]):
+        assert abs(value - 1e-20) <= 1e-13 * 1e-20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_floating_dets_are_within_the_rounding_bound(rng, n):
+    # each term is a product of n entries and the terms are summed, so in the
+    # norm |re| + |im| the error is at most gamma_(n! n) per(B), where
+    # B_ij = |re a_ij| + |im a_ij| (n! n bounds the roundings on any path)
+    parts = rng.integers(-2**12, 2**12, (2, 40, n, n)) * 2.0 ** rng.integers(-30, 30, (2, 40, n, n))
+    mats = parts[0] + 1j * parts[1]
+    m = math.factorial(n) * n
+    gamma = Fraction(m, 2**53 - m)
+    for M, value in zip(mats, det_batch(mats)):
+        exact = _leibniz(_exact_of(M))
+        B = exact_matrix([[Fraction(abs(z.real)) + Fraction(abs(z.imag)) for z in row] for row in M])
+        error = abs(Fraction(value.real) - exact.re) + abs(Fraction(value.imag) - exact.im)
+        assert error <= gamma * per_naive(B).re
 
 
 @pytest.mark.parametrize("shape", [(4, 3, 2), (4, 1, 2), (4,)])
