@@ -204,6 +204,7 @@ _TERM_ENTRIES = {
 
 
 def _reduced(x, mod):
+    """x mod p, mod broadcast along x's trailing axes (`residues` takes it on the leading ones)."""
     return x if mod is None else x % mod
 
 
