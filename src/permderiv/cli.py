@@ -121,7 +121,8 @@ def _x(data, args):
 
 
 def _forms(result, formula) -> dict:
-    """Report fields of one formula's value, or of all three and their largest gap."""
+    """Report fields of one formula's value, or of all three and their largest
+    gap, max_deviation: absolute, where `verify`'s deviations are relative."""
     if formula != "all":
         return {"formula": formula, "value": result}
     gaps = (abs(complex(a - b)) for a, b in combinations(result.values(), 2))

@@ -133,8 +133,8 @@ def _agree(value, routes, A, X, P) -> bool:
     Glynn's formula on an m x m matrix B rounds by at most about
     (m^2 + 2^(m-1)) eps prod_i sum_l |b_il| (2^(m-1) products of m signed
     row sums, scaled by 2^(1-m)), which |per B| does not bound when its
-    terms cancel.  The slack allows m^2 2^m eps prod_i sum_l |b_il|, the
-    bound of Ryser's unscaled 2^m products, which covers Glynn's.  Weighted
+    terms cancel.  The slack allows m^2 2^m eps prod_i sum_l |b_il|, which
+    covers it.  Weighted
     by |X| and summed, the minors of A round within it for the A(j; X),
     column j of A replaced by that of X, and the minors of A^T within it
     for the A^T(i; X^T), so both follow from the row and column sums of |A|

@@ -129,21 +129,21 @@ def per_perturb_bound(A, X) -> BoundReport:
 
 
 def dk_gr_norm_exact(A, k: int, r: int) -> BoundReport:
-    """Exact norm of D^k g_r: k! sum_I p_{r-k}(singular values of A_I)."""
+    """k! sum_I p_{r-k}(singular values of A_I), a bound on the norm of D^k g_r,
+    "exact" where it is the norm: at k = r and for a nonnegative diagonal A,
+    where X = I attains it, and at r = n (R. Bhatia and T. Jain, Linear
+    Algebra Appl. 431 (2009)); "upper" elsewhere."""
     A = require_square(A)
     n = A.shape[0]
     if not 1 <= k <= r <= n:
         raise ValueError(f"need 1 <= k <= r <= {n}")
     total = total_in_order(elementary_symmetric(r - k, _restriction_singular_values(A, r)))
     value = math.factorial(k) * total
-    witness = None
     Ac = to_complex(A)
-    if k == 1 and np.allclose(Ac, np.diag(np.diag(Ac))) and np.all(
-        np.real(np.diag(Ac)) >= 0
-    ) and np.allclose(np.imag(np.diag(Ac)), 0):
-        # for nonnegative diagonal A the supremum is attained at X = I
-        witness = np.eye(n, dtype=complex)
-    return BoundReport(value, "exact", witness)
+    d = np.diag(Ac)
+    nonnegative_diagonal = np.allclose(Ac, np.diag(d)) and np.all(d.real >= 0) and np.allclose(d.imag, 0)
+    witness = np.eye(n, dtype=complex) if k == 1 and nonnegative_diagonal else None
+    return BoundReport(value, "exact" if k == r or r == n or nonnegative_diagonal else "upper", witness)
 
 
 def gr_perturb_bound(A, X, r: int) -> BoundReport:

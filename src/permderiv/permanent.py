@@ -1,40 +1,40 @@
 """Permanent evaluation and the submatrix machinery built around it.
 
 `per_naive` is the literal sum over all n! permutations and serves as the
-independent oracle.  `per` and `per_batch` share one blocked kernel of
-Glynn's formula in both modes, O(2^(n-1) * n) per matrix, half the terms of
-Ryser's: the row sums over all sign patterns of up to ten columns (the
-first fixed at +1) are formed at once (a product with a cached +-1 table),
-and only the patterns of the remaining columns are looped over in Python.
+independent oracle.  Every other permanent runs Glynn's formula.  `per` and
+`per_batch` share one blocked kernel of it in both modes, O(2^(n-1) * n) per
+matrix: the row sums over all sign patterns of up to ten columns (the first
+fixed at +1) are formed at once (a product with a cached +-1 table), and
+only the patterns of the remaining columns are looped over in Python.
 Glynn's terms are centred, so on a positive matrix they do not cancel as
-Ryser's subset sums do.  A floating matrix of up to ten columns skips the
-stack and runs the kernel's calls on itself, so a scalar `per` is one
-matmul, one row product and one dot, with the scale 2^(1-n) folded into
-the signs.  An exact stack runs that kernel on int64 images mod primes
-p = 1 (mod 4) below 2^31, where i maps to a square root of -1, divides by
-2^(n-1) mod p, and its permanents are lifted back by the Chinese remainder
-theorem (the classic multimodular method).  Every exact value takes that
-one lift, `modular_values`, which bounds it from its degree, with its
-residue kernel as an argument: Glynn's formula for exact stacks, the
-residue branch of `tensor.det_batch` for exact determinants
+subset sums of entries of one sign do.  A floating matrix of up to ten
+columns skips the stack and runs the kernel's calls on itself, so a scalar
+`per` is one matmul, one row product and one dot, with the scale 2^(1-n)
+folded into the signs.  An exact stack runs that kernel on int64 images mod
+primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1,
+divides by 2^(n-1) mod p, and its permanents are lifted back by the Chinese
+remainder theorem (the classic multimodular method).  Every exact value
+takes that one lift, `modular_values`, which bounds it from its degree,
+with its residue kernel as an argument: Glynn's formula for exact stacks,
+the residue branch of `tensor.det_batch` for exact determinants
 (`tensor.det_bareiss`, which also lifts each matrix's sum of r x r
 principal minors from its whole images, one value per matrix for exact
 `charpoly.g_r`), or a closed form itself (or the exact "per" interpolation
 oracle), run once on the images of all its operands, so one value is lifted
-per call.  `per_batch`, `map_blocks`,
-`per_each` and `complement_permanents` take a residue stack with its primes
-(`mod`) for that.  `complement_permanents` gives per A(I|J) for every pair
-of k-sets from one pass of Ryser's formula over the column sets of A, for
-`tensor.tilde_sym_block`.  Both kernels put the axis they reduce over
-first, so that numpy walks contiguous memory: Glynn's row sums are laid out
-row first, and the row product multiplies whole rows; Ryser's table of row
-sums is laid out column set first, and each doubling step and subset-sum
-pass adds whole slabs.  Every element still takes the same operations in
-the same order as in any other layout, so the layout moves no bit.  The
-formulas index through `multiindex.index_plan`, and `map_blocks` gathers
-and evaluates every block of submatrices in budgeted slices; only `padj`,
-`laplace_per` and `dper` still evaluate theirs with `per_each`: scalar
-`per` of each floating block, and one `per_batch` lift of an exact gather.
+per call.  `per_batch`, `map_blocks`, `per_each` and
+`complement_permanents` take a residue stack with its primes (`mod`) for
+that.  `complement_permanents` gives per A(I|J) for every pair of k-sets,
+for `tensor.tilde_sym_block`, by one Walsh-Hadamard transform of Glynn's
+terms per row set I.  Both put the axis they reduce over first, so that
+numpy walks contiguous memory: the kernel's row sums are laid out row
+first, and the row product multiplies whole rows; the table's are laid out
+sign pattern first, and each doubling step and butterfly pass adds whole
+slabs.  Every element still takes the same operations in the same order as
+in any other layout, so the layout moves no bit.  The formulas index
+through `multiindex.index_plan`, and `map_blocks` gathers and evaluates
+every block of submatrices in budgeted slices; only `padj`, `laplace_per`
+and `dper` still evaluate theirs with `per_each`: scalar `per` of each
+floating block, and one `per_batch` lift of an exact gather.
 """
 
 from __future__ import annotations
@@ -282,45 +282,31 @@ def _glynn_block(block, b, deltas, signs, mod=None):
 
 
 def complement_permanents(A, k: int, mod=None) -> np.ndarray:
-    """per A(I|J) for every I, J in Q_{k,n}, indexed (..., I, J), by one Ryser pass.
+    """per A(I|J) for every I, J in Q_{k,n}, indexed (..., I, J), by Glynn's formula.
 
-    With m = n - k and the row sums r_i(T) = sum_{j in T} a_ij, Ryser's
-    formula on the m x m complement A(I|J) reads
+    Differentiated, Glynn's formula reads per A(I|J) = 2^(1-n) times the sum
+    over delta in {+-1}^n, delta_1 = 1, of chi(delta) prod_{l not in I}
+    r_l(delta), with r_l(delta) = sum_j delta_j a_lj over all n columns and
+    chi(delta) = prod_{j not in J} delta_j: the sum over delta keeps just
+    the terms that take each column outside J once and no column of J.  So
+    one Walsh-Hadamard transform of a row set's products over the sign
+    patterns gives its whole row of the table.
 
-        per A(I|J) = (-1)^m sum_{T subset of [n] - J} (-1)^|T| prod_{i not in I} r_i(T),
-
-    so one table of row sums over the column sets T of A serves every
-    (I, J) (H. J. Ryser, Combinatorial Mathematics, 1963).  The row sums
-    are built by doubling, r(T + {j}) = r(T) + a_.j (a product with a 0/1
-    table would turn 0 * inf into NaN); for each I, the products of its m
-    rows are signed and summed over the subsets of every U by the subset-sum
-    transform G(U) = sum_{T subset U}, one in-place add per column bit; the
-    entry is G([n] - J).
-
-    The table stays Ryser's while `per` runs Glynn's formula: Glynn's sign
-    patterns span all n columns, so no term serves the complements of
-    several J, while Ryser's column sets T of A are also the column sets of
-    every A(I|J) with J outside T.  So it keeps Ryser's rounding, which
-    cancels on positive entries where Glynn's does not (README).
-
-    Memory is bounded by the permanent kernel's budget rule: the table
-    covers the b low columns whose n 2^b row sums per matrix fit
-    _STACK_BUDGET, matrices are taken in chunks that keep the table within
-    it, each set H of the other columns is looped over in Python and adds
-    its columns to the row sums, and its term G_H goes to the J that avoid
-    H.  Rows I are taken in budgeted chunks.  The floating bits depend on
-    neither split: H's columns are added one at a time in column
-    order, as doubling adds them, and the G_H of each J are summed in the
-    tree that the transform's passes over the high bits build (a binary
-    counter over H in increasing order), so every budget gives the bits of
-    the unsplit pass.  The row sums are laid out (2^b, s, n), column set
-    first, so a doubling step or a transform pass adds contiguous slabs,
-    each element in the order of a pass along a last set axis, and the
-    layout moves no bit either.
-
-    A floating A is cast to complex128.  Given mod, A is a (..., n, n)
-    stack of residues and the values are residues.  An exact A is lifted
-    once (`modular_values`, degree m) with this function as its kernel.
+    delta splits into a pattern L of the b = min(n, _LOW_COLUMNS) low
+    columns and a pattern T of the others.  The row sums of every L are
+    built by doubling, pattern first, (2^(b-1), s, n) for s matrices; each
+    T, looped over, adds its high columns, signed, one at a time in column
+    order.  For each chunk of row sets I the n - k kept rows are
+    multiplied, b - 1 butterfly passes over the pattern axis give every low
+    character, and each J adds its own, negated where T flips an odd number
+    of columns outside J, to its entry, in T order.  Every step is
+    elementwise and b does not depend on _STACK_BUDGET, which only chunks
+    the matrices (whose row sums fit it, or one matrix's: at most 512 n
+    elements) and the row sets (whose products and a factor fit it), so it
+    moves no bit.  The scale 2^(1-n) is exact.  Given mod, A holds residues
+    and so do the values: row sums are reduced before the products,
+    products after each, the transform after its b - 1 <= 9 passes (below
+    2^40) and the entries after every T.  An exact A is one lift.
     """
     A = require_square_stack(A)
     lead, n = A.shape[:-2], A.shape[-1]
@@ -338,86 +324,39 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
         flat = flat.astype(complex, copy=False)
     else:
         mod = moduli(mod, lead).reshape(-1)
-    b = max(min(n, _LOW_COLUMNS, (_STACK_BUDGET // n).bit_length() - 1), 0)  # n 2^b row sums fit
-    odd = _odd_sets(b) ^ bool((n - k) % 2)  # (-1)^(m + |L|) = -1 for the low column sets L
-    chunk = max(_STACK_BUDGET // (n << b), 1)
-    return in_slices(
-        lambda s: _complement_block(flat[s], k, b, odd, None if mod is None else mod[s]), len(flat), chunk
-    ).reshape(*lead, C, C)
+    b, kept = min(n, _LOW_COLUMNS), index_plan(k, n).complements
+    outside = (1 << kept).sum(axis=1)  # the columns [n] - J of each J, as bits
+    low, high = outside >> 1 & (1 << (b - 1)) - 1, (outside >> b).tolist()
 
+    def block(s):  # (J, matrix, I) entries of the matrices s
+        mats, p = flat[s], None if mod is None else mod[None, s, None]
+        sums = mats[None, :, :, 0]
+        for j in range(1, b):  # the patterns with delta_j = -1 follow those without
+            sums = np.concatenate([sums + mats[:, :, j], sums - mats[:, :, j]])
+        table, step = np.zeros((C, len(mats), C), mats.dtype), budget_length(2 * len(mats) << (b - 1))
+        for t in range(1 << (n - b)):
+            # whether T flips an odd number of the columns outside each J
+            r, odd = sums, np.array([(t & x).bit_count() % 2 for x in high], bool)[:, None, None]
+            for j in range(b, n):
+                r = (np.subtract if t >> (j - b) & 1 else np.add)(r, mats[:, :, j])
+            r = residues(r, p)
+            for c in range(0, C, step):
+                first, *others = kept[c:c + step].T
+                G = r.take(first, axis=-1)
+                for i in others:
+                    G = residues(np.multiply(G, r.take(i, axis=-1), out=G), p)
+                for j in range(b - 1):  # the butterflies (x, y) -> (x + y, x - y) on bit j of L
+                    x, y = G.reshape(-1, 2, G[0].size << j).transpose(1, 0, 2)  # views: G is contiguous
+                    x[...], y[...] = x + y, x - y
+                terms = residues(G, p).take(low, axis=0)
+                table[:, :, c:c + step] += np.negative(terms, out=terms, where=odd)
+            table = residues(table, p)
+        if mod is None:
+            return table * 2.0 ** (1 - n)
+        return table * np.reshape(_half_powers(mod[s], n - 1), (-1, 1)) % p  # over (matrix, I)
 
-@lru_cache(maxsize=None)
-def _odd_sets(b: int) -> np.ndarray:
-    """Whether each subset L of b columns, as a bit mask, has odd size |L|."""
-    odd = ((np.arange(1 << b) >> np.arange(b)[:, None]) & 1).sum(axis=0) % 2 == 1
-    odd.flags.writeable = False  # shared by every caller
-    return odd
-
-
-def _complement_block(mats, k, b, odd, mod):
-    """`complement_permanents` of an (s, n, n) floating or residue stack: (s, C, C).
-
-    The row-sum table covers the b low columns; the sets H of the q = n - b
-    others are looped over.  odd marks the low sets L whose sign is -1.
-    The tables are laid out set first, and the result (J, s, I) until the
-    last step.
-    """
-    s, n = mats.shape[0], mats.shape[-1]
-    plan, q = index_plan(k, n), n - b
-    kept, C = plan.complements, len(plan.combos)
-    U = (1 << n) - 1 - (1 << plan.combos).sum(axis=1)  # the column set [n] - J of each J
-    low = U & ((1 << b) - 1)
-    p = None if mod is None else mod[None, :, None]  # each matrix's prime, along the set and row axes
-    sums = np.zeros((1 << b, s, n), mats.dtype)  # r_i(L) of the low column sets L, by doubling
-    for j in range(b):
-        np.add(sums[:1 << j], mats[:, :, j], out=sums[1 << j:2 << j])
-    sums = residues(sums, p)  # n residues add up to less than 2^36
-    # a chunk's products and the row they take in, or its counter slots, fit the budget
-    step = budget_length(2 * s * max(1 << b, (q + 1) * C))
-    if not q:
-        table = in_slices(lambda c: _subset_sums(sums, kept[c], odd, p)[low], C, step, axis=2)
-        return np.moveaxis(table, 0, -1)
-    taken = (U[:, None] >> np.arange(b, n)) & 1  # (C, q): the high columns outside J
-    place, free = np.cumsum(taken, axis=1) - taken, taken.sum(axis=1)
-
-    def block(c):
-        slots = np.zeros((q + 1, C, s, len(kept[c])), mats.dtype)
-        for h in range(1 << q):
-            H, r = (h >> np.arange(q)) & 1, sums
-            for j in np.flatnonzero(H):  # one column at a time, as doubling adds them
-                r = residues(r + mats[:, :, b + j], p)
-            carry = _subset_sums(r, kept[c], odd ^ bool(H.sum() % 2), p)[low]
-            live = ~(H & ~taken).any(axis=1)  # the J that avoid H
-            rank = ((H & taken) << place).sum(axis=1)  # H among the subsets of J's high columns
-            for level in range(q + 1):  # a binary counter, pairing as the transform's passes do
-                up = live & (rank >> level & 1 == 1)
-                np.copyto(slots[level], carry, where=(live & ~up)[:, None, None])
-                np.add(carry, slots[level], out=carry, where=up[:, None, None])
-                live = up
-        return slots[free, np.arange(C)]  # J's sum sits at its level
-
-    return np.moveaxis(residues(in_slices(block, C, step, axis=2), p), 0, -1)
-
-
-def _subset_sums(r, rows, odd, mod):
-    """G(U) = sum_{T subset U} +-prod_{i in R} r_i(T) over the sets U of the table's columns.
-
-    r is the (2^b, s, n) table of row sums r_i(T), set first, rows a (c, m)
-    array of row sets R and odd the sets T whose product is negated; the
-    result is (2^b, s, c), and mod, if given, broadcasts against it.  Its
-    one temporary besides the result is a row of factors, a `take` along the
-    last axis.  Pass j adds the sets without bit j to those with it in
-    contiguous runs of 2^j s c elements, each element as along a last set
-    axis.
-    """
-    G = r.take(rows[:, 0], axis=-1)
-    for t in range(1, rows.shape[1]):
-        G = residues(np.multiply(G, r.take(rows[:, t], axis=-1), out=G), mod)
-    np.negative(G, out=G, where=odd[:, None, None])
-    for j in range(len(r).bit_length() - 1):  # one in-place add per column bit
-        pairs = G.reshape(-1, 2, G[0].size << j)  # a view: G is contiguous
-        pairs[:, 1] += pairs[:, 0]
-    return residues(G, mod)
+    table = in_slices(block, len(flat), budget_length(n << (b - 1)), axis=1)
+    return table.transpose(1, 2, 0).reshape(*lead, C, C)
 
 
 def modular_values(M: np.ndarray, degree: int, kernel) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Every block is built on the lexicographically ordered multi-index basis by
 `permanent.map_blocks`, in budgeted slices, except `tilde_sym_block`: its
-complementary permanents per A(I|J) all come from one Ryser pass over the
-column sets of A (`permanent.complement_permanents`), which calls no scalar
-`per`.  Only the strict-index blocks of the tilde operators and mixed
-powers are built; the formulas need no others.
+complementary permanents per A(I|J) all come from one table by Glynn's
+formula (`permanent.complement_permanents`), which calls no `per`.  Only
+the strict-index blocks of the tilde operators and mixed powers are built;
+the formulas need no others.
 
 `det_batch` is the determinant evaluator of both modes, and one set of
 division-free expansions (`_expansion`) serves floating stacks and residue
@@ -323,7 +323,7 @@ def antisym_power(A, k: int) -> TensorBlock:
 def tilde_sym_block(A, k: int, mod=None) -> TensorBlock:
     """Compressed complementary-permanent operator: (J, I) entry per A(I|J).
 
-    Every entry comes from one Ryser pass over the column sets of A
+    Every entry comes from one table by Glynn's formula
     (`permanent.complement_permanents`), an exact A through one lift.  At
     k = n the complement is empty and the single entry is per(empty) = 1.
     Given mod, A is a (..., n, n) stack of residues and the entries (..., C, C).

@@ -260,11 +260,12 @@ def test_tensor_form_of_positive_inputs_is_within_its_rounding_bound(n, k):
     inputs the floating form sees.  The form is D = k! sum_{I,J} T_JI M_IJ,
     with T_JI = per A(I|J) from `complement_permanents` and M_IJ = (1/k!)
     sum_sigma per X^sigma[I|J] from `per_batch`, over the C = C(n, k) sets
-    I, J.  With rho(I, J) = prod_{i not in I} sum_{j not in J} |a_ij|_1 and
-    xi(I, J) = sum_sigma prod_i (row i's sum of |X^sigma[I|J]|_1),
+    I, J.  With rho(I) = prod_{i not in I} sum_j |a_ij|_1 over all n columns
+    and xi(I, J) = sum_sigma prod_i (row i's sum of |X^sigma[I|J]|_1),
     |per A(I|J)|_1 <= rho and |k! M_IJ|_1 <= xi, and:
-    - each T_JI lies within e_A rho, e_A = 2^(m+1) (m^2 + 3m) u, m = n - k
-      (`conftest.assert_complements_within_rounding`);
+    - each T_JI lies within e_A rho, e_A = 2 (m(n - 1) + 2(m - 1) + n - 1) u,
+      m = n - k (`conftest.assert_complements_within_rounding`; n <= 10
+      columns are all low);
     - each per X^sigma[I|J] lies within e_X times its row sums' product,
       e_X = 2 (k^2 + k + 2^(k-1)) u (the Glynn bound of `test_permanent`);
       the sum over the k! sigma rounds k! - 1 times, the division by k! and
@@ -275,7 +276,7 @@ def test_tensor_form_of_positive_inputs_is_within_its_rounding_bound(n, k):
     S = sum_{I,J} rho xi and K = k! + C^2 + 2, which is at most
     2 (e_A + e_X + 2 K u) S while e_A + e_X + 2 K u <= 1/2.  On uniform
     [0, 1) inputs the bound is loose (rho / per A(I|J) grows like e^m), and
-    the measured error stays far below it, though above the other forms'.
+    the measured error stays far below it.
     """
     rng = np.random.default_rng(20261021 + 10 * n + k)
     A, *Xs = rng.random((k + 1, n, n))
@@ -285,13 +286,13 @@ def test_tensor_form_of_positive_inputs_is_within_its_rounding_bound(n, k):
     plan = index_plan(k, n)
     sets, perms = list(zip(plan.combos.tolist(), plan.complements.tolist())), plan.perms.tolist()
     S = sum(  # the entries are nonnegative reals, their own |z|_1
-        math.prod(sum(a[i][j] for j in J_out) for i in I_out)  # rho(I, J)
+        math.prod(sum(a[i]) for i in I_out)  # rho(I)
         * sum(math.prod(sum(xs[s][i][j] for s, j in zip(sigma, J)) for i in I) for sigma in perms)  # xi(I, J)
         for I, I_out in sets
         for J, J_out in sets
     )
     m, u, K = n - k, Fraction(1, 2**53), math.factorial(k) + len(plan.combos) ** 2 + 2
-    e_A, e_X = 2 ** (m + 1) * (m * m + 3 * m) * u, 2 * (k * k + k + 2 ** (k - 1)) * u
+    e_A, e_X = 2 * (m * (n - 1) + 2 * (m - 1) + n - 1) * u, 2 * (k * k + k + 2 ** (k - 1)) * u
     assert exact.im == 0 and exact.re > 0
     error = abs(Fraction(value.real) - exact.re) + abs(Fraction(value.imag))
     assert error <= 2 * (e_A + e_X + 2 * K * u) * S

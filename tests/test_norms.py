@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_unitary, rel_dev
-from permderiv.charpoly import g_r, principal_restrictions
+from permderiv.charpoly import dk_gr, g_r, principal_restrictions
 from permderiv.derivatives import dkper_columns, dper
 from permderiv.norms import (
     dk_gr_norm_exact,
@@ -176,6 +176,19 @@ def test_dk_gr_norm_exact_i3():
     report = dk_gr_norm_exact(np.eye(3, dtype=complex), 1, 2)
     assert report.value == pytest.approx(6)
     assert report.kind == "exact"
+
+
+def test_dk_gr_norm_exact_labels_an_upper_bound_upper(rng):
+    # at diag(1, -1, 0), k = 1 and r = 2 the value 4 only bounds the norm:
+    # D g_2(A)(X) = x_22 - x_11, whose norm 2 diag(-1, 1, 0) attains
+    A = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    report = dk_gr_norm_exact(A, 1, 2)
+    assert report.value == pytest.approx(4) and report.kind == "upper"
+    assert abs(dk_gr(A, (np.diag([-1.0, 1.0, 0.0]).astype(complex),), 1, 2)) == pytest.approx(2)
+    # at k = r and at r = n the value is the norm for every A
+    B = random_complex(rng, 3)
+    assert [dk_gr_norm_exact(B, k, r).kind for k, r in ((1, 1), (2, 2), (1, 3), (2, 3))] == ["exact"] * 4
+    assert dk_gr_norm_exact(B, 1, 2).kind == "upper"
 
 
 def test_dk_gr_norm_exact_k_equals_r(rng):

@@ -381,31 +381,54 @@ def test_float_per_of_the_all_ones_matrix():
 @seed(20261020)
 @settings(max_examples=60, deadline=None, database=None)
 @given(dyadic_matrices(), st.integers(0, 6))
-def test_complement_permanents_are_within_a_ryser_rounding_bound(parts, k):
-    """|fl(per A(I|J)) - per A(I|J)|_1 <= 2^(m+1) (m^2 + 3m) u prod_{i not in I} rho_i,
-    m = n - k, rho_i = sum_{j not in J} |a_ij|_1 and u = 2^-53.
+def test_complement_permanents_are_within_a_glynn_rounding_bound(parts, k):
+    """|fl(per A(I|J)) - per A(I|J)|_1 <= 2 (m(n - 1) + 2(m - 1) + b - 2 + 2^(n-b)) u
+    prod_{i not in I} rho_i, m = n - k >= 1, rho_i = sum_j |a_ij|_1 over all n
+    columns, b = min(n, _LOW_COLUMNS) and u = 2^-53.
 
     As for `per` above, with gamma_k = k u / (1 - k u) and exact inputs (every
-    float is dyadic).  Only the column sets T of U = [n] - J reach the entry,
-    and the negations are exact, so only these round:
-    - r_i(T) adds the |T| <= m columns of T to 0 one at a time in column
-      order, the first add exact, whether a column is in the subset table or
-      added for its high set H: |fl(r_i) - r_i|_1 <= gamma_{m-1} rho_i;
+    float is dyadic).  The entry is 2^(1-n) times a sum of N = 2^(n-1) terms
+    +-p_delta, p_delta = prod_{i not in I} r_i(delta) and r_i(delta) =
+    sum_j delta_j a_ij over all n columns.  The negations, the gathers and
+    the scale 2^(1-n) are exact, so only these round:
+    - r_i(delta) adds the n signed columns to a_i1 one at a time in column
+      order, the low ones by doubling and the high ones for the pattern T:
+      |fl(r_i) - r_i|_1 <= gamma_{n-1} rho_i, as |r_i(delta)|_1 <= rho_i;
     - the m - 1 complex products over the rows i not in I, on those sums,
-      give |fl(p_T) - p_T|_1 <= gamma_K prod_i rho_i, K = m(m - 1) + 2(m - 1);
-    - G(U) = sum_{T subset U} +-p_T is a balanced tree of additions, one
-      level per bit of U (the subset-sum passes, then the binary counter over
-      the high sets H, which pairs as the passes would), so every term takes
-      m additions: within gamma_m of the sum of |fl(p_T)|_1.
-    So the error is at most 2^m ((1 + gamma_K)(1 + gamma_m) - 1) prod_i rho_i
-    <= 2^m gamma_{m^2 + 2m - 2} prod_i rho_i, which the bound covers with
-    m + 2 roundings to spare.
+      give |fl(p_delta) - p_delta|_1 <= gamma_K prod_i rho_i, K = m(n - 1) +
+      2(m - 1);
+    - the b - 1 butterfly passes sum the 2^(b-1) signed terms of one T in a
+      tree of depth b - 1, within gamma_{b-1} of the sum of their
+      |fl(p_delta)|_1;
+    - the entry adds the 2^(n-b) sums of the patterns T to 0 in turn, the
+      first add exact, within gamma_{2^(n-b)-1} of the sum of their |.|_1.
+    Each of the N terms is at most (1 + gamma_K) prod_i rho_i, and the scale
+    2^(1-n) cancels N, so the error is at most ((1 + gamma_K)(1 +
+    gamma_{b-1})(1 + gamma_{2^(n-b)-1}) - 1) prod_i rho_i <=
+    gamma_{K + b - 2 + 2^(n-b)} prod_i rho_i, which the bound covers as
+    gamma_j <= 2 j u.  It has no factor 2^m, as a subset-sum bound over the
+    2^m column sets of A(I|J) has; but rho_i runs over the columns J too, so
+    an entry whose kept rows are dominated by entries in the columns J is
+    bounded by those entries, not by its own.
     """
     n = parts.shape[-1]
     assume(n)
     k = min(k, n)
     A = parts[0] + 1j * parts[1]
     assert_complements_within_rounding(A, k, complement_permanents(A, k))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [10, 12])
+def test_float_complement_table_of_a_positive_matrix_is_accurate(n, k):
+    # every entry is a sum of Glynn's centred terms, as per A is: subset sums
+    # of positive entries lost 5e-13 to 8e-12 relative here
+    A = np.random.default_rng(20261020 + n).random((n, n))
+    exact = complement_permanents(exact_matrix([[Fraction(x) for x in row] for row in A.tolist()]), k)
+    for value, entry in zip(complement_permanents(A, k).ravel().tolist(), exact.ravel()):
+        assert entry.im == 0 and entry.re > 0
+        error = abs(Fraction(value.real) - entry.re) + abs(Fraction(value.imag))
+        assert error <= Fraction(1, 10**13) * entry.re
 
 
 def test_complement_permanents_are_exact_in_every_part_type():
@@ -441,13 +464,13 @@ def test_complement_tables_have_the_same_bits_at_every_budget(monkeypatch):
     """Floating tables of a (2, n, n) stack, and residue tables of images mod
     three primes, have the same bytes at every `_STACK_BUDGET`.
 
-    A budget sets the b low columns of the row-sum table and the chunks of
-    matrices and rows I; each set H of the n - b other columns adds its
-    columns one at a time and pairs its terms by the binary counter, as the
-    unsplit pass's doubling and transform do.  The smaller the budget, the
-    more sets H it loops over (2^3 at 64 for n = 6, 2^2 at 256 for n = 7), so
-    64 is checked up to n = 6 and 256 up to n = 7; every k up to n = 10, and
-    four k from n = 11.
+    A budget sets only the chunks of matrices and of row sets I: the split
+    at b = min(n, _LOW_COLUMNS) low columns does not depend on it, and every
+    step of the transform (doubling, high columns, row products, butterflies
+    and the sums over the high patterns) is elementwise.  The smaller the
+    budget, the smaller the chunks (at 64 from n = 6, and at 256 from n = 7,
+    one matrix and one or two row sets), so 64 is checked up to n = 6 and
+    256 up to n = 7; every k up to n = 10, and four k from n = 11.
     """
     rng = np.random.default_rng(20261021)
     primes = np.array([permanent._modulus(i)[0] for i in range(3)])
