@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MultiIndex, enumerate_strict, index_plan
-from .permanent import map_blocks, modular_values, replacement_values, slice_length
+from .permanent import budget_length, map_blocks, modular_values, replacement_values
 from . import tensor
 from .derivatives import dispatch
 from .scalars import (
@@ -270,7 +270,7 @@ def _row_totals(values, mod=None) -> np.ndarray:
 
 def _slice_elements(k, r):
     """Elements of one slice of a restriction's replacement stack in the columns form."""
-    return min(math.perm(r, k), slice_length(r)) * r * r
+    return min(math.perm(r, k), budget_length(r * r)) * r * r
 
 
 def _block_elements(k, r):

@@ -10,12 +10,15 @@ Glynn's terms are centred, so on a positive matrix they do not cancel as
 subset sums of entries of one sign do.  A floating matrix of up to ten
 columns skips the stack and runs the kernel's calls on itself, so a scalar
 `per` is one matmul, one row product and one dot, with the scale 2^(1-n)
-folded into the signs.  An exact stack runs that kernel on int64 images mod
-primes p = 1 (mod 4) below 2^31, where i maps to a square root of -1,
-divides by 2^(n-1) mod p, and its permanents are lifted back by the Chinese
-remainder theorem (the classic multimodular method).  Every exact value
-takes that one lift, `modular_values`, which bounds it from its degree,
-with its residue kernel as an argument: Glynn's formula for exact stacks,
+folded into the signs.  The kernel takes that same dot for each matrix of
+a stack, so a floating permanent depends only on its matrix: it has the
+same bits alone, in any stack and in any slice of one.  An exact stack
+runs that kernel on int64 images mod primes p = 1 (mod 4) below 2^31,
+where i maps to a square root of -1, divides by 2^(n-1) mod p, and its
+permanents are lifted back by the Chinese remainder theorem (the classic
+multimodular method).  Every exact value takes that one lift,
+`modular_values`, which bounds it from its degree, with its residue kernel
+as an argument: Glynn's formula for exact stacks,
 the residue branch of `tensor.det_batch` for exact determinants
 (`tensor.det_bareiss`, which also lifts each matrix's sum of r x r
 principal minors from its whole images, one value per matrix for exact
@@ -32,9 +35,9 @@ sign pattern first, and each doubling step and butterfly pass adds whole
 slabs.  Every element still takes the same operations in the same order as
 in any other layout, so the layout moves no bit.  The formulas index
 through `multiindex.index_plan`, and `map_blocks` gathers and evaluates
-every block of submatrices in budgeted slices; only `padj`, `laplace_per`
-and `dper` still evaluate theirs with `per_each`: scalar `per` of each
-floating block, and one `per_batch` lift of an exact gather.
+every block of submatrices in budgeted slices; only `padj` and `dper`
+still evaluate theirs with `per_each`: scalar `per` of each floating block,
+and one `per_batch` lift of an exact gather.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import numpy as np
 from .multiindex import MultiIndex, complement, index_plan
 from .scalars import (
     ExactComplex,
+    divided,
     exact_from_parts,
     is_exact,
     moduli,
@@ -99,10 +103,10 @@ def per(A):
     """Permanent of a square matrix, by the blocked Glynn kernel in A's mode.
 
     A floating matrix whose columns all fit the sign table (n <= 10 at the
-    default budget) runs the kernel's three calls on itself, with the bits of
-    `per_batch` of a one-matrix stack; other orders take a stack of one.  A
-    matrix in a larger stack may differ in the last bits (ROADMAP item 2).
-    An exact matrix runs as int64 images mod primes (see `modular_values`).
+    default budget) runs the kernel's three calls on itself; other orders
+    take a stack of one.  Either way the value has the bits of `per_batch`
+    of any stack that holds the matrix.  An exact matrix runs as int64
+    images mod primes (see `modular_values`).
     """
     A = require_square(A)
     if len(A) and A.dtype != object:
@@ -129,14 +133,15 @@ def per_batch(mats: np.ndarray, mod=None) -> np.ndarray:
 def _glynn_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     """Permanents of an (m, n, n) stack by Glynn's formula, in its mode.
 
-    A floating stack is cast to complex128.  An object stack is evaluated
-    slice by slice (`slice_length`) as int64 images mod primes, by this
-    function as the kernel, and lifted back to ExactComplex
-    (`modular_values`), so its temporaries grow with the number of primes P
-    (2P images per matrix) but not with m.  With mod, the stack holds those
-    int64 images and mod the odd prime of each, and the sums are divided by
-    2^(n-1) mod p.  The stack is walked in chunks of whole matrices, so no
-    kernel temporary holds more than _STACK_BUDGET elements whatever n or m.
+    A floating stack is cast to complex128, and each value has the bits of
+    `per` of its matrix.  An object stack is evaluated slice by slice as
+    int64 images mod primes, by this function as the kernel, and lifted back
+    to ExactComplex (`modular_values`), so its temporaries grow with the
+    number of primes P (2P images per matrix) but not with m.  With mod, the
+    stack holds those int64 images and mod the odd prime of each, and the
+    sums are divided by 2^(n-1) mod p.  The stack is walked in chunks of
+    whole matrices, so no kernel temporary holds more than _STACK_BUDGET
+    elements whatever n or m.
     """
     m, n = mats.shape[0], mats.shape[-1]
     if mats.dtype == object:
@@ -149,35 +154,7 @@ def _glynn_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     values = in_slices(
         lambda s: _glynn_block(mats[s], b, deltas, signs, None if mod is None else mod[s]), m, chunk
     )
-    if mod is None or n == 1 or not m:  # 1 / 2^0 = 1, or no images
-        return values
-    return values * _half_powers(mod, n - 1) % mod
-
-
-def _half_powers(mod: np.ndarray, e: int):
-    """1 / 2^e mod each odd modulus of mod.
-
-    A stack of one prime, the common case, takes one cached scalar; a stack
-    of several raises each (p + 1) / 2 = 1/2 to the e-th power by repeated
-    squaring, O(log e) calls on the whole array.
-    """
-    first = int(mod[0])
-    if (mod == first).all():
-        return _half_power(first, e)
-    power, half = 1, (mod + 1) // 2
-    while e:
-        if e & 1:
-            power = power * half % mod
-        e >>= 1
-        if e:
-            half = half * half % mod
-    return power
-
-
-@lru_cache(maxsize=None)
-def _half_power(q: int, e: int) -> int:
-    """1 / 2^e mod the odd modulus q."""
-    return pow((q + 1) // 2, e, q)
+    return values if mod is None else divided(values, 1 << (n - 1), mod)
 
 
 def in_slices(evaluate, count: int, step: int, axis: int = 0) -> np.ndarray:
@@ -193,17 +170,6 @@ def in_slices(evaluate, count: int, step: int, axis: int = 0) -> np.ndarray:
 def budget_length(elements: int) -> int:
     """How many items of `elements` elements each one slice holds: at least 1."""
     return max(_STACK_BUDGET // max(elements, 1), 1)
-
-
-def slice_length(n: int) -> int:
-    """Matrices of order n per slice when a stack is built and evaluated in parts.
-
-    A slice holds at most _STACK_BUDGET elements (more only when the kernel
-    puts more in one chunk) and whole kernel chunks, so a stack evaluated
-    slice by slice runs in the same chunks, bit for bit, as in one call.
-    """
-    chunk = _glynn_plan(n, _LOW_COLUMNS, _STACK_BUDGET)[3] if n else 1
-    return budget_length(n * n * chunk) * chunk
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +208,9 @@ def _glynn_block(block, b, deltas, signs, mod=None):
     sign table gives a row the same sums wherever the row stands among its
     operand's rows.  T's high-column sums are still formed on the
     untransposed block, as a (c, n) product, and added transposed: formed
-    on the transposed block, they moved the last bit of some values.
+    on the transposed block, they moved the last bit of some values.  Each
+    matrix's signed sum over L is a dot of its own, the call scalar `per`
+    makes, so its value does not depend on the block it stands in.
 
     With mod, the block holds int64 residues below 2^31 and each matrix's
     value, 2^(n-1) per A, is returned mod its modulus.  Row sums are reduced
@@ -268,11 +236,12 @@ def _glynn_block(block, b, deltas, signs, mod=None):
                 rows %= p
         if mod is None:
             prods = np.multiply.reduce(rows, axis=0)  # row by row, left to right, as a loop of *=
+            term = np.matmul(prods[:, None, :], signs[:, None])[:, 0, 0]  # one dot per matrix, as in `per`
         else:
             prods = rows[0]
             for i in range(1, n):
                 prods = prods * rows[i] % p
-        term = prods.dot(signs)
+            term = prods.dot(signs)
         if t.bit_count() % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -353,7 +322,7 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
             table = residues(table, p)
         if mod is None:
             return table * 2.0 ** (1 - n)
-        return table * np.reshape(_half_powers(mod[s], n - 1), (-1, 1)) % p  # over (matrix, I)
+        return divided(table, 1 << (n - 1), p)
 
     table = in_slices(block, len(flat), budget_length(n << (b - 1)), axis=1)
     return table.transpose(1, 2, 0).reshape(*lead, C, C)
@@ -383,15 +352,16 @@ def modular_values(M: np.ndarray, degree: int, kernel) -> np.ndarray:
     prod_i rho_i (Hadamard's row 2-norm bound holds for det, not per:
     per J_4 = 24 > 16).  `_multimodular` takes the primes each item needs
     and lifts its value.  The result is (m,), or (m, ...) for tables.  A
-    stack is walked in slices of `slice_length(n)` items, and an item
-    without entries (order 0) has the value 1.  TypeError when an entry is
-    not a Gaussian rational.
+    stack is walked in slices of `budget_length` of one item's elements,
+    and an item without entries (order 0) has the value 1.  TypeError when
+    an entry is not a Gaussian rational.
     """
     m, n = M.shape[0], M.shape[-1]
     if not M.size:
         return np.full(m, ExactComplex(1), dtype=object)
-    if m > slice_length(n):
-        return in_slices(lambda s: modular_values(M[s], degree, kernel), m, slice_length(n))
+    step = budget_length(M[0].size)
+    if m > step:
+        return in_slices(lambda s: modular_values(M[s], degree, kernel), m, step)
     re, im = rational_parts(M.ravel().tolist())
     scales, size = [1] * m, len(re) // m
     if {*map(type, re), *map(type, im)} - {int}:
@@ -575,14 +545,13 @@ def map_blocks(M, rows, cols, evaluate, source=None, mod=None) -> np.ndarray:
     `det_batch` or `per_each`) maps a stack of blocks to their values; the result
     has M's leading shape followed by the broadcast shape, and the evaluator's
     dtype.  Given mod, M holds residues and evaluate(blocks, mod) is given the
-    prime of each block.  Blocks beyond one slice of `slice_length(j)` are gathered into
-    one buffer and evaluated slice by slice in flat order, so a floating stack
-    runs in the same kernel chunks, bit for bit, as in one call; a slice of
-    residue images holds as many blocks of each image.
+    prime of each block.  Blocks beyond one slice of `budget_length(i j)` are
+    gathered into one reused buffer and evaluated slice by slice in flat
+    order; a slice of residue images holds as many blocks of each image.
     """
     M = np.asarray(M)
     picks = () if source is None else (source,)
-    lead, step = M.shape[:M.ndim - 2 - len(picks)], slice_length(cols.shape[-1])
+    lead, step = M.shape[:M.ndim - 2 - len(picks)], budget_length(rows.shape[-1] * cols.shape[-1])
     primes = () if mod is None else (mod,)
     step *= 1 if mod is None else mod.size  # the same blocks of every image
     # the block count, or more where rows and cols share an axis
@@ -634,10 +603,11 @@ def map_blocks(M, rows, cols, evaluate, source=None, mod=None) -> np.ndarray:
 def per_each(mats, mod=None) -> np.ndarray:
     """Permanents of a stack, by one scalar `per` call per floating matrix.
 
-    `padj`, `laplace_per` and `dper` evaluate their gathers with it
-    (`tilde_sym_block` takes `complement_permanents` instead).  An exact
-    stack, or a residue stack given with its primes, goes whole to
-    `per_batch`, so that an exact gather is one lift.
+    Only `padj` and `dper` evaluate their gathers with it, so that their
+    scalar `per` calls stay what the benchmark's layer counts measure; the
+    values are those of `per_batch`.  An exact stack, or a residue stack
+    given with its primes, goes whole to `per_batch`, so that an exact
+    gather is one lift.
     """
     if mod is not None or mats.dtype == object:
         return per_batch(mats, mod)
@@ -651,8 +621,8 @@ def laplace_per(A, I: MultiIndex):
     n = A.shape[0]
     rows, kept = (np.array(x.zero_based(), dtype=np.intp) for x in (I, complement(I, n)))
     plan = index_plan(len(I), n)
-    tops = map_blocks(A, rows, plan.combos, per_each)
-    bottoms = map_blocks(A, kept, plan.complements, per_each)
+    tops = map_blocks(A, rows, plan.combos, per_batch)
+    bottoms = map_blocks(A, kept, plan.complements, per_batch)
     return reduce(operator.add, map(operator.mul, tops, bottoms))
 
 
@@ -704,14 +674,14 @@ def replacement_stack(A, Xs, part=slice(None)):
 def replacement_values(A, Xs, evaluate, mod=None) -> np.ndarray:
     """evaluate (`per_batch` or `det_batch`) of `replacement_stack(A, Xs)`: (..., k! C(n,k)).
 
-    The stack is built and evaluated in `slice_length(n)` slices, so memory
-    stays bounded.  Given mod, A and Xs hold residues, and a slice holds its
-    matrices of every image.
+    The stack is built and evaluated in slices of `budget_length(n * n)`
+    matrices, so memory stays bounded.  Given mod, A and Xs hold residues,
+    and a slice holds its matrices of every image.
     """
     k, n = Xs.shape[-3], Xs.shape[-1]
-    primes = () if mod is None else (mod,)
+    primes, step = () if mod is None else (mod,), budget_length(n * n)
     return in_slices(
-        lambda s: evaluate(replacement_stack(A, Xs, s), *primes), math.perm(n, k), slice_length(n), axis=-1
+        lambda s: evaluate(replacement_stack(A, Xs, s), *primes), math.perm(n, k), step, axis=-1
     )
 
 

@@ -23,6 +23,7 @@ import math
 import numbers
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -317,11 +318,26 @@ def matmul(a, b, mod=None):
 
 
 def divided(x, q: int, mod=None):
-    """x / q for a nonzero integer q; with mod, x times the inverse of q mod p."""
+    """x / q for a nonzero integer q; with mod, x times the inverse of q mod p.
+
+    Images of one prime, the common case, take one cached inverse; others
+    one inverse per distinct prime.
+    """
     if mod is None:
         return x / q
-    inverse = np.array([pow(q, -1, p) for p in mod.ravel().tolist()]).reshape(mod.shape)
-    return residues(residues(x, mod) * _leading(inverse, np.ndim(x)), mod)
+    if mod.size and (mod == mod.flat[0]).all():
+        inverse = _inverse(q % int(mod.flat[0]), int(mod.flat[0]))
+    else:
+        primes, at = np.unique(mod, return_inverse=True)
+        inverse = np.array([_inverse(q % p, p) for p in primes.tolist()], np.int64)[at]
+        inverse = _leading(inverse.reshape(mod.shape), np.ndim(x))
+    return residues(residues(x, mod) * inverse, mod)
+
+
+@lru_cache(maxsize=None)
+def _inverse(q: int, p: int) -> int:
+    """1 / q mod the prime p."""
+    return pow(q, -1, p)
 
 
 def require_square(A):

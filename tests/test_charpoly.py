@@ -363,9 +363,9 @@ def test_one_restriction_per_chunk_gives_the_same_value(form, exact, n, k, r, rn
     # of the other forms gathers C(r, k)^2 blocks of order k, so at n, k, r =
     # 6, 2, 4 its 36 blocks take 3 slices of 16 and 15 chunks 90 calls
     if form is dk_gr_columns:
-        terms = -(-math.perm(r, k) // permanent.slice_length(r))
+        terms = -(-math.perm(r, k) // permanent.budget_length(r * r))
     else:
-        terms = math.factorial(k) * -(-math.comb(r, k) ** 2 // permanent.slice_length(k))
+        terms = math.factorial(k) * -(-math.comb(r, k) ** 2 // permanent.budget_length(k * k))
     if (n, k, r) == (6, 2, 4) and form is not dk_gr_columns:
         assert len(calls) == 90
     assert len(chunks) == math.comb(n, r)

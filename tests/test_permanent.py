@@ -618,45 +618,41 @@ def _kernel_plan(n):
 
 
 def _glynn_reference(mats):
-    """The float kernel written out from Glynn's formula, chunk by chunk.
+    """The float kernel written out from Glynn's formula, matrix by matrix.
 
     per A = 2^(1-n) sum over delta in {+-1}^n, delta_1 = 1, of
     (prod_k delta_k) prod_i sum_j delta_j a_ij.  The deltas of the b low
     columns are the rows of a table, column L setting delta_j = -1 for bit
     j - 1 of L; pattern t of the high columns sets delta_{b+j} = -1 for bit j
-    of t.  Each row product is an explicit loop of *=.
+    of t.  Each row product is an explicit loop of *=, and each matrix's
+    signed sum over L is a dot of its own.
     """
     m, n = mats.shape[0], mats.shape[-1]
     if n == 0:
         return np.ones(m, dtype=complex)
-    b, chunk = _kernel_plan(n)[::3]
+    b = _kernel_plan(n)[0]
     L = np.arange(2 ** (b - 1))
     low_deltas = np.array([np.ones_like(L)] + [1 - 2 * (L >> (j - 1) & 1) for j in range(1, b)])
-    low_signs = low_deltas.prod(axis=0) * 2.0 ** (1 - n)
-    values = []
-    for start in range(0, m, chunk):
-        block = mats[start:start + chunk].astype(complex)
-        c = len(block)
-        low = (block[:, :, :b].reshape(c * n, b) @ low_deltas.astype(complex)).reshape(c, n, -1)
-        for t in range(2 ** (n - b)):
-            high_deltas = np.array([1 - 2 * (t >> j & 1) for j in range(n - b)], dtype=np.int64)
-            rows = low if n == b else low + (block[:, :, b:] @ high_deltas)[:, :, None]
-            prods = rows[:, 0].copy()
-            for i in range(1, n):
-                prods *= rows[:, i]
-            term = prods.dot(low_signs.astype(complex))
-            if high_deltas.prod() < 0:
-                term = -term
-            acc = acc + term if t else term
-        values.append(acc)
-    return np.concatenate(values)
+    low_signs = (low_deltas.prod(axis=0) * 2.0 ** (1 - n)).astype(complex)
+    block = mats.astype(complex)
+    low = (block[:, :, :b].reshape(m * n, b) @ low_deltas.astype(complex)).reshape(m, n, -1)
+    for t in range(2 ** (n - b)):
+        high_deltas = np.array([1 - 2 * (t >> j & 1) for j in range(n - b)], dtype=np.int64)
+        rows = low if n == b else low + (block[:, :, b:] @ high_deltas)[:, :, None]
+        prods = rows[:, 0].copy()
+        for i in range(1, n):
+            prods *= rows[:, i]
+        term = np.array([row.dot(low_signs) for row in prods])
+        if high_deltas.prod() < 0:
+            term = -term
+        acc = acc + term if t else term
+    return acc
 
 
 def test_kernel_is_bit_identical_to_the_explicit_row_loop(rng):
     # n = 11..14 exceed the ten low columns, so the high-column loop runs;
-    # each stack holds one matrix more than a kernel chunk.  A matrix alone
-    # and in a stack may differ in the last bit (the low sums are one matmul
-    # over the chunk), so each is held to the reference of the same shape.
+    # each stack holds one matrix more than a kernel chunk.  Every matrix,
+    # alone and in its stack, is held to the one value of the reference
     for n in range(15):
         m = _kernel_plan(n)[3] + 1 if n else 2
         mats = np.stack([random_complex(rng, n) for _ in range(m)])
@@ -664,11 +660,33 @@ def test_kernel_is_bit_identical_to_the_explicit_row_loop(rng):
         expected = _glynn_reference(mats)
         assert permanent._glynn_stack(mats).tobytes() == expected.tobytes()
         assert per_batch(mats).tobytes() == expected.tobytes()
-        for M in mats[[0, m - 2, m - 1]]:
-            alone = _glynn_reference(M[None])
-            assert permanent._glynn_stack(M[None]).tobytes() == alone.tobytes()
+        assert b"".join(per(M).tobytes() for M in mats) == expected.tobytes()
+        for i in (0, m - 2, m - 1):
+            M = mats[i]
+            alone = expected[i].tobytes()
+            assert _glynn_reference(M[None]).tobytes() == alone
+            assert permanent._glynn_stack(M[None]).tobytes() == alone
             for value in (per(M), per_batch(M[None])[0]):
-                assert type(value) is np.complex128 and value.tobytes() == alone.tobytes()
+                assert type(value) is np.complex128 and value.tobytes() == alone
+
+
+@pytest.mark.parametrize("budget", [permanent._STACK_BUDGET, 64])
+def test_floating_permanents_do_not_depend_on_their_stack(budget, rng, monkeypatch):
+    # a floating permanent depends only on its matrix: per_batch(M)[i],
+    # per(M[i]) and per_batch of any slice of M that holds i have the same
+    # bytes, for stacks that cross kernel chunks and parts of many scales
+    monkeypatch.setattr(permanent, "_STACK_BUDGET", budget)
+    for n in range(15):
+        chunk = _kernel_plan(n)[3] if n else 1
+        m = chunk + 1 + int(rng.integers(1, min(chunk, 64) + 1))
+        re, im = rng.standard_normal((2, m, n, n)) * 10.0 ** rng.integers(-3, 4, (2, m, 1, 1))
+        mats = re + 1j * im
+        whole = per_batch(mats)
+        assert b"".join(per(M).tobytes() for M in mats) == whole.tobytes(), n
+        cuts = [(chunk - 1, chunk + 1), (1, m), (0, m - 1), (chunk, m)]
+        cuts += [tuple(sorted(rng.choice(m + 1, 2, replace=False).tolist())) for _ in range(3)]
+        for lo, hi in cuts:
+            assert per_batch(mats[lo:hi]).tobytes() == whole[lo:hi].tobytes(), (n, lo, hi)
 
 
 def _layouts(rng, n, dtype):
@@ -874,12 +892,12 @@ def test_parts_beyond_int64_are_reduced_mod_each_prime(rng, monkeypatch):
     for M in (A, B, C, D, D[:2, :2]):
         value = per(M)
         assert value == per_naive(M) and _is_exact_result(value)
-    # slices of 4 matrices (a 32-element budget): the second slice holds the
+    # slices of 2 matrices (a 32-element budget): the second slice holds the
     # parts beyond int64 and takes more primes than the first
     monkeypatch.setattr(permanent, "_LOW_COLUMNS", 2)
     monkeypatch.setattr(permanent, "_STACK_BUDGET", 32)
-    assert permanent.slice_length(4) == 4
-    mats = np.stack([random_gaussian_integer(rng, 4) for _ in range(4)] + [A, B])
+    assert permanent.budget_length(4 * 4) == 2
+    mats = np.stack([random_gaussian_integer(rng, 4) for _ in range(2)] + [A, B])
     values = per_batch(mats)
     assert all(v == per_naive(M) and _is_exact_result(v) for M, v in zip(mats, values))
 
@@ -898,7 +916,7 @@ def test_exact_per_batch_memory_does_not_grow_with_the_stack(rng, monkeypatch):
     # a 1024-element budget cuts 4 x 4 stacks into slices of 64 matrices;
     # beyond the results kept, 20 slices take no more memory than one
     monkeypatch.setattr(permanent, "_STACK_BUDGET", 1024)
-    assert permanent.slice_length(4) == 64
+    assert permanent.budget_length(4 * 4) == 64
     mats = np.stack([random_gaussian_integer(rng, 4) for _ in range(1280)])
     per_batch(mats[:64])
     extra = []

@@ -134,10 +134,10 @@ def test_gathers_in_many_slices_equal_the_reference_helpers(exact, rng, monkeypa
     I = MultiIndex((2, 5))
     terms = [per(submatrix(A, I, J)) * per(minor_complement(A, I, J)) for J in basis]
     assert laplace_per(A, I) == sum(terms[1:], terms[0])
-    if exact:  # a floating stack may differ from its matrices alone in the last bit
-        blocks = [[submatrix(A, I, J) for J in basis] for I in basis]
-        assert sym_power_projected(A, 2).entries.tolist() == [[per(B) for B in row] for row in blocks]
-        assert antisym_power(A, 2).entries.tolist() == [[det(B) for B in row] for row in blocks]
+    # a matrix of a sliced stack has the value of the matrix alone, in both modes
+    blocks = [[submatrix(A, I, J) for J in basis] for I in basis]
+    assert sym_power_projected(A, 2).entries.tolist() == [[per(B) for B in row] for row in blocks]
+    assert antisym_power(A, 2).entries.tolist() == [[det(B) for B in row] for row in blocks]
 
 
 def _whole(M, rows, cols, source=None):
@@ -245,7 +245,7 @@ def test_sliced_gathers_equal_one_evaluation_of_the_whole_stack(name, exact, rng
     # partial last slice (the 100 blocks of order 2 at n = 5 and k = 2 or 3
     # take 6 slices of 16 and one of 4); k = n gathers the one empty complement
     monkeypatch.setattr(permanent, "_STACK_BUDGET", 64)
-    assert permanent.slice_length(2) == 16
+    assert permanent.budget_length(2 * 2) == 16
     n = 5
     make = random_gaussian_integer if exact else random_complex
     A = make(rng, n)
@@ -298,12 +298,12 @@ def test_tilde_sym_block_memory_is_bounded_at_n9_k4(rng):
 def test_sliced_results_take_part_in_products_as_whole_ones(evaluate, rng):
     # numpy can write a product into an operand that is a temporary owning its
     # data (above 256 KiB), and that can round it differently from a product
-    # into a new array; the 165^2 blocks here take 5 slices, and their joined
+    # into a new array; the 165^2 blocks here take 4 slices, and their joined
     # result owns its data just when the evaluator's own results do
     Xs = np.stack([random_complex(rng, 11) for _ in range(3)])[None]
     c, sigma = index_plan(3, 11).combos, index_plan(3, 3).perms[3]
     weights = random_complex(rng, 165)[None]
-    assert 165**2 * 16 >= 2**18 and permanent.slice_length(3) < 165**2
+    assert 165**2 * 16 >= 2**18 and permanent.budget_length(3 * 3) < 165**2
     got = weights * permanent.map_blocks(Xs, c[:, None], c[None, :], evaluate, sigma)
     _assert_same(got, weights * evaluate(_whole(Xs, c[:, None], c[None, :], sigma)))
 
@@ -580,7 +580,7 @@ def test_each_group_of_matrices_takes_only_the_primes_it_needs(rng, monkeypatch)
 def test_residue_determinants_of_a_stack_longer_than_a_slice(rng, n, monkeypatch):
     cases = _residue_cases(rng, n)[:-2]  # 200-digit parts take dozens of primes per slice
     references = [_leibniz(M) for M in cases]
-    count = permanent.slice_length(n) + 1
+    count = permanent.budget_length(n * n) + 1
     stack = np.stack([cases[i % len(cases)] for i in range(count)]).reshape(count, 1, n, n)
     kernel, calls = tensor.det_batch, []  # det_bareiss' residue evaluator
     monkeypatch.setattr(tensor, "det_batch", lambda *a: calls.append(a) or kernel(*a))
