@@ -33,7 +33,7 @@ from .norms import (
     gr_perturb_bound_weak,
     per_perturb_bound,
 )
-from .permanent import padj, per
+from .permanent import NAIVE_MAX_N, padj, per
 from .scalars import ExactComplex, exact_matrix
 from .verification import run_verify
 
@@ -90,21 +90,24 @@ def _load_job(args):
 
 
 def _directions(data, args, n):
+    """(k, directions) of a job; "X" goes at most n + 1 times, as D^k per is
+    0 for k > n and D^k g_r for k > r."""
     if "directions" in data:
         if not isinstance(data["directions"], list):
             raise InputError('"directions" must be a list of matrices')
         dirs = [parse_matrix(m, args.mode) for m in data["directions"]]
+        k = len(dirs)
     elif "X" in data:
         k = args.k if args.k is not None else 1
-        dirs = [parse_matrix(data["X"], args.mode)] * k
+        dirs = [parse_matrix(data["X"], args.mode)] * min(k, n + 1)
     else:
         raise InputError('need "directions" (list of matrices) or "X" in the input')
-    if args.k is not None and len(dirs) != args.k:
+    if k < 0 or args.k not in (None, k):
         raise InputError(f"--k {args.k} does not match {len(dirs)} directions")
     for d in dirs:
         if d.shape != (n, n):
             raise InputError("every direction must match the order of A")
-    return tuple(dirs)
+    return k, tuple(dirs)
 
 
 def _require(args, name):
@@ -130,15 +133,15 @@ def _forms(result, formula) -> dict:
 
 
 def _dkper(A, data, args):
-    dirs = _directions(data, args, A.shape[0])
-    return {"k": len(dirs), **_forms(dkper(A, dirs, args.formula), args.formula)}
+    k, dirs = _directions(data, args, A.shape[0])
+    return {"k": k, **_forms(dkper(A, dirs, args.formula), args.formula)}
 
 
 def _dkgr(A, data, args):
     r = _require(args, "r")
-    dirs = _directions(data, args, A.shape[0])
+    k, dirs = _directions(data, args, A.shape[0])
     result = dk_gr(A, dirs, len(dirs), r, args.formula)
-    return {"k": len(dirs), "r": r, **_forms(result, args.formula)}
+    return {"k": k, "r": r, **_forms(result, args.formula)}
 
 
 def _gr(A, data, args):
@@ -202,6 +205,8 @@ def _out(value):
 def _check_verify_args(args):
     if args.n < 1:
         raise InputError("--n must be >= 1")
+    if args.n > NAIVE_MAX_N:  # the first check compares per with per_naive
+        raise InputError(f"--n must be <= {NAIVE_MAX_N}")
     if args.kmax < 0:
         raise InputError("--kmax must be >= 0")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):

@@ -112,8 +112,7 @@ def dkper_norm_bound(A, k: int) -> BoundReport:
     norm = operator_norm(A)
     value = math.factorial(k) * math.comb(n, k) * norm ** (n - k)
     witness = None
-    Ac = to_complex(A)
-    if k == 1 and np.allclose(Ac, np.eye(n)):
+    if k == 1 and np.array_equal(to_complex(A), np.eye(n)):
         witness = np.eye(n, dtype=complex)  # dper(I, I) = n = bound
     return BoundReport(value, "upper", witness)
 
@@ -141,7 +140,8 @@ def dk_gr_norm_exact(A, k: int, r: int) -> BoundReport:
     value = math.factorial(k) * total
     Ac = to_complex(A)
     d = np.diag(Ac)
-    nonnegative_diagonal = np.allclose(Ac, np.diag(d)) and np.all(d.real >= 0) and np.allclose(d.imag, 0)
+    # exactly: a tolerance would call every small enough matrix diagonal
+    nonnegative_diagonal = np.array_equal(Ac, np.diag(d)) and not d.imag.any() and np.all(d.real >= 0)
     witness = np.eye(n, dtype=complex) if k == 1 and nonnegative_diagonal else None
     return BoundReport(value, "exact" if k == r or r == n or nonnegative_diagonal else "upper", witness)
 

@@ -12,7 +12,7 @@ columns skips the stack and runs the kernel's calls on itself, so a scalar
 `per` is one matmul, one row product and one dot, with the scale 2^(1-n)
 folded into the signs.  The kernel takes that same dot for each matrix of
 a stack, so a floating permanent depends only on its matrix: it has the
-same bits alone, in any stack and in any slice of one.  An exact stack
+same bits alone, in any stack or slice, at any budget.  An exact stack
 runs that kernel on int64 images mod primes p = 1 (mod 4) below 2^31,
 where i maps to a square root of -1, divides by 2^(n-1) mod p, and its
 permanents are lifted back by the Chinese remainder theorem (the classic
@@ -24,14 +24,14 @@ the residue branch of `tensor.det_batch` for exact determinants
 principal minors from its whole images, one value per matrix for exact
 `charpoly.g_r`), or a closed form itself (or the exact "per" interpolation
 oracle), run once on the images of all its operands, so one value is lifted
-per call.  `per_batch`, `map_blocks`, `per_each` and
-`complement_permanents` take a residue stack with its primes (`mod`) for
-that.  `complement_permanents` gives per A(I|J) for every pair of k-sets,
-for `tensor.tilde_sym_block`, by one Walsh-Hadamard transform of Glynn's
-terms per row set I.  Both put the axis they reduce over first, so that
-numpy walks contiguous memory: the kernel's row sums are laid out row
-first, and the row product multiplies whole rows; the table's are laid out
-sign pattern first, and each doubling step and butterfly pass adds whole
+per call.  `per_batch`, `map_blocks` and `complement_permanents` take a
+residue stack with its primes (`mod`) for that.  `complement_permanents`
+gives per A(I|J) for every pair of k-sets, for `tensor.tilde_sym_block`, by
+one Walsh-Hadamard transform of Glynn's terms per row set I, on the
+kernel's plan (`_glynn_plan`).  Both put the axis they reduce over first,
+so that numpy walks contiguous memory: the kernel's row sums are laid out
+row first, and the row product multiplies whole rows; the table's are laid
+out sign pattern first, and each high column and butterfly pass adds whole
 slabs.  Every element still takes the same operations in the same order as
 in any other layout, so the layout moves no bit.  The formulas index
 through `multiindex.index_plan`, and `map_blocks` gathers and evaluates
@@ -102,15 +102,15 @@ def per_naive(A):
 def per(A):
     """Permanent of a square matrix, by the blocked Glynn kernel in A's mode.
 
-    A floating matrix whose columns all fit the sign table (n <= 10 at the
-    default budget) runs the kernel's three calls on itself; other orders
-    take a stack of one.  Either way the value has the bits of `per_batch`
-    of any stack that holds the matrix.  An exact matrix runs as int64
+    A floating matrix whose columns all fit the sign table (n <= 10) runs
+    the kernel's three calls on itself; other orders take a stack of one.
+    Either way the value has the bits of `per_batch` of any stack that holds
+    the matrix, at any `_STACK_BUDGET`.  An exact matrix runs as int64
     images mod primes (see `modular_values`).
     """
     A = require_square(A)
     if len(A) and A.dtype != object:
-        b, deltas, signs = _glynn_plan(len(A), _LOW_COLUMNS, _STACK_BUDGET)[:3]
+        b, deltas, signs = _glynn_plan(len(A), _LOW_COLUMNS)
         if b == len(A):
             return np.multiply.reduce(A.astype(complex, copy=False).dot(deltas), axis=0).dot(signs)
     return _glynn_stack(A[None])[0]
@@ -140,8 +140,8 @@ def _glynn_stack(mats: np.ndarray, mod=None) -> np.ndarray:
     number of primes P (2P images per matrix) but not with m.  With mod, the
     stack holds those int64 images and mod the odd prime of each, and the
     sums are divided by 2^(n-1) mod p.  The stack is walked in chunks of
-    whole matrices, so no kernel temporary holds more than _STACK_BUDGET
-    elements whatever n or m.
+    `budget_length(n 2^(b-1))` matrices, as tables are, so a temporary holds
+    at most _STACK_BUDGET elements, or one matrix's (<= 512 n), whatever m.
     """
     m, n = mats.shape[0], mats.shape[-1]
     if mats.dtype == object:
@@ -150,9 +150,11 @@ def _glynn_stack(mats: np.ndarray, mod=None) -> np.ndarray:
         return np.ones(m, complex if mod is None else np.int64)
     if mod is None:
         mats = mats.astype(complex, copy=False)
-    b, deltas, signs, chunk = _glynn_plan(n, _LOW_COLUMNS, _STACK_BUDGET, mats.dtype)
+    b, deltas, signs = _glynn_plan(n, _LOW_COLUMNS, mats.dtype)
     values = in_slices(
-        lambda s: _glynn_block(mats[s], b, deltas, signs, None if mod is None else mod[s]), m, chunk
+        lambda s: _glynn_block(mats[s], b, deltas, signs, None if mod is None else mod[s]),
+        m,
+        budget_length(n << (b - 1)),
     )
     return values if mod is None else divided(values, 1 << (n - 1), mod)
 
@@ -173,16 +175,13 @@ def budget_length(elements: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _glynn_plan(n: int, low_columns: int, budget: int, dtype=complex):
-    """Split of order n: low column count b, its sign table and signs, chunk size.
-
-    deltas is the (b, 2^(b-1)) +-1 table of the sign patterns delta of the
-    low columns with delta_1 = +1, and signs[L] = prod_j delta_j(L), scaled
-    by 2^(1-n) for a floating dtype (exact in binary floating point), both of
-    dtype (complex, or int64 for residues); b >= 1 is cut so that
-    n * 2^(b-1) <= budget.
-    """
-    b = max(min(n, low_columns, (budget // n).bit_length()), 1)
+def _glynn_plan(n: int, low_columns: int, dtype=complex):
+    """(b, deltas, signs) of order n >= 1 for both Glynn kernels: b = min(n,
+    low_columns) low columns, deltas the (b, 2^(b-1)) +-1 table of their sign
+    patterns L with delta_1 = +1 (delta_j = -1 at bit j - 1 of L), and
+    signs[L] = prod_j delta_j(L), scaled by 2^(1-n) for a floating dtype
+    (exact), both of dtype (complex, or int64 for residues)."""
+    b = min(n, low_columns)
     flips = (np.arange(1 << (b - 1)) >> np.arange(b - 1)[:, None]) & 1
     deltas = np.vstack([np.ones(1 << (b - 1), flips.dtype), 1 - 2 * flips])
     signs = 1 - 2 * (flips.sum(axis=0) % 2)
@@ -190,7 +189,7 @@ def _glynn_plan(n: int, low_columns: int, budget: int, dtype=complex):
     if dtype != np.int64:
         signs *= 2.0 ** (1 - n)
     deltas.flags.writeable = signs.flags.writeable = False  # shared by every caller
-    return b, deltas, signs, max(budget // (n << (b - 1)), 1)
+    return b, deltas, signs
 
 
 def _glynn_block(block, b, deltas, signs, mod=None):
@@ -209,8 +208,8 @@ def _glynn_block(block, b, deltas, signs, mod=None):
     operand's rows.  T's high-column sums are still formed on the
     untransposed block, as a (c, n) product, and added transposed: formed
     on the transposed block, they moved the last bit of some values.  Each
-    matrix's signed sum over L is a dot of its own, the call scalar `per`
-    makes, so its value does not depend on the block it stands in.
+    matrix's signed sum over L is a dot of its own, in both modes the call
+    scalar `per` makes, so its value does not depend on its block.
 
     With mod, the block holds int64 residues below 2^31 and each matrix's
     value, 2^(n-1) per A, is returned mod its modulus.  Row sums are reduced
@@ -236,12 +235,11 @@ def _glynn_block(block, b, deltas, signs, mod=None):
                 rows %= p
         if mod is None:
             prods = np.multiply.reduce(rows, axis=0)  # row by row, left to right, as a loop of *=
-            term = np.matmul(prods[:, None, :], signs[:, None])[:, 0, 0]  # one dot per matrix, as in `per`
         else:
             prods = rows[0]
             for i in range(1, n):
                 prods = prods * rows[i] % p
-            term = prods.dot(signs)
+        term = np.matmul(prods[:, None, :], signs[:, None])[:, 0, 0]  # one dot per matrix, as in `per`
         if t.bit_count() % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -261,21 +259,22 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
     one Walsh-Hadamard transform of a row set's products over the sign
     patterns gives its whole row of the table.
 
-    delta splits into a pattern L of the b = min(n, _LOW_COLUMNS) low
-    columns and a pattern T of the others.  The row sums of every L are
-    built by doubling, pattern first, (2^(b-1), s, n) for s matrices; each
-    T, looped over, adds its high columns, signed, one at a time in column
-    order.  For each chunk of row sets I the n - k kept rows are
-    multiplied, b - 1 butterfly passes over the pattern axis give every low
-    character, and each J adds its own, negated where T flips an odd number
-    of columns outside J, to its entry, in T order.  Every step is
-    elementwise and b does not depend on _STACK_BUDGET, which only chunks
-    the matrices (whose row sums fit it, or one matrix's: at most 512 n
-    elements) and the row sets (whose products and a factor fit it), so it
-    moves no bit.  The scale 2^(1-n) is exact.  Given mod, A holds residues
-    and so do the values: row sums are reduced before the products,
-    products after each, the transform after its b - 1 <= 9 passes (below
-    2^40) and the entries after every T.  An exact A is one lift.
+    delta splits into a pattern L of the low columns and a pattern T of the
+    others, by `_glynn_plan` as in `_glynn_block`.  The row sums of every L
+    are one product with its sign table, laid out pattern first,
+    (2^(b-1), s, n) for s matrices; each T adds its high columns, signed,
+    one at a time in column order.  For each chunk of row sets I the n - k
+    kept rows are multiplied, b - 1 butterfly passes over the pattern axis
+    give every low character, and each J adds its own, negated where T
+    flips an odd number of columns outside J, to its entry, in T order.
+    _STACK_BUDGET only chunks the matrices, by `budget_length(n 2^(b-1))`
+    as `_glynn_stack` does, and the row sets (whose products and a factor
+    fit it), and every step after the product is elementwise, so it moves
+    no bit.  As in `per`, an infinite entry gives NaN where the sign table
+    meets it.  Given mod, A holds residues and so do the values: row sums
+    are reduced before the products, products after each, the transform
+    after its b - 1 <= 9 passes (below 2^40) and the entries after every T.
+    An exact A is one lift.
     """
     A = require_square_stack(A)
     lead, n = A.shape[:-2], A.shape[-1]
@@ -293,15 +292,13 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
         flat = flat.astype(complex, copy=False)
     else:
         mod = moduli(mod, lead).reshape(-1)
-    b, kept = min(n, _LOW_COLUMNS), index_plan(k, n).complements
+    (b, deltas, _), kept = _glynn_plan(n, _LOW_COLUMNS, flat.dtype), index_plan(k, n).complements
     outside = (1 << kept).sum(axis=1)  # the columns [n] - J of each J, as bits
     low, high = outside >> 1 & (1 << (b - 1)) - 1, (outside >> b).tolist()
 
     def block(s):  # (J, matrix, I) entries of the matrices s
         mats, p = flat[s], None if mod is None else mod[None, s, None]
-        sums = mats[None, :, :, 0]
-        for j in range(1, b):  # the patterns with delta_j = -1 follow those without
-            sums = np.concatenate([sums + mats[:, :, j], sums - mats[:, :, j]])
+        sums = np.moveaxis(mats[:, :, :b] @ deltas, -1, 0).copy()  # (L, matrix, row), contiguous
         table, step = np.zeros((C, len(mats), C), mats.dtype), budget_length(2 * len(mats) << (b - 1))
         for t in range(1 << (n - b)):
             # whether T flips an odd number of the columns outside each J
@@ -320,8 +317,6 @@ def complement_permanents(A, k: int, mod=None) -> np.ndarray:
                 terms = residues(G, p).take(low, axis=0)
                 table[:, :, c:c + step] += np.negative(terms, out=terms, where=odd)
             table = residues(table, p)
-        if mod is None:
-            return table * 2.0 ** (1 - n)
         return divided(table, 1 << (n - 1), p)
 
     table = in_slices(block, len(flat), budget_length(n << (b - 1)), axis=1)
@@ -600,17 +595,16 @@ def map_blocks(M, rows, cols, evaluate, source=None, mod=None) -> np.ndarray:
     return out if part.flags.owndata else out[...]
 
 
-def per_each(mats, mod=None) -> np.ndarray:
+def per_each(mats) -> np.ndarray:
     """Permanents of a stack, by one scalar `per` call per floating matrix.
 
     Only `padj` and `dper` evaluate their gathers with it, so that their
     scalar `per` calls stay what the benchmark's layer counts measure; the
-    values are those of `per_batch`.  An exact stack, or a residue stack
-    given with its primes, goes whole to `per_batch`, so that an exact
-    gather is one lift.
+    values are those of `per_batch`.  An exact stack goes whole to
+    `per_batch`, so that an exact gather is one lift.
     """
-    if mod is not None or mats.dtype == object:
-        return per_batch(mats, mod)
+    if mats.dtype == object:
+        return per_batch(mats)
     flat = mats.reshape(math.prod(mats.shape[:-2]), *mats.shape[-2:])
     return np.fromiter(map(per, flat), complex, len(flat)).reshape(mats.shape[:-2])
 

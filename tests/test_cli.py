@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import subprocess
@@ -208,6 +209,26 @@ def test_directions_must_be_a_list():
     _input_error(run_cli(["dkper", "--k", "1"], payload))
 
 
+@pytest.mark.parametrize("verb", ["dkper", "dkgr"])
+def test_a_repeated_x_is_passed_at_most_n_plus_one_times(verb, capsys, monkeypatch):
+    # D^k per is 0 for k > n and D^k g_r for k > r, so --k 1000 on a 2 x 2
+    # passes 3 copies of X and reports the k asked for
+    from permderiv import cli
+
+    counts = []
+
+    def counting(evaluate):
+        return lambda A, dirs, *rest: counts.append(len(dirs)) or evaluate(A, dirs, *rest)
+
+    monkeypatch.setattr(cli, "dkper", counting(cli.dkper))
+    monkeypatch.setattr(cli, "dk_gr", counting(cli.dk_gr))
+    payload = io.StringIO(json.dumps({"A": [[1, 2], [3, 4]], "X": [[1, 0], [0, 1]]}))
+    monkeypatch.setattr(sys, "stdin", payload)
+    assert cli.main([verb, "--k", "1000", "--r", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert counts == [3] and report["k"] == 1000 and report["value"] == [0.0, 0.0]
+
+
 def test_exact_per_beyond_float_range():
     proc = run_cli(["per", "--mode", "exact"], "[[1e200,1e200],[1e200,1e200]]")
     assert proc.returncode == 0, proc.stdout
@@ -263,9 +284,10 @@ def test_overflowing_result_writes_nothing_to_stderr():
         (["--tolerance", "inf"], "--tolerance must be finite and >= 0"),
         (["--tolerance", "-1"], "--tolerance must be finite and >= 0"),
         (["--seed", "-1"], "--seed must be >= 0"),
+        (["--n", "11"], "--n must be <= 10"),
     ],
     ids=["n-0", "n-negative", "kmax-negative", "tolerance-nan", "tolerance-inf",
-         "tolerance-negative", "seed-negative"],
+         "tolerance-negative", "seed-negative", "n-beyond-the-naive-oracle"],
 )
 def test_verify_rejects_bad_arguments_before_any_work(args, detail, capsys, monkeypatch):
     from permderiv import cli

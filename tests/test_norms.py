@@ -191,6 +191,26 @@ def test_dk_gr_norm_exact_labels_an_upper_bound_upper(rng):
     assert dk_gr_norm_exact(B, 1, 2).kind == "upper"
 
 
+def test_norm_labels_do_not_depend_on_the_scale():
+    # the labels test the structure exactly: with a tolerance of 1e-8, 1e-9 M
+    # counted as diagonal (kind "exact", witness I) and I + 1e-9 M as I
+    M = np.array(
+        [
+            [0.578, 0.705 + 0.551j, -0.583 + 0.427j],
+            [0.491 - 1.558j, 0.056, 0.4 + 0.616j],
+            [-0.657 + 1.32j, 1.151 + 0.007j, 0.038],
+        ]
+    )
+    for A in (M, 1e-9 * M):
+        report = dk_gr_norm_exact(A, 1, 2)
+        assert report.kind == "upper" and report.witness is None
+        # D g_2(A)(X) = tr(A) tr(X) - tr(A X), whose norm is the trace norm
+        # of tr(A) I - A: 4.04e-9 at 1e-9 M, against the value 6.74e-9
+        assert trace_norm(np.trace(A) * np.eye(3) - A) < 0.7 * report.value
+    assert dkper_norm_bound(np.eye(3) + 1e-9 * M, 1).witness is None
+    assert dkper_norm_bound(np.eye(3), 1).witness is not None
+
+
 def test_dk_gr_norm_exact_k_equals_r(rng):
     n = 4
     A = random_complex(rng, n)

@@ -391,8 +391,9 @@ def test_complement_permanents_are_within_a_glynn_rounding_bound(parts, k):
     +-p_delta, p_delta = prod_{i not in I} r_i(delta) and r_i(delta) =
     sum_j delta_j a_ij over all n columns.  The negations, the gathers and
     the scale 2^(1-n) are exact, so only these round:
-    - r_i(delta) adds the n signed columns to a_i1 one at a time in column
-      order, the low ones by doubling and the high ones for the pattern T:
+    - r_i(delta) adds the n signed columns, the b low ones in one product
+      with the sign table and the high ones for the pattern T one at a time
+      in column order, n - 1 additions of exact terms:
       |fl(r_i) - r_i|_1 <= gamma_{n-1} rho_i, as |r_i(delta)|_1 <= rho_i;
     - the m - 1 complex products over the rows i not in I, on those sums,
       give |fl(p_delta) - p_delta|_1 <= gamma_K prod_i rho_i, K = m(n - 1) +
@@ -465,9 +466,10 @@ def test_complement_tables_have_the_same_bits_at_every_budget(monkeypatch):
     three primes, have the same bytes at every `_STACK_BUDGET`.
 
     A budget sets only the chunks of matrices and of row sets I: the split
-    at b = min(n, _LOW_COLUMNS) low columns does not depend on it, and every
-    step of the transform (doubling, high columns, row products, butterflies
-    and the sums over the high patterns) is elementwise.  The smaller the
+    at b = min(n, _LOW_COLUMNS) low columns does not depend on it, the
+    product with the sign table gives each matrix its own row sums, and
+    every later step of the transform (high columns, row products,
+    butterflies and the sums over the high patterns) is elementwise.  The smaller the
     budget, the smaller the chunks (at 64 from n = 6, and at 256 from n = 7,
     one matrix and one or two row sets), so 64 is checked up to n = 6 and
     256 up to n = 7; every k up to n = 10, and four k from n = 11.
@@ -601,8 +603,7 @@ def test_kernel_chunk_loops(rng, monkeypatch):
     # stack is also split into slices of 2 before it is mapped to images)
     monkeypatch.setattr(permanent, "_LOW_COLUMNS", 2)
     monkeypatch.setattr(permanent, "_STACK_BUDGET", 32)
-    b, _, _, chunk = permanent._glynn_plan(6, 2, 32)
-    assert (b, chunk) == (2, 2)
+    assert _kernel_plan(6) == (2, 2)
     mats = np.stack([random_complex(rng, 6) for _ in range(5)])
     for M, value in zip(mats, per_batch(mats)):
         assert rel_dev([value, per(M), per_naive(M)]) < 1e-12
@@ -614,7 +615,10 @@ def test_kernel_chunk_loops(rng, monkeypatch):
 
 
 def _kernel_plan(n):
-    return permanent._glynn_plan(n, permanent._LOW_COLUMNS, permanent._STACK_BUDGET)
+    """(b, chunk) at order n >= 1: the plan's low column count, and the
+    matrices in one kernel chunk, `budget_length(n 2^(b-1))`."""
+    b = permanent._glynn_plan(n, permanent._LOW_COLUMNS)[0]
+    return b, permanent.budget_length(n << (b - 1))
 
 
 def _glynn_reference(mats):
@@ -654,7 +658,7 @@ def test_kernel_is_bit_identical_to_the_explicit_row_loop(rng):
     # each stack holds one matrix more than a kernel chunk.  Every matrix,
     # alone and in its stack, is held to the one value of the reference
     for n in range(15):
-        m = _kernel_plan(n)[3] + 1 if n else 2
+        m = _kernel_plan(n)[1] + 1 if n else 2
         mats = np.stack([random_complex(rng, n) for _ in range(m)])
         mats *= 10.0 ** rng.integers(-3, 4, (m, 1, 1))
         expected = _glynn_reference(mats)
@@ -674,14 +678,19 @@ def test_kernel_is_bit_identical_to_the_explicit_row_loop(rng):
 def test_floating_permanents_do_not_depend_on_their_stack(budget, rng, monkeypatch):
     # a floating permanent depends only on its matrix: per_batch(M)[i],
     # per(M[i]) and per_batch of any slice of M that holds i have the same
-    # bytes, for stacks that cross kernel chunks and parts of many scales
+    # bytes, for stacks that cross kernel chunks and parts of many scales,
+    # and at any budget the bytes of the default one
+    default = permanent._STACK_BUDGET
     monkeypatch.setattr(permanent, "_STACK_BUDGET", budget)
     for n in range(15):
-        chunk = _kernel_plan(n)[3] if n else 1
+        chunk = _kernel_plan(n)[1] if n else 1
         m = chunk + 1 + int(rng.integers(1, min(chunk, 64) + 1))
         re, im = rng.standard_normal((2, m, n, n)) * 10.0 ** rng.integers(-3, 4, (2, m, 1, 1))
         mats = re + 1j * im
         whole = per_batch(mats)
+        with monkeypatch.context() as patch:
+            patch.setattr(permanent, "_STACK_BUDGET", default)
+            assert per_batch(mats).tobytes() == whole.tobytes(), n
         assert b"".join(per(M).tobytes() for M in mats) == whole.tobytes(), n
         cuts = [(chunk - 1, chunk + 1), (1, m), (0, m - 1), (chunk, m)]
         cuts += [tuple(sorted(rng.choice(m + 1, 2, replace=False).tolist())) for _ in range(3)]
@@ -700,9 +709,8 @@ def _layouts(rng, n, dtype):
 
 @pytest.mark.parametrize("budget", [permanent._STACK_BUDGET, 64])
 def test_scalar_per_has_the_bits_of_a_stack_of_one(budget, rng, monkeypatch):
-    # a matrix whose columns all fit the subset table skips the stack; at a
-    # budget of 64 the table holds fewer columns from n = 5 on, and the
-    # matrix goes through the stack as a stack of one
+    # a matrix whose columns all fit the sign table (n <= 10, at any budget)
+    # skips the stack; a larger one goes through it as a stack of one
     monkeypatch.setattr(permanent, "_STACK_BUDGET", budget)
     stacks = []
     stack = permanent._glynn_stack
